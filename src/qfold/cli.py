@@ -13,15 +13,14 @@ import sys
 
 from .checks import SUITES
 from .folding import identity_folding, orbit_blocks, validate_admissible
-from .gram import MismatchError, delta_weight, expand_word, matching_sum
+from .gram import delta_weight, expand_word, matching_sum
 from .laurent import ONE, qfact
 from .monomial import Orientation, validate_orientation
 from .presets import Preset, UnsupportedPreset, get_folding, get_preset
 from .rootsys import (RootSystemError, betas_from_sequence, bipartite_w0,
                       cartan_datum, weights_up_to)
-from .transition import (IndexMismatch, NotIntegral, Setup, SingularPivot,
-                         block_to_json, block_to_tsv, gram_block, pipeline,
-                         sigma_submatrix)
+from .transition import (IndexMismatch, Setup, block_to_json, block_to_tsv,
+                         gram_block, pipeline, sigma_submatrix)
 
 
 class ConfigError(ValueError):
@@ -124,11 +123,19 @@ def _parse_weight(text, datum):
     return gamma
 
 
+def _max_height(args, cfg):
+    """The flag, else the config value; None when neither is given (0 is a
+    height like any other)."""
+    if args.max_height is not None:
+        return args.max_height
+    return cfg.get("max-height")
+
+
 def _weights(args, cfg, datum):
     weight = args.weight or cfg.get("weight")
     if weight:
         return [_parse_weight(weight, datum)]
-    height = args.max_height or cfg.get("max-height")
+    height = _max_height(args, cfg)
     if height is None:
         raise ConfigError("give --weight or --max-height")
     return weights_up_to(datum, int(height))
@@ -267,8 +274,8 @@ def cmd_check(args, cfg):
     overall_ok = True
     for name in suite_names:
         kwargs = {}
-        height = args.max_height or cfg.get("max-height")
-        if height:
+        height = _max_height(args, cfg)
+        if height is not None:
             kwargs["max_height"] = int(height)
         preset = args.preset or cfg.get("preset")
         fold = args.fold or cfg.get("fold")
@@ -327,7 +334,9 @@ def main(argv=None):
         if args.command == "transition":
             return cmd_transition(args, cfg)
         return cmd_check(args, cfg)
-    except (MismatchError, SingularPivot, NotIntegral, IndexMismatch) as exc:
+    # every arithmetic failure is a breach: the mismatch, pivot and
+    # integrality errors, an inexact polynomial division, a zero division
+    except (ArithmeticError, IndexMismatch) as exc:
         print(f"internal invariant breach: {exc}", file=sys.stderr)
         return 3
     except (ConfigError, UnsupportedPreset, RootSystemError, OSError,

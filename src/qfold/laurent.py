@@ -280,6 +280,23 @@ def _poly_div_exact(a, b):
     return LaurentPoly({i: c for i, c in enumerate(quot) if c})
 
 
+def laurent_div_exact(a, b):
+    """Exact quotient a / b in Z[q, q^-1]; raises ArithmeticError when the
+    quotient is not a Laurent polynomial with integer coefficients.
+
+    Dividing out the lowest power of q leaves polynomials with nonzero
+    constant terms, whose quotient is Laurent exactly when it is an
+    ordinary polynomial.
+    """
+    lo_a, lo_b = a.min_exp(), b.min_exp()
+    return _poly_div_exact(a.shift(-lo_a), b.shift(-lo_b)).shift(lo_a - lo_b)
+
+
+def poly_lcm(a, b):
+    """A common multiple a * b / gcd(a, b) of two polynomials in Z[q]."""
+    return a * _poly_div_exact(b, _poly_gcd(a, b))
+
+
 def _content(lp):
     g = 0
     for c in lp.coeffs.values():
@@ -300,15 +317,9 @@ class RationalFn:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=1):
-        num = _as_laurent(num) if not isinstance(num, RationalFn) else num
-        den = _as_laurent(den) if not isinstance(den, RationalFn) else den
-        if isinstance(num, RationalFn) or isinstance(den, RationalFn):
-            a = num if isinstance(num, RationalFn) else RationalFn(num)
-            b = den if isinstance(den, RationalFn) else RationalFn(den)
-            r = a / b
-            object.__setattr__(self, "num", r.num)
-            object.__setattr__(self, "den", r.den)
-            return
+        num, den = _as_laurent(num), _as_laurent(den)
+        if num is NotImplemented or den is NotImplemented:
+            raise TypeError("RationalFn takes integers or Laurent polynomials")
         n, d = _normalize(num, den)
         object.__setattr__(self, "num", n)
         object.__setattr__(self, "den", d)

@@ -185,10 +185,6 @@ def get_preset(name):
     return Preset(name, fd, seq, ulseq, base.orientation, base.parts, False)
 
 
-_FOLDINGS = {"A->B": _preset_a, "D->C": _preset_d, "E->F": _preset_e6,
-             "D->G": _preset_d4_triality}
-
-
 def preset_orientation(datum):
     """The bipartite orientation of a preset's base datum.
 

@@ -12,9 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .folding import FoldingDatum, sigma_on_exponents
-from .gram import inner_mackey
-from .laurent import (ONE, LaurentPoly, RationalFn, RF_ZERO, bar,
-                      parse_laurent, parse_rational, split_bar_parts)
+from .gram import delta_weight, expand_word, matching_sum
+from .laurent import (ONE, ZERO, LaurentPoly, RationalFn, RF_ZERO, bar,
+                      laurent_div_exact, parse_laurent, parse_rational,
+                      poly_lcm, split_bar_parts)
 from .monomial import word_folded, word_modified, word_sym
 from .rootsys import ReducedSequence, enumerate_block
 
@@ -74,17 +75,28 @@ class TransitionBlock:
 
 
 def gram_block(setup, gamma, basis=None):
-    """Index and Gram matrix of the chosen monomial family at weight gamma."""
+    """Index and Gram matrix of the chosen monomial family at weight gamma.
+
+    Every word of the block has weight gamma, so the weight factor is
+    computed once per block and each word's letters and prefactor once per
+    index; each entry is then the matching sum over their product, as in
+    inner_mackey.
+    """
     basis = basis or setup.basis
     datum, seq = (setup.fd.quotient, setup.ulseq) if basis == "folded" \
         else (setup.fd.base, setup.seq)
     index = enumerate_block(seq, gamma)
     words = [setup.word_for(c, basis) for c in index]
+    letters = [expand_word(w, datum) for w in words]
+    delta = delta_weight(datum, words[0]) if words else ONE
     n = len(index)
     lam = [[None] * n for _ in range(n)]
     for a in range(n):
+        row_den = delta * letters[a].prefactor
         for b in range(a, n):
-            value = inner_mackey(datum, words[a], words[b])
+            value = RationalFn(
+                matching_sum(datum, letters[a].labels, letters[b].labels),
+                row_den * letters[b].prefactor)
             lam[a][b] = value
             lam[b][a] = value
     return index, lam
@@ -93,41 +105,55 @@ def gram_block(setup, gamma, basis=None):
 def ldl(index, lam):
     """Solve lam = H^t D H for unit lower triangular H and diagonal D.
 
-    With ascending index order the corner entry lam[n-1][n-1] is already a
-    pivot, so rows are processed from the bottom up.  H is certified into
-    Laurent form entry by entry; D stays rational.
+    The elimination runs over one common denominator instead of in Q(q).
+    C is the lcm of the denominators of lam, so A = C * lam is a Laurent
+    matrix, and row i computes the numerators S[i][j] = C * D[i] * H[i][j]
+    (so S[i][i] = C * D[i]) for j <= i:
+
+        S[i][j] = A[i][j] - sum over e > i of H[e][i] * S[e][j].
+
+    With ascending index order the corner entry is already a pivot, so rows
+    are processed from the bottom up.  Every S stays Laurent by induction:
+    A is Laurent, and each row of H is certified Laurent by one exact
+    division H[i][j] = S[i][j] / S[i][i] before a higher row uses it.  No
+    fraction is reduced during the elimination; D[i] = S[i][i] / C is
+    normalised once per row.
     """
     n = len(lam)
-    H = [[RF_ZERO] * n for _ in range(n)]
-    D = [RF_ZERO] * n
-    scaled = [[RF_ZERO] * n for _ in range(n)]      # scaled[e][j] = D[e] * H[e][j]
+    dens = dict.fromkeys(lam[i][j].den for i in range(n) for j in range(i + 1))
+    C = ONE
+    for den in dens:
+        C = poly_lcm(C, den)
+    cofactor = {den: laurent_div_exact(C, den) for den in dens}
+    H = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+    S = [[None] * n for _ in range(n)]      # coefficient items of S[e][j], j <= e
+    D = [None] * n
     for i in range(n - 1, -1, -1):
-        pivot = lam[i][i]
-        for e in range(i + 1, n):
-            pivot = pivot - H[e][i] * scaled[e][i]
-        D[i] = pivot
-        if i and pivot.is_zero():
-            raise SingularPivot(f"zero pivot at block position {i}")
-        for j in range(i - 1, -1, -1):
-            value = lam[i][j]
-            for e in range(i + 1, n):
-                value = value - H[e][i] * scaled[e][j]
-            H[i][j] = value / pivot
-            scaled[i][j] = value
-    out = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                out[i][j] = ONE
-            elif j > i:
-                out[i][j] = LaurentPoly(0)
-            else:
-                lp = H[i][j].to_laurent()
-                if lp is None:
+        column = [(e, H[e][i].coeffs.items()) for e in range(i + 1, n) if H[e][i]]
+        for j in range(i, -1, -1):
+            entry = lam[i][j]
+            acc = dict((entry.num * cofactor[entry.den]).coeffs)
+            for e, h in column:
+                s = S[e][j]
+                for e1, c1 in h:
+                    for e2, c2 in s:
+                        k = e1 + e2
+                        acc[k] = acc.get(k, 0) - c1 * c2
+            value = LaurentPoly(acc)
+            S[i][j] = value.coeffs.items()
+            if j == i:
+                pivot = value
+                if i and pivot.is_zero():
+                    raise SingularPivot(f"zero pivot at block position {i}")
+                D[i] = RationalFn(pivot, C)
+            elif value:
+                try:
+                    H[i][j] = laurent_div_exact(value, pivot)
+                except ArithmeticError:
                     raise NotIntegral(
-                        f"H[{i}][{j}] = {H[i][j]} is not a Laurent polynomial")
-                out[i][j] = lp
-    return out, D
+                        f"H[{i}][{j}] = ({value}) / ({pivot}) is not a "
+                        f"Laurent polynomial") from None
+    return H, D
 
 
 def pq_split(H):

@@ -136,3 +136,25 @@ def test_max_height_sweep(capsys):
     assert code == 0
     data = json.loads(out)
     assert len(data["blocks"]) == 5
+
+
+def test_max_height_zero_means_zero(capsys):
+    code, out, _ = run(["transition", "--preset", "B2", "--max-height", "0"],
+                       capsys)
+    assert code == 0
+    assert json.loads(out) == {"blocks": []}
+    code, out, _ = run(["check", "--suite", "delta", "--preset", "A3",
+                        "--max-height", "0"], capsys)
+    assert code == 0
+    assert ": 0 instances" in out
+
+
+def test_arithmetic_errors_exit_three(monkeypatch, capsys):
+    def breach(*_args):
+        raise ArithmeticError("inexact polynomial division")
+
+    monkeypatch.setattr("qfold.cli.pipeline", breach)
+    code, _, err = run(["transition", "--preset", "B2", "--weight", "2,1"],
+                       capsys)
+    assert code == 3
+    assert "internal invariant breach" in err

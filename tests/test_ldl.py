@@ -1,0 +1,73 @@
+"""Properties of the symmetric factorization lam = H^t D H.
+
+H^t D H is built from a random unit lower triangular Laurent H and a
+diagonal D of PBW-like reciprocals; the factorization is unique, so ldl
+must give back exactly H and D.
+"""
+
+import math
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import qfold
+from qfold.gram import pbw_diag
+from qfold.laurent import ONE, LaurentPoly, RationalFn, RF_ZERO, q_power
+from qfold.transition import NotIntegral, Setup, gram_block, ldl, reconstruct_lam
+
+SETTINGS = settings(max_examples=60, deadline=None, database=None)
+
+laurent = st.dictionaries(st.integers(-3, 3), st.integers(-3, 3),
+                          max_size=3).map(LaurentPoly)
+pbw_like = st.lists(st.integers(1, 4), max_size=3).map(
+    lambda ks: RationalFn(1, math.prod((ONE - q_power(2 * k) for k in ks), start=ONE)))
+
+
+@st.composite
+def factors(draw, min_n=1):
+    n = draw(st.integers(min_n, 6))
+    H = [[ONE if i == j else draw(laurent) if j < i else LaurentPoly(0)
+          for j in range(n)] for i in range(n)]
+    D = [draw(pbw_like) for _ in range(n)]
+    return H, D
+
+
+def gram(H, D):
+    """H^t D H over Q(q); H may hold rational entries."""
+    n = len(H)
+    return [[sum((RationalFn(1) * H[e][a] * H[e][b] * D[e]
+                  for e in range(max(a, b), n)), RF_ZERO)
+             for b in range(n)] for a in range(n)]
+
+
+@SETTINGS
+@given(factors())
+def test_ldl_recovers_random_factors(hd):
+    H, D = hd
+    n = len(H)
+    assert ldl([(k,) for k in range(n)], gram(H, D)) == (H, D)
+
+
+@SETTINGS
+@given(factors(min_n=2), laurent, st.integers(1, 4), st.data())
+def test_ldl_rejects_a_non_laurent_factor(hd, u, m, data):
+    """One entry u + 1/(1 + q^m) of H is not Laurent, so neither is the
+    unique factor of H^t D H."""
+    H, D = hd
+    n = len(H)
+    i = data.draw(st.integers(1, n - 1))
+    j = data.draw(st.integers(0, i - 1))
+    H = [[RationalFn(v) for v in row] for row in H]
+    H[i][j] = RationalFn(u) + RationalFn(1, ONE + q_power(m))
+    with pytest.raises(NotIntegral):
+        ldl([(k,) for k in range(n)], gram(H, D))
+
+
+def test_ldl_a3_block_matches_pbw_diagonal():
+    p = qfold.get_folding("A3->B2")
+    setup = Setup(p.fd, p.seq, p.ulseq, p.orientation, "modified")
+    datum, seq = setup.active()
+    index, lam = gram_block(setup, (3, 3, 2))
+    H, D = ldl(index, lam)
+    assert D == [pbw_diag(datum, seq, c) for c in index]
+    assert reconstruct_lam(H, D) == lam
