@@ -7,7 +7,7 @@ Run: python3 demos/folding_comparison.py
 
 import qfold
 from qfold.folding import fold_exponent, sigma_on_exponents
-from qfold.transition import Setup, mod_p_compare, pipeline, sigma_submatrix
+from qfold.transition import mod_p_compare, pipeline, sigma_submatrix
 
 fold = qfold.get_folding("A3->B2")
 fd = fold.fd
@@ -17,8 +17,7 @@ print("orbits:", "  ".join("{" + " ".join(o) + "}" for o in fd.orbits),
 print("quotient generators:", ", ".join(fd.quotient.labels))
 
 gamma = (2, 2, 1)
-setup = Setup(fd, fold.seq, fold.ulseq, fold.orientation, "modified")
-block = pipeline(setup, gamma)
+block = pipeline(fold, gamma)
 print(f"\nsymmetric side, weight {gamma}: {len(block.index)} vectors")
 for c in block.index:
     mark = "fixed" if sigma_on_exponents(fd, fold.seq, c) == c else "moved"
@@ -30,9 +29,7 @@ for row in p_fixed:
     print("  " + "  ".join(str(v) for v in row))
 
 ulgamma = fd.project_weight(gamma)
-b2 = qfold.get_preset("B2")
-ul_block = pipeline(Setup(b2.fd, b2.seq, b2.ulseq, b2.orientation, "folded"),
-                    ulgamma)
+ul_block = pipeline(qfold.get_preset("B2"), ulgamma)
 print(f"\nquotient side, weight {ulgamma}:")
 for ulc in ul_block.index:
     print(f"  {ulc}  ->  {fold_exponent(fd, fold.ulseq, ulc)}")

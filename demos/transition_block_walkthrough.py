@@ -6,12 +6,10 @@ Run: python3 demos/transition_block_walkthrough.py
 """
 
 import qfold
-from qfold.gram import inner_mackey
-from qfold.transition import Setup, pipeline
+from qfold.transition import factor_gram, gram_block
 
 preset = qfold.get_preset("B2")
 datum = preset.fd.quotient
-setup = Setup(preset.fd, preset.seq, preset.ulseq, preset.orientation, "folded")
 
 print("generators:", ", ".join(datum.labels))
 print("reduced word:", " ".join(preset.ulseq.indices))
@@ -22,14 +20,15 @@ for k, beta in enumerate(preset.ulseq.betas):
 
 gamma = (2, 1)
 print(f"\nweight block gamma = 2*a1 + a2:")
-block = pipeline(setup, gamma)
-words = [setup.word_for(c) for c in block.index]
-for c, w in zip(block.index, words):
+gram = gram_block(preset, gamma)
+for c, w in zip(gram.index, gram.words):
     print(f"  {c}  <->  {w}")
 
 print("\nGram matrix of the monomial words:")
-for wa in words:
-    print("  " + "   ".join(str(inner_mackey(datum, wa, wb)) for wb in words))
+for row in gram.lam:
+    print("  " + "   ".join(str(v) for v in row))
+
+block = factor_gram(gram, gamma)
 
 print("\nunit lower triangular H with Lambda = H^t D H:")
 for row in block.H:

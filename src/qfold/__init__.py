@@ -17,8 +17,8 @@ from .gram import (LetterSequence, expand_word, delta_weight, inner_mackey,
                    inner_mackey_restricted, inner_shuffle, inversion_stat,
                    matching_sum, matchings, pbw_diag)
 from .presets import Preset, get_folding, get_preset, preset_orientation
-from .transition import (Setup, TransitionBlock, block_from_json,
-                         block_to_json, gram_block, ldl, mod_p_compare,
-                         pipeline, pq_split, sigma_submatrix)
+from .transition import (GramBlock, TransitionBlock, block_from_json,
+                         block_to_json, factor_gram, gram_block, ldl,
+                         mod_p_compare, pipeline, pq_split, sigma_submatrix)
 
 __version__ = "0.1.0"

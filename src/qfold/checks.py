@@ -13,15 +13,14 @@ from dataclasses import dataclass, field
 
 from .folding import fold_exponent, orbit_blocks, sigma_on_exponents, unfold_exponent
 from .laurent import RationalFn
-from .gram import (MismatchError, delta_weight, expand_word, inner_mackey,
-                   inner_mackey_restricted, inner_shuffle, matching_sum,
-                   pbw_diag)
+from .gram import (MismatchError, expand_word, inner_mackey,
+                   inner_mackey_restricted, inner_shuffle, pbw_diag)
 from .monomial import (MonomialWord, canonical_word, collapse_orbit_runs,
                        delta_codim, sigma_word, word_folded, word_modified)
 from .presets import get_folding, get_preset
 from .rootsys import enumerate_block, weights_up_to
-from .transition import (Setup, matmul_laurent, mod_p_compare, pipeline,
-                         reconstruct_lam, sigma_submatrix)
+from .transition import (factor_gram, gram_block, matmul_laurent, mod_p_compare,
+                         pipeline, reconstruct_lam, sigma_submatrix)
 
 
 @dataclass
@@ -48,18 +47,12 @@ class CheckResult:
         return "\n".join(lines)
 
 
-def _setup_for(preset):
-    basis = "folded" if preset.is_quotient else "modified"
-    return Setup(preset.fd, preset.seq, preset.ulseq, preset.orientation, basis)
-
-
 def _blocks(preset, max_height):
-    setup = _setup_for(preset)
-    datum, seq = setup.active()
+    datum, seq, word = preset.side()
     for gamma in weights_up_to(datum, max_height):
         index = enumerate_block(seq, gamma)
         if index:
-            yield setup, datum, seq, gamma, index
+            yield datum, seq, word, gamma, index
 
 
 def check_oracle(presets=("A3", "B2", "D4", "G2"), max_height=6,
@@ -68,8 +61,8 @@ def check_oracle(presets=("A3", "B2", "D4", "G2"), max_height=6,
     result = CheckResult(f"oracle equivalence (height <= {max_height})")
     for name in presets:
         preset = get_preset(name)
-        for setup, datum, _seq, gamma, index in _blocks(preset, max_height):
-            words = [setup.word_for(c) for c in index]
+        for datum, _seq, word, gamma, index in _blocks(preset, max_height):
+            words = [word(c) for c in index]
             for a in range(len(words)):
                 for b in range(a, len(words)):
                     result.instances += 1
@@ -82,8 +75,7 @@ def check_oracle(presets=("A3", "B2", "D4", "G2"), max_height=6,
     names = list(presets)
     for _ in range(random_pairs):
         preset = get_preset(rng.choice(names))
-        setup = _setup_for(preset)
-        datum, _ = setup.active()
+        datum, _seq, _word = preset.side()
         w1 = _random_word(rng, datum, max_height)
         letters = list(expand_word(w1, datum).labels)
         rng.shuffle(letters)
@@ -124,8 +116,8 @@ def check_factorization(presets=("A3", "B2", "D4", "G2"), max_height=8):
     result = CheckResult(f"factorization invariants (height <= {max_height})")
     for name in presets:
         preset = get_preset(name)
-        for setup, datum, seq, gamma, index in _blocks(preset, max_height):
-            block = pipeline(setup, gamma)
+        for datum, seq, _word, gamma, index in _blocks(preset, max_height):
+            block = pipeline(preset, gamma)
             result.instances += 1
             tag = f"{name} {gamma}"
             if reconstruct_lam(block.H, block.D) != block.lam:
@@ -186,26 +178,21 @@ def check_restriction(folds=("A3->B2", "D4->G2"), max_height=6):
     result = CheckResult(f"restricted matching sums (quotient height <= {max_height})")
     for spec in folds:
         preset = get_folding(spec)
-        fd, ulseq = preset.fd, preset.ulseq
-        quotient = fd.quotient
-        for gamma in weights_up_to(quotient, max_height):
-            index = enumerate_block(ulseq, gamma)
-            words = [word_folded(fd, ulseq, c) for c in index]
+        for gamma in weights_up_to(preset.fd.quotient, max_height):
+            gram = gram_block(preset, gamma, "folded")
+            index, words, g = gram.index, gram.words, gram.g
             for a in range(len(words)):
                 for b in range(a, len(words)):
                     result.instances += 1
                     tag = f"{spec} {gamma} {index[a]} vs {index[b]}"
                     try:
-                        total, _ = inner_mackey_restricted(fd, words[a], words[b])
+                        total, _ = inner_mackey_restricted(preset.fd, words[a],
+                                                           words[b])
                     except MismatchError as exc:
                         result.fail(f"{tag}: {exc}")
                         continue
-                    rebuilt = RationalFn(
-                        total,
-                        delta_weight(quotient, words[a])
-                        * expand_word(words[a], quotient).prefactor
-                        * expand_word(words[b], quotient).prefactor)
-                    if rebuilt != inner_mackey(quotient, words[a], words[b]):
+                    rebuilt = RationalFn(total, gram.delta * g[a] * g[b])
+                    if rebuilt != gram.lam[a][b]:
                         result.fail(f"{tag}: rebuilt entry differs from the "
                                     f"quotient inner product")
     return result
@@ -223,18 +210,17 @@ def check_congruence(folds=("A3->B2", "D4->G2"), max_height=6):
         preset = get_folding(spec)
         fd = preset.fd
         p = fd.p
-        base_setup = Setup(fd, preset.seq, preset.ulseq, preset.orientation, "modified")
-        ul_setup = Setup(fd, preset.seq, preset.ulseq, preset.orientation, "folded")
         for ulgamma in weights_up_to(fd.quotient, max_height):
-            ul_index = enumerate_block(preset.ulseq, ulgamma)
-            if not ul_index:
+            ul_gram = gram_block(preset, ulgamma, "folded")
+            if not ul_gram.index:
                 continue
             result.instances += 1
-            ul_block = pipeline(ul_setup, ulgamma)
+            ul_block = factor_gram(ul_gram, ulgamma)
             gamma = fd.expand_weight(ulgamma)
-            block = pipeline(base_setup, gamma)
+            gram = gram_block(preset, gamma, "modified")
+            block = factor_gram(gram, gamma)
             sub_index, P_sigma = sigma_submatrix(fd, preset.seq, block.index, block.P)
-            expected = [fold_exponent(fd, preset.ulseq, c) for c in ul_index]
+            expected = [fold_exponent(fd, preset.ulseq, c) for c in ul_gram.index]
             tag = f"{spec} {ulgamma}"
             if sub_index != expected:
                 result.fail(f"{tag}: fixed index set does not match the quotient block")
@@ -242,8 +228,9 @@ def check_congruence(folds=("A3->B2", "D4->G2"), max_height=6):
             report = mod_p_compare(P_sigma, ul_block.P, p)
             if not report.equal:
                 result.fail(f"{tag}: {report}")
+            _, M_sigma = sigma_submatrix(fd, preset.seq, gram.index, gram.M)
             sums_same_block, sums_diff_block = _matching_sum_congruence(
-                fd, preset, ul_index, block.index, p)
+                ul_gram.M, M_sigma, p)
             sums_same += sums_same_block
             sums_diff += sums_diff_block
     result.notes.append(
@@ -252,20 +239,14 @@ def check_congruence(folds=("A3->B2", "D4->G2"), max_height=6):
     return result
 
 
-def _matching_sum_congruence(fd, preset, ul_index, index, p):
+def _matching_sum_congruence(ul_M, M_sigma, p):
+    """(same, different) counts mod p over the unordered pairs of two
+    matching-sum matrices on the same index."""
     same = diff = 0
-    quotient, base = fd.quotient, fd.base
-    for a, ulc in enumerate(ul_index):
-        for ulc2 in ul_index[a:]:
-            ulw1 = word_folded(fd, preset.ulseq, ulc)
-            ulw2 = word_folded(fd, preset.ulseq, ulc2)
-            w1 = word_modified(fd, preset.seq, fold_exponent(fd, preset.ulseq, ulc))
-            w2 = word_modified(fd, preset.seq, fold_exponent(fd, preset.ulseq, ulc2))
-            ul_sum = matching_sum(quotient, expand_word(ulw1, quotient).labels,
-                                  expand_word(ulw2, quotient).labels)
-            full = matching_sum(base, expand_word(w1, base).labels,
-                                expand_word(w2, base).labels)
-            delta = full - ul_sum
+    n = len(ul_M)
+    for a in range(n):
+        for b in range(a, n):
+            delta = M_sigma[a][b] - ul_M[a][b]
             if all(c % p == 0 for c in delta.coeffs.values()):
                 same += 1
             else:

@@ -13,13 +13,11 @@ import sys
 
 from .checks import SUITES
 from .folding import identity_folding, orbit_blocks, validate_admissible
-from .gram import delta_weight, expand_word, matching_sum
-from .laurent import ONE, qfact
 from .monomial import Orientation, validate_orientation
-from .presets import Preset, UnsupportedPreset, get_folding, get_preset
+from .presets import BASES, Preset, UnsupportedPreset, get_folding, get_preset
 from .rootsys import (RootSystemError, betas_from_sequence, bipartite_w0,
                       cartan_datum, weights_up_to)
-from .transition import (IndexMismatch, Setup, block_to_json, block_to_tsv,
+from .transition import (IndexMismatch, block_to_json, block_to_tsv,
                          gram_block, pipeline, sigma_submatrix)
 
 
@@ -98,15 +96,14 @@ def _resolve(args, cfg):
     return get_preset(preset_name)
 
 
-def _setup(preset, basis):
-    if basis is None:
-        basis = "folded" if preset.is_quotient else "modified"
+def _basis(preset, basis):
+    basis = basis or preset.default_basis
     if basis == "folded" and not preset.is_quotient and preset.fd.is_trivial():
         raise ConfigError("the folded basis needs a folded preset or a folding")
     if basis == "symmetric" and (preset.is_quotient
                                  or not preset.fd.base.is_symmetric()):
         raise ConfigError("the plain symmetric basis needs a symmetric datum")
-    return Setup(preset.fd, preset.seq, preset.ulseq, preset.orientation, basis)
+    return basis
 
 
 def _parse_weight(text, datum):
@@ -164,8 +161,7 @@ def _emit(args, payload, pretty_lines, tsv):
 def cmd_roots(args, cfg):
     preset = _resolve(args, cfg)
     fd = preset.fd
-    datum, seq = (fd.quotient, preset.ulseq) if preset.is_quotient \
-        else (fd.base, preset.seq)
+    datum, seq, _word = preset.side()
     lines = [f"preset {preset.name}: {datum.rank} generators, "
              f"{seq.N} positive roots",
              "word: " + " ".join(seq.indices)]
@@ -194,38 +190,28 @@ def cmd_roots(args, cfg):
 
 def cmd_gram(args, cfg):
     preset = _resolve(args, cfg)
-    setup = _setup(preset, args.basis or cfg.get("basis"))
-    datum, _seq = setup.active()
+    basis = _basis(preset, args.basis or cfg.get("basis"))
+    datum, _seq, _word = preset.side(basis)
     results, pretty = [], []
     for gamma in _weights(args, cfg, datum):
-        index, lam = gram_block(setup, gamma)
-        words = [setup.word_for(c) for c in index]
-        gammas = []
-        for w in words:
-            g = ONE
-            for lab, e in w.letters:
-                g = g * qfact(e, datum.d(lab))
-            gammas.append(g)
-        core = [[matching_sum(datum, expand_word(wa, datum).labels,
-                              expand_word(wb, datum).labels)
-                 for wb in words] for wa in words]
-        delta = delta_weight(datum, words[0]) if words else ONE
+        gram = gram_block(preset, gamma, basis)
         entry = {
             "weight": list(gamma),
             "labels": list(datum.labels),
-            "basis": setup.basis,
-            "index": [list(c) for c in index],
-            "words": [str(w) for w in words],
-            "lambda": [[str(v) for v in row] for row in lam],
-            "core": [[str(v) for v in row] for row in core],
-            "delta": str(delta),
-            "gamma_factors": [str(g) for g in gammas],
+            "basis": basis,
+            "index": [list(c) for c in gram.index],
+            "words": [str(w) for w in gram.words],
+            "lambda": [[str(v) for v in row] for row in gram.lam],
+            "core": [[str(v) for v in row] for row in gram.M],
+            "delta": str(gram.delta),
+            "gamma_factors": [str(g) for g in gram.g],
         }
-        pretty.append(f"weight {gamma} ({setup.basis}): {len(index)} vectors")
-        for c, row in zip(index, lam):
+        pretty.append(f"weight {gamma} ({basis}): {len(gram.index)} vectors")
+        for c, row in zip(gram.index, gram.lam):
             pretty.append(f"  {c}: " + "  |  ".join(str(v) for v in row))
-        if not preset.fd.is_trivial() and setup.basis != "folded":
-            sub_index, sub = sigma_submatrix(preset.fd, preset.seq, index, lam)
+        if not preset.fd.is_trivial() and basis != "folded":
+            sub_index, sub = sigma_submatrix(preset.fd, preset.seq, gram.index,
+                                             gram.lam)
             entry["index_sigma"] = [list(c) for c in sub_index]
             entry["lambda_sigma"] = [[str(v) for v in row] for row in sub]
             pretty.append(f"  fixed part: {len(sub_index)} vectors")
@@ -244,17 +230,17 @@ def cmd_gram(args, cfg):
 
 def cmd_transition(args, cfg):
     preset = _resolve(args, cfg)
-    setup = _setup(preset, args.basis or cfg.get("basis"))
-    datum, _seq = setup.active()
+    basis = _basis(preset, args.basis or cfg.get("basis"))
+    datum, _seq, _word = preset.side(basis)
     results, pretty, tsv_parts = [], [], []
     for gamma in _weights(args, cfg, datum):
-        block = pipeline(setup, gamma)
+        block = pipeline(preset, gamma, basis)
         data = block_to_json(block, datum.labels)
         data["preset"] = preset.name
-        data["basis"] = setup.basis
+        data["basis"] = basis
         results.append(data)
         tsv_parts.append(block_to_tsv(block, datum.labels))
-        pretty.append(f"weight {gamma} ({setup.basis}): {len(block.index)} vectors")
+        pretty.append(f"weight {gamma} ({basis}): {len(block.index)} vectors")
         for name in ("index", "H", "D", "P", "Q"):
             pretty.append(f"{name}:")
             value = data[name]
@@ -269,7 +255,19 @@ def cmd_transition(args, cfg):
     return 0
 
 
+# the one selector each suite takes: a preset name or a folding
+_SELECTOR = {"oracle": "preset", "factorization": "preset", "delta": "preset",
+             "restriction": "fold", "congruence": "fold", "equivariance": "fold"}
+
+
 def cmd_check(args, cfg):
+    chosen = {"preset": args.preset or cfg.get("preset"),
+              "fold": args.fold or cfg.get("fold")}
+    if args.suite != "all":
+        takes = _SELECTOR[args.suite]
+        other = "fold" if takes == "preset" else "preset"
+        if chosen[other] and not chosen[takes]:
+            raise ConfigError(f"suite {args.suite} takes --{takes}, not --{other}")
     suite_names = [args.suite] if args.suite != "all" else list(SUITES)
     overall_ok = True
     for name in suite_names:
@@ -277,12 +275,9 @@ def cmd_check(args, cfg):
         height = _max_height(args, cfg)
         if height is not None:
             kwargs["max_height"] = int(height)
-        preset = args.preset or cfg.get("preset")
-        fold = args.fold or cfg.get("fold")
-        if preset and name in ("oracle", "factorization", "delta"):
-            kwargs["presets"] = [preset]
-        if fold and name in ("restriction", "congruence", "equivariance"):
-            kwargs["folds"] = [fold]
+        takes = _SELECTOR[name]
+        if chosen[takes]:
+            kwargs[takes + "s"] = [chosen[takes]]
         result = SUITES[name](**kwargs)
         print(result)
         overall_ok = overall_ok and result.ok
@@ -300,7 +295,7 @@ def build_parser():
         p.add_argument("--config", help="key=value file mirroring the flags")
         p.add_argument("--preset")
         p.add_argument("--fold")
-        p.add_argument("--basis", choices=("modified", "folded", "symmetric"))
+        p.add_argument("--basis", choices=BASES)
         p.add_argument("--format", choices=("json", "tsv", "pretty"),
                        default="json")
         p.add_argument("--out")

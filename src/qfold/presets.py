@@ -13,13 +13,17 @@ import re
 from dataclasses import dataclass
 
 from .folding import FoldingDatum, identity_folding, lift_sequence, validate_admissible
-from .monomial import Orientation, validate_orientation
+from .monomial import (Orientation, validate_orientation, word_folded,
+                       word_modified, word_sym)
 from .rootsys import (RootSystemError, betas_from_sequence, bipartite_w0,
                       cartan_datum)
 
 
 class UnsupportedPreset(RootSystemError):
     pass
+
+
+BASES = ("modified", "folded", "symmetric")
 
 
 @dataclass(frozen=True)
@@ -33,6 +37,24 @@ class Preset:
     orientation: Orientation      # bipartite orientation of the base
     parts: tuple                  # (I0, I1) with I0 sinks and I1 sources
     is_quotient: bool             # True when the preset names the folded target
+
+    @property
+    def default_basis(self):
+        """The folded basis on a folded target, the modified one otherwise."""
+        return "folded" if self.is_quotient else "modified"
+
+    def side(self, basis=None):
+        """(datum, sequence, word of an exponent vector) a basis lives on;
+        the default basis when none is named."""
+        basis = basis or self.default_basis
+        fd = self.fd
+        if basis == "folded":
+            return fd.quotient, self.ulseq, lambda c: word_folded(fd, self.ulseq, c)
+        if basis == "modified":
+            return fd.base, self.seq, lambda c: word_modified(fd, self.seq, c)
+        if basis == "symmetric":
+            return fd.base, self.seq, lambda c: word_sym(self.seq, c)
+        raise ValueError(f"unknown basis {basis!r}")
 
 
 def _datum_from_edges(labels, edges):

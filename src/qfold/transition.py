@@ -10,14 +10,14 @@ accumulation runs from the bottom-right corner upward.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .folding import FoldingDatum, sigma_on_exponents
+from .folding import sigma_on_exponents
 from .gram import delta_weight, expand_word, matching_sum
 from .laurent import (ONE, ZERO, LaurentPoly, RationalFn, RF_ZERO, bar,
                       laurent_div_exact, parse_laurent, parse_rational,
                       poly_lcm, split_bar_parts)
-from .monomial import word_folded, word_modified, word_sym
-from .rootsys import ReducedSequence, enumerate_block
+from .rootsys import enumerate_block
 
 
 class SingularPivot(ArithmeticError):
@@ -32,37 +32,6 @@ class IndexMismatch(ValueError):
     pass
 
 
-BASES = ("modified", "folded", "symmetric")
-
-
-@dataclass(frozen=True)
-class Setup:
-    """Everything a per-weight computation needs: the folding, both reduced
-    sequences, the base orientation, and the basis choice."""
-
-    fd: FoldingDatum
-    seq: ReducedSequence
-    ulseq: ReducedSequence
-    orientation: object
-    basis: str = "modified"
-
-    def active(self):
-        """(datum, sequence) pair the chosen basis lives on."""
-        if self.basis == "folded":
-            return self.fd.quotient, self.ulseq
-        return self.fd.base, self.seq
-
-    def word_for(self, c, basis=None):
-        basis = basis or self.basis
-        if basis == "folded":
-            return word_folded(self.fd, self.ulseq, c)
-        if basis == "modified":
-            return word_modified(self.fd, self.seq, c)
-        if basis == "symmetric":
-            return word_sym(self.seq, c)
-        raise ValueError(f"unknown basis {basis!r}")
-
-
 @dataclass
 class TransitionBlock:
     weight: tuple
@@ -74,32 +43,46 @@ class TransitionBlock:
     Q: list
 
 
-def gram_block(setup, gamma, basis=None):
-    """Index and Gram matrix of the chosen monomial family at weight gamma.
+class GramBlock(NamedTuple):
+    """A weight block of monomial words and their Gram matrix.
+
+    lam[a][b] = M[a][b] / (delta * g[a] * g[b]): M holds the raw matching
+    sums, g each word's prefactor and delta the block's weight factor.
+    """
+
+    index: list
+    words: list
+    M: list
+    g: list
+    delta: LaurentPoly
+    lam: list
+
+
+def gram_block(preset, gamma, basis=None):
+    """Index, words and Gram matrix of a monomial family at weight gamma,
+    on the preset's default basis unless one is named.
 
     Every word of the block has weight gamma, so the weight factor is
     computed once per block and each word's letters and prefactor once per
-    index; each entry is then the matching sum over their product, as in
-    inner_mackey.
+    index.  The matching sum is symmetric in its two letter sequences, so
+    it runs once per unordered pair.
     """
-    basis = basis or setup.basis
-    datum, seq = (setup.fd.quotient, setup.ulseq) if basis == "folded" \
-        else (setup.fd.base, setup.seq)
+    datum, seq, word = preset.side(basis)
     index = enumerate_block(seq, gamma)
-    words = [setup.word_for(c, basis) for c in index]
+    words = [word(c) for c in index]
     letters = [expand_word(w, datum) for w in words]
+    g = [lt.prefactor for lt in letters]
     delta = delta_weight(datum, words[0]) if words else ONE
     n = len(index)
+    M = [[None] * n for _ in range(n)]
     lam = [[None] * n for _ in range(n)]
     for a in range(n):
-        row_den = delta * letters[a].prefactor
+        row_den = delta * g[a]
         for b in range(a, n):
-            value = RationalFn(
-                matching_sum(datum, letters[a].labels, letters[b].labels),
-                row_den * letters[b].prefactor)
-            lam[a][b] = value
-            lam[b][a] = value
-    return index, lam
+            core = matching_sum(datum, letters[a].labels, letters[b].labels)
+            M[a][b] = M[b][a] = core
+            lam[a][b] = lam[b][a] = RationalFn(core, row_den * g[b])
+    return GramBlock(index, words, M, g, delta, lam)
 
 
 def ldl(index, lam):
@@ -241,14 +224,18 @@ def mod_p_compare(P_sigma, ulP, p):
     return CompareReport(not diffs, p, diffs)
 
 
-def pipeline(setup, gamma):
-    """gram_block -> ldl -> pq_split, with all artifacts attached."""
-    index, lam = gram_block(setup, gamma)
-    if not index:
+def factor_gram(gram, gamma):
+    """ldl -> pq_split on a Gram record: the transition block at gamma."""
+    if not gram.index:
         return TransitionBlock(tuple(gamma), [], [], [], [], [], [])
-    H, D = ldl(index, lam)
+    H, D = ldl(gram.index, gram.lam)
     P, Q = pq_split(H)
-    return TransitionBlock(tuple(gamma), index, lam, H, D, P, Q)
+    return TransitionBlock(tuple(gamma), gram.index, gram.lam, H, D, P, Q)
+
+
+def pipeline(preset, gamma, basis=None):
+    """gram_block -> ldl -> pq_split, with all artifacts attached."""
+    return factor_gram(gram_block(preset, gamma, basis), gamma)
 
 
 # -- serialization ----------------------------------------------------------

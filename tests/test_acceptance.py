@@ -13,8 +13,7 @@ from qfold.checks import (check_congruence, check_delta, check_equivariance,
 from qfold.gram import inner_mackey, inversion_stat, matchings, matching_sum
 from qfold.laurent import ONE, LaurentPoly, parse_laurent, parse_rational
 from qfold.monomial import word_modified
-from qfold.transition import (Setup, matmul_laurent, pipeline, reconstruct_lam,
-                              sigma_submatrix)
+from qfold.transition import factor_gram, gram_block, sigma_submatrix
 
 
 def R(s):
@@ -41,8 +40,8 @@ def lgrid(rows):
 def test_criterion_1_a3_golden_block():
     started = time.perf_counter()
     p = qfold.get_folding("A3->B2")
-    setup = Setup(p.fd, p.seq, p.ulseq, p.orientation, "modified")
-    block = pipeline(setup, (2, 2, 1))
+    gram = gram_block(p, (2, 2, 1))
+    block = factor_gram(gram, (2, 2, 1))
 
     assert block.index == [(1, 1, 1, 0, 0, 0), (1, 2, 0, 0, 1, 0),
                            (2, 1, 0, 1, 0, 0), (2, 2, 0, 0, 0, 1)]
@@ -82,13 +81,8 @@ def test_criterion_1_a3_golden_block():
         [f"4(1+q^2)^2/({ds})", f"(1+q^2)^2/({ds})"],
         [f"(1+q^2)^2/({ds})", f"1/({ds})"]])
     # the same matrix in prefactor-factored form: raw matching sums
-    datum = p.fd.base
-    words = [setup.word_for(c) for c in block.index]
-    core = [[matching_sum(datum, *(qfold.expand_word(w, datum).labels
-                                   for w in (wa, wb)))
-             for wb in words] for wa in words]
     b = "q + q^-1"
-    assert core == lgrid([
+    assert gram.M == lgrid([
         ["4", f"2({b})", f"2({b})", f"({b})^2"],
         [f"2({b})", f"2q^-1({b})", f"({b})^2", f"q^-1({b})^2"],
         [f"2({b})", f"({b})^2", f"2q^-1({b})", f"q^-1({b})^2"],
@@ -119,19 +113,14 @@ def test_criterion_2_single_inner_product():
 def test_criterion_3_b2_golden_block():
     started = time.perf_counter()
     p = qfold.get_preset("B2")
-    setup = Setup(p.fd, p.seq, p.ulseq, p.orientation, "folded")
-    block = pipeline(setup, (2, 1))
+    gram = gram_block(p, (2, 1))
+    block = factor_gram(gram, (2, 1))
     assert block.index == [(1, 1, 0, 0), (2, 0, 0, 1)]
     d = "(1-q^4)^2 (1-q^2)"
     assert block.lam == grid([
         [f"2/({d})", f"1/({d})"],
         [f"1/({d})", f"1/((1-q^2)(1-q^4)(1-q^8))"]])
-    datum = p.fd.quotient
-    words = [setup.word_for(c) for c in block.index]
-    core = [[matching_sum(datum, *(qfold.expand_word(w, datum).labels
-                                   for w in (wa, wb)))
-             for wb in words] for wa in words]
-    assert core == lgrid([["2", "q^2 + q^-2"], ["q^2 + q^-2", "1 + q^-4"]])
+    assert gram.M == lgrid([["2", "q^2 + q^-2"], ["q^2 + q^-2", "1 + q^-4"]])
     assert block.H == lgrid([["1", "0"], ["1+q^4", "1"]])
     assert block.D == [R("1/((1-q^2)(1-q^4))"),
                        R("1/((1-q^2)(1-q^4)(1-q^8))")]
@@ -145,34 +134,25 @@ def test_criterion_3_b2_golden_block():
 def test_criterion_4_d4_and_g2_golden_blocks():
     started = time.perf_counter()
     p = qfold.get_folding("D4->G2")
-    setup = Setup(p.fd, p.seq, p.ulseq, p.orientation, "modified")
-    index, lam = qfold.gram_block(setup, (2, 2, 2, 1))
-    sub_index, sub = sigma_submatrix(p.fd, p.seq, index, lam)
+    gram = gram_block(p, (2, 2, 2, 1))
+    sub_index, sub = sigma_submatrix(p.fd, p.seq, gram.index, gram.lam)
     assert sub_index == [(1, 1, 1, 1) + (0,) * 8, (2, 2, 2) + (0,) * 8 + (1,)]
     d7 = "(1-q^2)^7"
     assert sub == grid([
         [f"8/({d7})", f"1/({d7})"],
         [f"1/({d7})", f"1/({d7}(1+q^2)^3)"]])
-    words = [setup.word_for(c) for c in sub_index]
-    core = [[matching_sum(p.fd.base, *(qfold.expand_word(w, p.fd.base).labels
-                                       for w in (wa, wb)))
-             for wb in words] for wa in words]
+    _, core = sigma_submatrix(p.fd, p.seq, gram.index, gram.M)
     b = "q + q^-1"
     assert core == lgrid([["8", f"({b})^3"], [f"({b})^3", "(1 + q^-2)^3"]])
 
     g2 = qfold.get_preset("G2")
-    g2_setup = Setup(g2.fd, g2.seq, g2.ulseq, g2.orientation, "folded")
-    block = pipeline(g2_setup, (2, 1))
+    gram = gram_block(g2, (2, 1))
+    block = factor_gram(gram, (2, 1))
     d = "(1-q^6)^2 (1-q^2)"
     assert block.lam == grid([
         [f"2/({d})", f"1/({d})"],
         [f"1/({d})", "1/((1-q^2)(1-q^6)(1-q^12))"]])
-    datum = g2.fd.quotient
-    words = [g2_setup.word_for(c) for c in block.index]
-    core = [[matching_sum(datum, *(qfold.expand_word(w, datum).labels
-                                   for w in (wa, wb)))
-             for wb in words] for wa in words]
-    assert core == lgrid([["2", "q^3 + q^-3"], ["q^3 + q^-3", "1 + q^-6"]])
+    assert gram.M == lgrid([["2", "q^3 + q^-3"], ["q^3 + q^-3", "1 + q^-6"]])
     assert block.H == lgrid([["1", "0"], ["1+q^6", "1"]])
     assert block.D == [R("1/((1-q^2)(1-q^6))"),
                        R("1/((1-q^2)(1-q^6)(1-q^12))")]

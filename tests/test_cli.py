@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from qfold.cli import main
+from qfold.laurent import parse_laurent
 from qfold.transition import block_from_json, blocks_equal
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -48,6 +49,33 @@ def test_gram_emits_lambda_and_fixed_part(capsys):
     assert data["gamma_factors"] == ["1", "q + q^-1", "q + q^-1",
                                      "q^2 + 2 + q^-2"]
     assert data["delta"].startswith("-q^10")
+    b = "q + q^-1"
+    assert [[parse_laurent(v) for v in row] for row in data["core"]] == \
+        [[parse_laurent(v) for v in row] for row in [
+            ["4", f"2({b})", f"2({b})", f"({b})^2"],
+            [f"2({b})", f"2q^-1({b})", f"({b})^2", f"q^-1({b})^2"],
+            [f"2({b})", f"({b})^2", f"2q^-1({b})", f"q^-1({b})^2"],
+            [f"({b})^2", f"q^-1({b})^2", f"q^-1({b})^2", f"q^-2({b})^2"]]]
+
+
+def test_gram_computes_each_matching_sum_once(monkeypatch, capsys):
+    from qfold.gram import matching_sum
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return matching_sum(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("qfold") and \
+                getattr(module, "matching_sum", None) is matching_sum:
+            monkeypatch.setattr(module, "matching_sum", counted)
+    code, out, _ = run(["gram", "--preset", "G2", "--weight", "6,4"], capsys)
+    assert code == 0
+    n = len(json.loads(out)["index"])
+    assert n == 13
+    assert len(calls) == n * (n + 1) // 2
 
 
 def test_gram_empty_block_exits_zero(capsys):
@@ -108,6 +136,17 @@ def test_check_suite_exit_code(capsys):
                         "--max-height", "6"], capsys)
     assert code == 0
     assert "pass" in out
+
+
+def test_check_rejects_the_selector_its_suite_does_not_take(capsys):
+    code, _, err = run(["check", "--suite", "oracle", "--fold", "A3->B2",
+                        "--max-height", "2"], capsys)
+    assert code == 2
+    assert "--preset" in err
+    code, _, err = run(["check", "--suite", "congruence", "--preset", "A3"],
+                       capsys)
+    assert code == 2
+    assert "--fold" in err
 
 
 def test_config_errors_exit_two(capsys):

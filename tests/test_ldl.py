@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 import qfold
 from qfold.gram import pbw_diag
 from qfold.laurent import ONE, LaurentPoly, RationalFn, RF_ZERO, q_power
-from qfold.transition import NotIntegral, Setup, gram_block, ldl, reconstruct_lam
+from qfold.transition import NotIntegral, gram_block, ldl, reconstruct_lam
 
 SETTINGS = settings(max_examples=60, deadline=None, database=None)
 
@@ -65,9 +65,8 @@ def test_ldl_rejects_a_non_laurent_factor(hd, u, m, data):
 
 def test_ldl_a3_block_matches_pbw_diagonal():
     p = qfold.get_folding("A3->B2")
-    setup = Setup(p.fd, p.seq, p.ulseq, p.orientation, "modified")
-    datum, seq = setup.active()
-    index, lam = gram_block(setup, (3, 3, 2))
-    H, D = ldl(index, lam)
-    assert D == [pbw_diag(datum, seq, c) for c in index]
-    assert reconstruct_lam(H, D) == lam
+    datum, seq, _word = p.side()
+    block = gram_block(p, (3, 3, 2))
+    H, D = ldl(block.index, block.lam)
+    assert D == [pbw_diag(datum, seq, c) for c in block.index]
+    assert reconstruct_lam(H, D) == block.lam

@@ -2,7 +2,7 @@ import pytest
 
 import qfold
 from qfold.laurent import ONE, LaurentPoly, RationalFn, parse_laurent, parse_rational
-from qfold.transition import (NotIntegral, Setup, SingularPivot, block_from_json,
+from qfold.transition import (NotIntegral, SingularPivot, block_from_json,
                               block_to_json, blocks_equal, gram_block, ldl,
                               matmul_laurent, mod_p_compare, pipeline, pq_split,
                               reconstruct_lam, sigma_submatrix)
@@ -16,19 +16,17 @@ def L(s):
     return parse_laurent(s)
 
 
-def a3_setup():
-    p = qfold.get_folding("A3->B2")
-    return p, Setup(p.fd, p.seq, p.ulseq, p.orientation, "modified")
+def a3_fold():
+    return qfold.get_folding("A3->B2")
 
 
-def quotient_setup(name):
-    p = qfold.get_preset(name)
-    return p, Setup(p.fd, p.seq, p.ulseq, p.orientation, "folded")
+def gram(preset, gamma):
+    block = gram_block(preset, gamma)
+    return block.index, block.lam
 
 
 def test_gram_block_a3():
-    _p, setup = a3_setup()
-    index, lam = gram_block(setup, (2, 2, 1))
+    index, lam = gram(a3_fold(), (2, 2, 1))
     assert index == [(1, 1, 1, 0, 0, 0), (1, 2, 0, 0, 1, 0),
                      (2, 1, 0, 1, 0, 0), (2, 2, 0, 0, 0, 1)]
     d5 = "(1 - q^2)^5"
@@ -44,17 +42,15 @@ def test_gram_block_a3():
 
 
 def test_gram_block_single_element():
-    _p, setup = a3_setup()
-    index, lam = gram_block(setup, (1, 0, 0))
+    index, lam = gram(a3_fold(), (1, 0, 0))
     assert index == [(1, 0, 0, 0, 0, 0)]
     assert lam == [[R("1/(1 - q^2)")]]
-    index, lam = gram_block(setup, (0, 0, 0))
+    index, lam = gram(a3_fold(), (0, 0, 0))
     assert index == [(0,) * 6] and lam == [[R("1")]]
 
 
 def test_gram_block_b2():
-    _p, setup = quotient_setup("B2")
-    index, lam = gram_block(setup, (2, 1))
+    index, lam = gram(qfold.get_preset("B2"), (2, 1))
     assert index == [(1, 1, 0, 0), (2, 0, 0, 1)]
     d = "(1 - q^4)^2 (1 - q^2)"
     assert lam[0][0] == R("2/(%s)" % d)
@@ -63,8 +59,7 @@ def test_gram_block_b2():
 
 
 def test_ldl_golden_a3():
-    _p, setup = a3_setup()
-    index, lam = gram_block(setup, (2, 2, 1))
+    index, lam = gram(a3_fold(), (2, 2, 1))
     H, D = ldl(index, lam)
     u = "1 + q^2"
     assert H == [[L(x) for x in row] for row in [
@@ -80,8 +75,7 @@ def test_ldl_golden_a3():
 
 
 def test_ldl_golden_b2():
-    _p, setup = quotient_setup("B2")
-    index, lam = gram_block(setup, (2, 1))
+    index, lam = gram(qfold.get_preset("B2"), (2, 1))
     H, D = ldl(index, lam)
     assert H == [[ONE, LaurentPoly(0)], [L("1 + q^4"), ONE]]
     assert D == [R("1/((1 - q^2)(1 - q^4))"),
@@ -104,8 +98,7 @@ def test_ldl_errors():
 
 
 def test_pq_split_golden():
-    _p, setup = a3_setup()
-    index, lam = gram_block(setup, (2, 2, 1))
+    index, lam = gram(a3_fold(), (2, 2, 1))
     H, _D = ldl(index, lam)
     P, Q = pq_split(H)
     assert P == [[L(x) for x in row] for row in [
@@ -123,15 +116,13 @@ def test_pq_split_golden():
 
 def test_pq_split_rank_two_cases():
     for name, entry in (("B2", "q^4"), ("G2", "q^6")):
-        _p, setup = quotient_setup(name)
-        block = pipeline(setup, (2, 1))
+        block = pipeline(qfold.get_preset(name), (2, 1))
         assert block.P == [[ONE, LaurentPoly(0)], [L(entry), ONE]]
         assert block.Q == [[ONE, LaurentPoly(0)], [ONE, ONE]]
 
 
 def test_pq_split_is_idempotent():
-    _p, setup = a3_setup()
-    block = pipeline(setup, (2, 2, 1))
+    block = pipeline(a3_fold(), (2, 2, 1))
     P2, Q2 = pq_split(matmul_laurent(block.P, block.Q))
     assert P2 == block.P and Q2 == block.Q
 
@@ -146,23 +137,22 @@ def test_pq_split_mixed_entry():
 
 
 def test_sigma_submatrix():
-    p, setup = a3_setup()
-    index, lam = gram_block(setup, (2, 2, 1))
+    p = a3_fold()
+    index, lam = gram(p, (2, 2, 1))
     sub_index, sub = sigma_submatrix(p.fd, p.seq, index, lam)
     assert sub_index == [(1, 1, 1, 0, 0, 0), (2, 2, 0, 0, 0, 1)]
     assert sub[0][0] == R("4(1+q^2)^2/((1-q^2)^3(1-q^4)^2)")
     assert sub[0][1] == R("(1+q^2)^2/((1-q^2)^3(1-q^4)^2)")
     assert sub[1][1] == R("1/((1-q^2)^3(1-q^4)^2)")
     # block without fixed vectors
-    index2, lam2 = gram_block(setup, (1, 0, 0))
+    index2, lam2 = gram(p, (1, 0, 0))
     sub_index2, sub2 = sigma_submatrix(p.fd, p.seq, index2, lam2)
     assert sub_index2 == [] and sub2 == []
 
 
 def test_sigma_submatrix_d4():
     p = qfold.get_folding("D4->G2")
-    setup = Setup(p.fd, p.seq, p.ulseq, p.orientation, "modified")
-    index, lam = gram_block(setup, (2, 2, 2, 1))
+    index, lam = gram(p, (2, 2, 2, 1))
     assert len(index) == 8
     sub_index, sub = sigma_submatrix(p.fd, p.seq, index, lam)
     assert sub_index == [(1, 1, 1, 1) + (0,) * 8, (2, 2, 2) + (0,) * 8 + (1,)]
@@ -172,12 +162,11 @@ def test_sigma_submatrix_d4():
 
 
 def test_mod_p_compare():
-    p, setup = a3_setup()
-    block = pipeline(setup, (2, 2, 1))
+    p = a3_fold()
+    block = pipeline(p, (2, 2, 1))
     _si, Ps = sigma_submatrix(p.fd, p.seq, block.index, block.P)
     b2 = qfold.get_preset("B2")
-    ul_block = pipeline(Setup(b2.fd, b2.seq, b2.ulseq, b2.orientation, "folded"),
-                        (2, 1))
+    ul_block = pipeline(b2, (2, 1))
     report = mod_p_compare(Ps, ul_block.P, 2)
     assert report.equal
     assert mod_p_compare(ul_block.P, ul_block.P, 5).equal
@@ -186,18 +175,17 @@ def test_mod_p_compare():
 
 
 def test_pipeline_trivial_weight():
-    _p, setup = a3_setup()
-    block = pipeline(setup, (1, 0, 0))
+    a3 = a3_fold()
+    block = pipeline(a3, (1, 0, 0))
     assert block.P == [[ONE]] and block.Q == [[ONE]]
     assert block.H == [[ONE]]
     # weights outside the positive lattice give the legal 0x0 block
-    empty = pipeline(setup, (-1, 1, 0))
+    empty = pipeline(a3, (-1, 1, 0))
     assert empty.index == [] and empty.P == []
 
 
 def test_block_json_round_trip():
-    _p, setup = quotient_setup("G2")
-    block = pipeline(setup, (2, 1))
+    block = pipeline(qfold.get_preset("G2"), (2, 1))
     data = block_to_json(block, ("1", "2"))
     again = block_from_json(data)
     assert blocks_equal(block, again)
@@ -212,14 +200,13 @@ def test_h_column_of_single_position_vector_is_q_to_delta():
 
     for name in ("A3", "D4"):
         p = qfold.get_preset(name)
-        setup = Setup(p.fd, p.seq, p.ulseq, p.orientation, "symmetric")
         seq = p.seq
         for k in range(seq.N):
             for ck in (1, 2):
                 gamma = tuple(ck * x for x in seq.betas[k])
                 if sum(gamma) > 6:
                     continue
-                block = pipeline(setup, gamma)
+                block = pipeline(p, gamma, "symmetric")
                 c0 = tuple(ck if i == k else 0 for i in range(seq.N))
                 col = block.index.index(c0)
                 for row in range(col, len(block.index)):
