@@ -17,10 +17,10 @@ from .gram import (MismatchError, expand_word, inner_mackey,
                    inner_mackey_restricted, inner_shuffle, pbw_diag)
 from .monomial import (MonomialWord, canonical_word, collapse_orbit_runs,
                        delta_codim, sigma_word, word_folded, word_modified)
-from .presets import get_folding, get_preset
+from .presets import get_folding, get_preset, preset_with_folding
 from .rootsys import enumerate_block, weights_up_to
 from .transition import (factor_gram, gram_block, matmul_laurent, mod_p_compare,
-                         pipeline, reconstruct_lam, sigma_submatrix)
+                         reconstruct_lam, sigma_submatrix)
 
 
 @dataclass
@@ -47,26 +47,31 @@ class CheckResult:
         return "\n".join(lines)
 
 
-def _blocks(preset, max_height):
-    datum, seq, word = preset.side()
+def _grams(preset, max_height, basis=None):
+    """(gamma, its Gram block) for every nonempty block up to max_height."""
+    datum, _seq, _word = preset.side(basis)
     for gamma in weights_up_to(datum, max_height):
-        index = enumerate_block(seq, gamma)
-        if index:
-            yield datum, seq, word, gamma, index
+        gram = gram_block(preset, gamma, basis)
+        if gram.index:
+            yield gamma, gram
 
 
 def check_oracle(presets=("A3", "B2", "D4", "G2"), max_height=6,
                  random_pairs=500, seed=20260809):
-    """Matching-sum route equals coproduct-recursion route on every pair."""
+    """Every Gram entry, as the gram and transition commands compute it,
+    equals the coproduct-recursion route; so does the matching-sum route
+    on random word pairs."""
     result = CheckResult(f"oracle equivalence (height <= {max_height})")
+    built = {name: get_preset(name) for name in dict.fromkeys(presets)}
     for name in presets:
-        preset = get_preset(name)
-        for datum, _seq, word, gamma, index in _blocks(preset, max_height):
-            words = [word(c) for c in index]
+        preset = built[name]
+        datum, _seq, _word = preset.side()
+        for gamma, gram in _grams(preset, max_height):
+            index, words = gram.index, gram.words
             for a in range(len(words)):
                 for b in range(a, len(words)):
                     result.instances += 1
-                    lhs = inner_mackey(datum, words[a], words[b])
+                    lhs = gram.lam[a][b]
                     rhs = inner_shuffle(datum, words[a], words[b])
                     if lhs != rhs:
                         result.fail(f"{name} {gamma} {index[a]} vs {index[b]}: "
@@ -74,7 +79,7 @@ def check_oracle(presets=("A3", "B2", "D4", "G2"), max_height=6,
     rng = random.Random(seed)
     names = list(presets)
     for _ in range(random_pairs):
-        preset = get_preset(rng.choice(names))
+        preset = built[rng.choice(names)]
         datum, _seq, _word = preset.side()
         w1 = _random_word(rng, datum, max_height)
         letters = list(expand_word(w1, datum).labels)
@@ -116,15 +121,16 @@ def check_factorization(presets=("A3", "B2", "D4", "G2"), max_height=8):
     result = CheckResult(f"factorization invariants (height <= {max_height})")
     for name in presets:
         preset = get_preset(name)
-        for datum, seq, _word, gamma, index in _blocks(preset, max_height):
-            block = pipeline(preset, gamma)
+        datum, seq, _word = preset.side()
+        for gamma, gram in _grams(preset, max_height):
+            block = factor_gram(gram, gamma)
             result.instances += 1
             tag = f"{name} {gamma}"
             if reconstruct_lam(block.H, block.D) != block.lam:
                 result.fail(f"{tag}: H^t D H does not reconstruct the Gram matrix")
             if matmul_laurent(block.P, block.Q) != block.H:
                 result.fail(f"{tag}: PQ != H")
-            n = len(index)
+            n = len(block.index)
             for i in range(n):
                 for j in range(i):
                     if not block.P[i][j].in_qZq():
@@ -132,7 +138,7 @@ def check_factorization(presets=("A3", "B2", "D4", "G2"), max_height=8):
                 for j in range(n):
                     if not block.Q[i][j].is_bar_invariant():
                         result.fail(f"{tag}: Q[{i}][{j}] not bar-invariant")
-            for i, c in enumerate(index):
+            for i, c in enumerate(block.index):
                 if block.D[i] != pbw_diag(datum, seq, c):
                     result.fail(f"{tag}: D[{i}] differs from the orthogonal diagonal")
     return result
@@ -142,11 +148,9 @@ def check_delta(presets=("A3", "A5", "D4", "D5", "E6"), max_height=10):
     """Codimension statistic vanishes on every single-part exponent vector."""
     result = CheckResult(f"single-part codimension zero (height <= {max_height})")
     for name in presets:
-        preset = get_preset(name)
+        preset = preset_with_folding(name)
         seq = preset.seq
-        fold = get_folding(_FOLD_OF[name]) if name in _FOLD_OF else preset
-        fd = fold.fd
-        for _k, positions in orbit_blocks(fd, seq):
+        for _k, positions in orbit_blocks(preset.fd, seq):
             stack = [(0, max_height, [0] * seq.N)]
             while stack:
                 pos, budget, c = stack.pop()
@@ -167,10 +171,6 @@ def check_delta(presets=("A3", "A5", "D4", "D5", "E6"), max_height=10):
     return result
 
 
-_FOLD_OF = {"A3": "A3->B2", "A5": "A5->B3", "D4": "D4->G2",
-            "D5": "D5->C4", "E6": "E6->F4"}
-
-
 def check_restriction(folds=("A3->B2", "D4->G2"), max_height=6):
     """Quotient matching sums survive unfolding with the statistic intact,
     and the restricted sum rebuilt with the quotient weight factor and
@@ -178,8 +178,7 @@ def check_restriction(folds=("A3->B2", "D4->G2"), max_height=6):
     result = CheckResult(f"restricted matching sums (quotient height <= {max_height})")
     for spec in folds:
         preset = get_folding(spec)
-        for gamma in weights_up_to(preset.fd.quotient, max_height):
-            gram = gram_block(preset, gamma, "folded")
+        for gamma, gram in _grams(preset, max_height, "folded"):
             index, words, g = gram.index, gram.words, gram.g
             for a in range(len(words)):
                 for b in range(a, len(words)):
@@ -210,10 +209,7 @@ def check_congruence(folds=("A3->B2", "D4->G2"), max_height=6):
         preset = get_folding(spec)
         fd = preset.fd
         p = fd.p
-        for ulgamma in weights_up_to(fd.quotient, max_height):
-            ul_gram = gram_block(preset, ulgamma, "folded")
-            if not ul_gram.index:
-                continue
+        for ulgamma, ul_gram in _grams(preset, max_height, "folded"):
             result.instances += 1
             ul_block = factor_gram(ul_gram, ulgamma)
             gamma = fd.expand_weight(ulgamma)
@@ -229,29 +225,15 @@ def check_congruence(folds=("A3->B2", "D4->G2"), max_height=6):
             if not report.equal:
                 result.fail(f"{tag}: {report}")
             _, M_sigma = sigma_submatrix(fd, preset.seq, gram.index, gram.M)
-            sums_same_block, sums_diff_block = _matching_sum_congruence(
-                ul_gram.M, M_sigma, p)
-            sums_same += sums_same_block
-            sums_diff += sums_diff_block
+            n = len(sub_index)
+            diffs = mod_p_compare(M_sigma, ul_gram.M, p).diffs
+            diff = sum(1 for i, j, _, _ in diffs if i <= j)
+            sums_same += n * (n + 1) // 2 - diff
+            sums_diff += diff
     result.notes.append(
         f"experimental: raw matching sums congruent mod p on {sums_same} pairs, "
         f"different on {sums_diff} (not a gate)")
     return result
-
-
-def _matching_sum_congruence(ul_M, M_sigma, p):
-    """(same, different) counts mod p over the unordered pairs of two
-    matching-sum matrices on the same index."""
-    same = diff = 0
-    n = len(ul_M)
-    for a in range(n):
-        for b in range(a, n):
-            delta = M_sigma[a][b] - ul_M[a][b]
-            if all(c % p == 0 for c in delta.coeffs.values()):
-                same += 1
-            else:
-                diff += 1
-    return same, diff
 
 
 def check_equivariance(folds=("A3->B2", "D4->G2"), max_height=8):

@@ -12,13 +12,13 @@ import re
 import sys
 
 from .checks import SUITES
-from .folding import identity_folding, orbit_blocks, validate_admissible
-from .monomial import Orientation, validate_orientation
-from .presets import BASES, Preset, UnsupportedPreset, get_folding, get_preset
+from .folding import (NotAdmissible, identity_folding, orbit_blocks,
+                      validate_admissible)
+from .presets import BASES, Preset, get_folding, get_preset
 from .rootsys import (RootSystemError, betas_from_sequence, bipartite_w0,
                       cartan_datum, weights_up_to)
-from .transition import (IndexMismatch, block_to_json, block_to_tsv,
-                         gram_block, pipeline, sigma_submatrix)
+from .transition import (block_to_json, block_to_tsv, gram_block, pipeline,
+                         sigma_submatrix)
 
 
 class ConfigError(ValueError):
@@ -26,19 +26,23 @@ class ConfigError(ValueError):
 
 
 def _read_config(path):
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not text: {exc}") from None
     out = {}
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" in line:
-                key, value = line.split("=", 1)
-            elif ":" in line:
-                key, value = line.split(":", 1)
-            else:
-                raise ConfigError(f"bad config line: {raw.rstrip()}")
-            out[key.strip().replace("_", "-")] = value.strip()
+    for raw in lines:
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" in line:
+            key, value = line.split("=", 1)
+        elif ":" in line:
+            key, value = line.split(":", 1)
+        else:
+            raise ConfigError(f"bad config line: {raw.rstrip()}")
+        out[key.strip().replace("_", "-")] = value.strip()
     return out
 
 
@@ -56,7 +60,10 @@ def _parse_sigma_cycles(text, labels):
 def _custom_preset(cfg):
     labels = cfg["labels"].split()
     rows = [r.strip() for r in cfg["form"].split(";") if r.strip()]
-    form = [[int(x) for x in row.split()] for row in rows]
+    try:
+        form = [[int(x) for x in row.split()] for row in rows]
+    except ValueError:
+        raise ConfigError(f"form needs integer entries, got {cfg['form']!r}") from None
     datum = cartan_datum(labels, form)
     if "sigma" in cfg:
         fd = validate_admissible(datum, _parse_sigma_cycles(cfg["sigma"], datum.labels))
@@ -65,19 +72,16 @@ def _custom_preset(cfg):
     if "word" in cfg:
         word = tuple(cfg["word"].split())
     elif "parts" in cfg:
-        part0, part1 = (p.split() for p in cfg["parts"].split(";"))
-        word = bipartite_w0(datum, (part0, part1))
+        parts = [p.split() for p in cfg["parts"].split(";")]
+        if len(parts) != 2:
+            raise ConfigError(f"parts needs the form I0;I1, got {cfg['parts']!r}")
+        word = bipartite_w0(datum, parts)
     else:
         raise ConfigError("custom data need either word=... or parts=I0;I1")
     seq = betas_from_sequence(datum, word)
     ulword = tuple(fd.quotient.labels[k] for k, _ in orbit_blocks(fd, seq))
     ulseq = betas_from_sequence(fd.quotient, ulword)
-    orientation = None
-    if "parts" in cfg:
-        part0 = cfg["parts"].split(";")[0].split()
-        orientation = validate_orientation(datum, Orientation(tuple(
-            (b, a) if a in part0 else (a, b) for a, b in datum.edges())))
-    return Preset("custom", fd, seq, ulseq, orientation, ((), ()), False)
+    return Preset("custom", fd, seq, ulseq, None, ((), ()), False)
 
 
 def _resolve(args, cfg):
@@ -98,6 +102,8 @@ def _resolve(args, cfg):
 
 def _basis(preset, basis):
     basis = basis or preset.default_basis
+    if basis not in BASES:
+        raise ConfigError(f"basis must be one of {', '.join(BASES)}, got {basis!r}")
     if basis == "folded" and not preset.is_quotient and preset.fd.is_trivial():
         raise ConfigError("the folded basis needs a folded preset or a folding")
     if basis == "symmetric" and (preset.is_quotient
@@ -125,7 +131,11 @@ def _max_height(args, cfg):
     height like any other)."""
     if args.max_height is not None:
         return args.max_height
-    return cfg.get("max-height")
+    height = cfg.get("max-height")
+    try:
+        return None if height is None else int(height)
+    except ValueError:
+        raise ConfigError(f"max-height must be an integer, got {height!r}") from None
 
 
 def _weights(args, cfg, datum):
@@ -135,7 +145,7 @@ def _weights(args, cfg, datum):
     height = _max_height(args, cfg)
     if height is None:
         raise ConfigError("give --weight or --max-height")
-    return weights_up_to(datum, int(height))
+    return weights_up_to(datum, height)
 
 
 def _root_str(datum, v):
@@ -274,7 +284,7 @@ def cmd_check(args, cfg):
         kwargs = {}
         height = _max_height(args, cfg)
         if height is not None:
-            kwargs["max_height"] = int(height)
+            kwargs["max_height"] = height
         takes = _SELECTOR[name]
         if chosen[takes]:
             kwargs[takes + "s"] = [chosen[takes]]
@@ -329,15 +339,16 @@ def main(argv=None):
         if args.command == "transition":
             return cmd_transition(args, cfg)
         return cmd_check(args, cfg)
-    # every arithmetic failure is a breach: the mismatch, pivot and
-    # integrality errors, an inexact polynomial division, a zero division
-    except (ArithmeticError, IndexMismatch) as exc:
-        print(f"internal invariant breach: {exc}", file=sys.stderr)
-        return 3
-    except (ConfigError, UnsupportedPreset, RootSystemError, OSError,
-            KeyError, ValueError) as exc:
+    # RootSystemError covers UnsupportedPreset
+    except (ConfigError, RootSystemError, NotAdmissible, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    # every other failure is a breach: the mismatch, pivot and integrality
+    # errors, an inexact polynomial division, a zero division, and any
+    # KeyError or ValueError (IndexMismatch among them) raised inside qfold
+    except (ArithmeticError, KeyError, ValueError) as exc:
+        print(f"internal invariant breach: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -46,9 +46,6 @@ class LaurentPoly:
     def max_exp(self):
         return max(self.coeffs) if self.coeffs else 0
 
-    def constant_term(self):
-        return self.coeffs.get(0, 0)
-
     def in_qZq(self):
         """True when every exponent is >= 1 (member of q*Z[q])."""
         return all(e >= 1 for e in self.coeffs)

@@ -22,9 +22,6 @@ class Orientation:
 
     edges: tuple
 
-    def targets_of(self, label):
-        return tuple(j for i, j in self.edges if i == label)
-
 
 def validate_orientation(datum, orientation):
     oriented = {frozenset(e) for e in orientation.edges}
@@ -57,13 +54,6 @@ class MonomialWord:
         if not self.letters:
             return "1"
         return " ".join(f"f[{lab}]^({e})" for lab, e in self.letters)
-
-    def to_json(self):
-        return [[lab, e] for lab, e in self.letters]
-
-    @classmethod
-    def from_json(cls, data):
-        return cls(tuple((lab, int(e)) for lab, e in data))
 
 
 def _factor(datum, dv):

@@ -10,7 +10,7 @@ and the order inducing the quotient labels.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .folding import FoldingDatum, identity_folding, lift_sequence, validate_admissible
 from .monomial import (Orientation, validate_orientation, word_folded,
@@ -69,7 +69,7 @@ def _datum_from_edges(labels, edges):
     return cartan_datum(labels, form)
 
 
-def _build(name, labels, edges, sigma, part0, part1, is_quotient=False):
+def _build(name, labels, edges, sigma, part0, part1):
     """Assemble a Preset from diagram data; validates everything."""
     datum = _datum_from_edges(labels, edges)
     fd = validate_admissible(datum, sigma)
@@ -86,7 +86,7 @@ def _build(name, labels, edges, sigma, part0, part1, is_quotient=False):
         if datum.index(j) >= datum.index(i):
             raise RootSystemError("label order is not compatible with the orientation")
     return Preset(name, fd, seq, ulseq, orientation,
-                  (tuple(part0), tuple(part1)), is_quotient)
+                  (tuple(part0), tuple(part1)), False)
 
 
 def _fold_word(fd, part0, part1):
@@ -178,7 +178,8 @@ def symmetric_preset(name):
     raise UnsupportedPreset(f"unknown preset {name!r}")
 
 
-def folded_preset(name):
+def _source(name):
+    """The validated symmetric preset a quotient name (B/C/F/G) folds from."""
     m = re.fullmatch(r"([BCFG])(\d+)", name)
     if not m:
         raise UnsupportedPreset(f"unknown preset {name!r}")
@@ -189,53 +190,31 @@ def folded_preset(name):
     src = _SOURCE_OF[family](rank)
     if src.fd.quotient.rank != rank:
         raise UnsupportedPreset(f"{name} is not reachable by folding")
-    return Preset(name, src.fd, src.seq, src.ulseq, src.orientation,
-                  src.parts, is_quotient=True)
+    return src
+
+
+def folded_preset(name):
+    return replace(_source(name), name=name, is_quotient=True)
+
+
+def preset_with_folding(name):
+    """The preset a name carries with its folding: a quotient name on its
+    source, a symmetric name with its admissible automorphism."""
+    name = name.strip()
+    if re.fullmatch(r"[BCFG]\d+", name):
+        return folded_preset(name)
+    return symmetric_preset(name)
 
 
 def get_preset(name):
     """Resolve a preset by name; symmetric names give a trivial folding."""
     name = name.strip()
-    try:
-        return folded_preset(name)
-    except UnsupportedPreset:
-        pass
-    base = symmetric_preset(name)
-    fd = identity_folding(base.fd.base)
-    seq = betas_from_sequence(fd.base, base.seq.indices)
-    ulseq = betas_from_sequence(fd.quotient, base.seq.indices)
-    return Preset(name, fd, seq, ulseq, base.orientation, base.parts, False)
-
-
-def preset_orientation(datum):
-    """The bipartite orientation of a preset's base datum.
-
-    Matches the datum against the built-in symmetric presets (any label
-    order); raises UnsupportedPreset when it is none of them.
-    """
-    candidates = []
-    n = datum.rank
-    if n % 2:
-        candidates.append(lambda: _preset_a(n))
-    if n >= 4:
-        candidates.append(lambda: _preset_d(n))
-    if n == 4:
-        candidates.append(_preset_d4_triality)
-    if n == 6:
-        candidates.append(_preset_e6)
-    for make in candidates:
-        try:
-            preset = make()
-        except (UnsupportedPreset, RootSystemError):
-            continue
-        base = preset.fd.base
-        if set(base.labels) != set(datum.labels):
-            continue
-        perm = [base.index(lab) for lab in datum.labels]
-        if all(datum.form[i][j] == base.form[perm[i]][perm[j]]
-               for i in range(n) for j in range(n)):
-            return preset.orientation
-    raise UnsupportedPreset("datum does not match any built-in orientation preset")
+    preset = preset_with_folding(name)
+    if preset.is_quotient:
+        return preset
+    fd = identity_folding(preset.fd.base)
+    ulseq = betas_from_sequence(fd.quotient, preset.seq.indices)
+    return replace(preset, name=name, fd=fd, ulseq=ulseq)
 
 
 def get_folding(spec):
@@ -244,12 +223,7 @@ def get_folding(spec):
     if not m:
         raise UnsupportedPreset(f"bad folding spec {spec!r}")
     src_name, dst_name = m.group(1), m.group(2)
-    if src_name == "D4" and dst_name == "C3":
-        preset = _preset_d(4)
-    else:
-        preset = symmetric_preset(src_name)
-    expected = folded_preset(dst_name)
-    if preset.fd.quotient.rank != expected.fd.quotient.rank or \
-            preset.fd.quotient.form != expected.fd.quotient.form:
+    preset = _source(dst_name)
+    if preset.name != src_name:
         raise UnsupportedPreset(f"{src_name} does not fold onto {dst_name}")
     return preset

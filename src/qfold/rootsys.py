@@ -94,15 +94,6 @@ class CartanDatum:
         i = self.index(label)
         return tuple(1 if k == i else 0 for k in range(self.rank))
 
-    def pair(self, v, w):
-        """Bilinear form on root-lattice vectors."""
-        total = 0
-        for i, vi in enumerate(v):
-            if vi:
-                row = self.form[i]
-                total += vi * sum(wj * row[j] for j, wj in enumerate(w) if wj)
-        return total
-
     def pair_root_label(self, v, label):
         j = self.index(label)
         return sum(vi * self.form[i][j] for i, vi in enumerate(v) if vi)
@@ -196,17 +187,15 @@ def betas_from_sequence(datum, indices):
     return ReducedSequence(datum, indices, tuple(betas))
 
 
-def bipartite_w0(datum, parts, orders=None):
+def bipartite_w0(datum, parts):
     """Alternating word c0 c1 c0 ... with h block factors.
 
     parts = (I0, I1) must 2-color the Dynkin graph; each block lists its
-    part in the given order (default: the part's order in ``parts``).  For
-    even Coxeter number h the result is (c0 c1)^(h/2).  The output is
-    validated through betas_from_sequence.
+    part in the order given in ``parts``.  For even Coxeter number h the
+    result is (c0 c1)^(h/2).  The output is validated through
+    betas_from_sequence.
     """
     part0, part1 = (tuple(p) for p in parts)
-    if orders is not None:
-        part0, part1 = tuple(orders[0]), tuple(orders[1])
     seen = set(part0) | set(part1)
     if len(part0) + len(part1) != datum.rank or seen != set(datum.labels):
         raise InvalidColoring("parts do not partition the label set")

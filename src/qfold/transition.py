@@ -266,11 +266,6 @@ def block_from_json(data):
     )
 
 
-def blocks_equal(a, b):
-    return (a.weight == b.weight and a.index == b.index and a.lam == b.lam
-            and a.H == b.H and a.D == b.D and a.P == b.P and a.Q == b.Q)
-
-
 def block_to_tsv(block, labels):
     lines = []
     weight = ", ".join(f"{n}*a[{lab}]" for lab, n in zip(labels, block.weight) if n)

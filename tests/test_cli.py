@@ -7,7 +7,7 @@ import pytest
 
 from qfold.cli import main
 from qfold.laurent import parse_laurent
-from qfold.transition import block_from_json, blocks_equal
+from qfold.transition import block_from_json
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -101,7 +101,7 @@ def test_transition_round_trips_against_fixtures(capsys):
         assert code == 0
         emitted = block_from_json(json.loads(out))
         stored = block_from_json(json.loads((ROOT / path).read_text()))
-        assert blocks_equal(emitted, stored), path
+        assert emitted == stored, path
 
 
 def test_output_is_deterministic(capsys):
@@ -157,6 +157,35 @@ def test_config_errors_exit_two(capsys):
     assert run(["transition", "--preset", "A4", "--weight", "1,1"], capsys)[0] == 2
     assert run(["gram", "--preset", "B2", "--weight", "2,1",
                 "--basis", "symmetric"], capsys)[0] == 2
+
+
+def test_bad_config_values_exit_two_naming_the_key(tmp_path, capsys):
+    cases = [
+        ("basis", ["gram"], "preset = B2\nweight = 2,1\nbasis = foo\n"),
+        ("max-height", ["transition"], "preset = B2\nmax-height = x\n"),
+        ("max-height", ["check"], "preset = A3\nmax-height = x\n"),
+        ("form", ["roots"], "labels = 1 2\nform = 2 -1; -1 two\nparts = 1; 2\n"),
+        ("parts", ["roots"], "labels = 1 2\nform = 2 -1; -1 2\nparts = 1 2\n"),
+    ]
+    for key, argv, text in cases:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        code, _, err = run(argv + ["--config", str(cfg)], capsys)
+        assert code == 2 and key in err, (text, err)
+    cfg.write_bytes(b"preset = B2\xff\n")
+    assert run(["roots", "--config", str(cfg)], capsys)[0] == 2
+
+
+@pytest.mark.parametrize("error", [KeyError("orbit"), ValueError("no orbit run")])
+def test_internal_key_and_value_errors_exit_three(error, monkeypatch, capsys):
+    def breach(*_args):
+        raise error
+
+    monkeypatch.setattr("qfold.cli.pipeline", breach)
+    code, _, err = run(["transition", "--preset", "B2", "--weight", "2,1"],
+                       capsys)
+    assert code == 3
+    assert "internal invariant breach" in err
 
 
 def test_tsv_and_out_file(tmp_path, capsys):

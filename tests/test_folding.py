@@ -1,6 +1,7 @@
 import pytest
 
 import qfold
+from qfold import presets
 from qfold.folding import (NotAdmissible, fold_exponent, lift_sequence,
                            orbit_blocks, sigma_on_exponents, unfold_exponent,
                            validate_admissible)
@@ -133,3 +134,32 @@ def test_lifted_word_splits_into_orbit_parts():
                 for i, x in enumerate(seq.betas[s]):
                     total[i] += x
             assert tuple(total) == fd.expand_weight(ulbeta)
+
+
+def test_get_folding_builds_its_source_once(monkeypatch):
+    calls = []
+    build = presets._build
+
+    def counted(*args):
+        calls.append(args[0])
+        return build(*args)
+
+    monkeypatch.setattr(presets, "_build", counted)
+    qfold.get_folding("D4->G2")
+    assert calls == ["D4"]
+
+
+def test_get_folding_returns_its_source_preset():
+    sources = {"A3->B2": lambda: presets._preset_a(3),
+               "A5->B3": lambda: presets._preset_a(5),
+               "A7->B4": lambda: presets._preset_a(7),
+               "D4->G2": presets._preset_d4_triality,
+               "D4->C3": lambda: presets._preset_d(4),
+               "D5->C4": lambda: presets._preset_d(5),
+               "D6->C5": lambda: presets._preset_d(6),
+               "E6->F4": presets._preset_e6}
+    for spec, build in sources.items():
+        assert qfold.get_folding(spec) == build(), spec
+    for spec in ("A5->B2", "A3->C3", "D4->B3", "E6->G2", "A4->B2"):
+        with pytest.raises(presets.UnsupportedPreset):
+            qfold.get_folding(spec)

@@ -17,16 +17,6 @@ def test_preset_orientations():
                                          ("2'", "1'"), ("4", "3")}
 
 
-def test_preset_orientation_lookup():
-    from qfold.presets import UnsupportedPreset, preset_orientation
-
-    for name in ("A3", "D4", "E6", "A5", "D5"):
-        preset = qfold.get_preset(name)
-        assert preset_orientation(preset.fd.base) == preset.orientation
-    with pytest.raises(UnsupportedPreset):
-        preset_orientation(qfold.get_preset("B2").fd.quotient)
-
-
 def test_dvec():
     a3 = qfold.get_preset("A3")
     c = (0, 0, 1, 0, 0, 0)

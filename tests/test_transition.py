@@ -3,9 +3,9 @@ import pytest
 import qfold
 from qfold.laurent import ONE, LaurentPoly, RationalFn, parse_laurent, parse_rational
 from qfold.transition import (NotIntegral, SingularPivot, block_from_json,
-                              block_to_json, blocks_equal, gram_block, ldl,
-                              matmul_laurent, mod_p_compare, pipeline, pq_split,
-                              reconstruct_lam, sigma_submatrix)
+                              block_to_json, gram_block, ldl, matmul_laurent,
+                              mod_p_compare, pipeline, pq_split, reconstruct_lam,
+                              sigma_submatrix)
 
 
 def R(s):
@@ -188,7 +188,7 @@ def test_block_json_round_trip():
     block = pipeline(qfold.get_preset("G2"), (2, 1))
     data = block_to_json(block, ("1", "2"))
     again = block_from_json(data)
-    assert blocks_equal(block, again)
+    assert block == again
 
 
 def test_h_column_of_single_position_vector_is_q_to_delta():
