@@ -128,14 +128,19 @@ def _parse_weight(text, datum):
 
 def _max_height(args, cfg):
     """The flag, else the config value; None when neither is given (0 is a
-    height like any other)."""
-    if args.max_height is not None:
-        return args.max_height
-    height = cfg.get("max-height")
-    try:
-        return None if height is None else int(height)
-    except ValueError:
-        raise ConfigError(f"max-height must be an integer, got {height!r}") from None
+    height like any other, a negative one is refused)."""
+    height = args.max_height
+    if height is None:
+        height = cfg.get("max-height")
+        if height is None:
+            return None
+        try:
+            height = int(height)
+        except ValueError:
+            raise ConfigError(f"max-height must be an integer, got {height!r}") from None
+    if height < 0:
+        raise ConfigError(f"max-height must be nonnegative, got {height}")
+    return height
 
 
 def _weights(args, cfg, datum):
@@ -279,10 +284,10 @@ def cmd_check(args, cfg):
         if chosen[other] and not chosen[takes]:
             raise ConfigError(f"suite {args.suite} takes --{takes}, not --{other}")
     suite_names = [args.suite] if args.suite != "all" else list(SUITES)
+    height = _max_height(args, cfg)
     overall_ok = True
     for name in suite_names:
         kwargs = {}
-        height = _max_height(args, cfg)
         if height is not None:
             kwargs["max_height"] = height
         takes = _SELECTOR[name]

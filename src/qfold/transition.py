@@ -14,9 +14,8 @@ from typing import NamedTuple
 
 from .folding import sigma_on_exponents
 from .gram import delta_weight, expand_word, matching_sum
-from .laurent import (ONE, ZERO, LaurentPoly, RationalFn, RF_ZERO, bar,
-                      laurent_div_exact, parse_laurent, parse_rational,
-                      poly_lcm, split_bar_parts)
+from .laurent import (ONE, ZERO, LaurentPoly, RationalFn, bar, laurent_div_exact,
+                      parse_laurent, parse_rational, poly_lcm, split_bar_parts)
 from .rootsys import enumerate_block
 
 
@@ -139,44 +138,72 @@ def ldl(index, lam):
     return H, D
 
 
+def _add_products(acc, pairs, sign=1):
+    """Add sign * x * y into the coefficient dict acc for every Laurent pair
+    (x, y), skipping zero operands; returns acc."""
+    for x, y in pairs:
+        if not x or not y:
+            continue
+        ys = y.coeffs.items()
+        for e1, c1 in x.coeffs.items():
+            c1 *= sign
+            for e2, c2 in ys:
+                k = e1 + e2
+                acc[k] = acc.get(k, 0) + c1 * c2
+    return acc
+
+
 def pq_split(H):
     """Split unit lower triangular H as H = PQ with P strictly positive in q
     off the diagonal and Q bar-invariant.
 
     Entries are solved in increasing band distance i - j; within a band
-    every entry depends only on strictly smaller bands.
+    every entry depends only on strictly smaller bands.  Each entry's
+    H[i][j] - sum of P[i][k] * Q[k][j] is accumulated in one coefficient
+    dict and split once.
     """
     n = len(H)
-    P = [[LaurentPoly(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    Q = [[LaurentPoly(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    P = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+    Q = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
     for dist in range(1, n):
         for i in range(dist, n):
             j = i - dist
-            a = H[i][j]
-            for k in range(j + 1, i):
-                a = a - P[i][k] * Q[k][j]
-            plus, const, minus = split_bar_parts(a)
+            acc = _add_products(dict(H[i][j].coeffs),
+                                ((P[i][k], Q[k][j]) for k in range(j + 1, i)), -1)
+            plus, const, minus = split_bar_parts(LaurentPoly(acc))
             P[i][j] = plus - bar(minus)
             Q[i][j] = minus + bar(minus) + const
     return P, Q
 
 
 def reconstruct_lam(H, D):
+    """H^t D H for unit lower triangular Laurent H and diagonal D over Q(q).
+
+    The sum runs over one common denominator: C is the lcm of the
+    denominators of D, so CD[e] = C * D[e] is Laurent and the numerator
+    N[a][b] = sum over e >= max(a, b) of H[e][a] * H[e][b] * CD[e] is
+    accumulated in one coefficient dict.  Each entry N[a][b] / C is
+    normalised once.
+    """
     n = len(H)
-    out = [[RF_ZERO] * n for _ in range(n)]
+    C = ONE
+    for den in dict.fromkeys(d.den for d in D):
+        C = poly_lcm(C, den)
+    CD = [d.num * laurent_div_exact(C, d.den) for d in D]
+    HCD = [[H[e][b] * CD[e] for b in range(e + 1)] for e in range(n)]
+    out = [[None] * n for _ in range(n)]
     for a in range(n):
         for b in range(a, n):
-            total = RF_ZERO
-            for e in range(max(a, b), n):
-                total = total + RationalFn(H[e][a] * H[e][b]) * D[e]
-            out[a][b] = total
-            out[b][a] = total
+            acc = _add_products({}, ((H[e][a], HCD[e][b]) for e in range(b, n)))
+            out[a][b] = out[b][a] = RationalFn(LaurentPoly(acc), C)
     return out
 
 
 def matmul_laurent(A, B):
+    """The product AB of two square Laurent matrices."""
     n = len(A)
-    return [[sum((A[i][k] * B[k][j] for k in range(n)), LaurentPoly(0))
+    rows = [[(k, x) for k, x in enumerate(row) if x] for row in A]
+    return [[LaurentPoly(_add_products({}, ((x, B[k][j]) for k, x in rows[i])))
              for j in range(n)] for i in range(n)]
 
 

@@ -217,6 +217,17 @@ def test_max_height_zero_means_zero(capsys):
     assert ": 0 instances" in out
 
 
+def test_negative_max_height_exits_two(tmp_path, capsys):
+    for argv in (["check", "--suite", "factorization", "--preset", "A3"],
+                 ["transition", "--preset", "A3"]):
+        code, out, err = run(argv + ["--max-height", "-1"], capsys)
+        assert code == 2 and "max-height" in err and not out, (argv, err)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("max-height = -2\n")
+        code, out, err = run(argv + ["--config", str(cfg)], capsys)
+        assert code == 2 and "max-height" in err and not out, (argv, err)
+
+
 def test_arithmetic_errors_exit_three(monkeypatch, capsys):
     def breach(*_args):
         raise ArithmeticError("inexact polynomial division")
