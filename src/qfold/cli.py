@@ -144,10 +144,10 @@ def _max_height(args, cfg):
 
 
 def _weights(args, cfg, datum):
+    height = _max_height(args, cfg)
     weight = args.weight or cfg.get("weight")
     if weight:
         return [_parse_weight(weight, datum)]
-    height = _max_height(args, cfg)
     if height is None:
         raise ConfigError("give --weight or --max-height")
     return weights_up_to(datum, height)

@@ -219,7 +219,8 @@ def test_max_height_zero_means_zero(capsys):
 
 def test_negative_max_height_exits_two(tmp_path, capsys):
     for argv in (["check", "--suite", "factorization", "--preset", "A3"],
-                 ["transition", "--preset", "A3"]):
+                 ["transition", "--preset", "A3"],
+                 ["transition", "--preset", "B2", "--weight", "2,1"]):
         code, out, err = run(argv + ["--max-height", "-1"], capsys)
         assert code == 2 and "max-height" in err and not out, (argv, err)
         cfg = tmp_path / "run.cfg"

@@ -1,9 +1,20 @@
+import math
+from collections import Counter
+
+from hypothesis import assume, given, strategies as st
+
 import qfold
+from qfold import gram
 from qfold.gram import (delta_weight, expand_word, inner_mackey,
                         inner_mackey_restricted, inner_shuffle,
                         inversion_stat, matching_sum, matchings, pbw_diag)
-from qfold.laurent import ONE, parse_laurent, parse_rational, qfact
+from qfold.laurent import (ONE, ZERO, LaurentPoly, parse_laurent,
+                           parse_rational, q_power, qfact)
 from qfold.monomial import MonomialWord, word_folded, word_modified
+from qfold.rootsys import enumerate_block, weights_up_to
+from test_ldl import SETTINGS
+
+CORES = (gram._cross_sums_by_recursion, gram._cross_sums_by_subsets)
 
 
 def W(*letters):
@@ -139,3 +150,68 @@ def test_restricted_matching_sums():
 def test_prefactor_identity_against_factorials():
     assert qfact(2, 2) == parse_laurent("q^2 + q^-2")
     assert qfact(2, 3) == parse_laurent("q^3 + q^-3")
+
+
+@st.composite
+def letter_pairs(draw):
+    """A letter sequence and, mostly, a rearrangement of it, else another
+    sequence of its length.  Short random words stay below the subset DP's
+    leaf threshold; a pattern of distinct labels repeated three times goes
+    above it."""
+    datum = qfold.get_preset(draw(st.sampled_from(("A3", "B2", "D4", "G2")))).side()[0]
+    label = st.sampled_from(datum.labels)
+    if draw(st.booleans()):
+        word = draw(st.lists(st.tuples(label, st.integers(1, 3)), max_size=4))
+    else:
+        pattern = draw(st.lists(label, min_size=2, max_size=3, unique=True))
+        word = [(lab, draw(st.integers(1, 2))) for lab in pattern] * 3
+    nu = tuple(lab for lab, r in word for _ in range(r))
+    # the reference enumerates prod m! matchings
+    assume(math.prod(math.factorial(m) for m in Counter(nu).values()) <= 5040)
+    if draw(st.integers(0, 4)):
+        nup = tuple(draw(st.permutations(nu)))
+    else:
+        nup = tuple(draw(st.lists(st.sampled_from(datum.labels), min_size=len(nu),
+                                  max_size=len(nu))))
+    return datum, nu, nup
+
+
+@SETTINGS
+@given(letter_pairs())
+def test_both_cores_sum_q_to_the_inversions_over_matchings(pair):
+    datum, nu, nup = pair
+    expected = sum((q_power(-inversion_stat(datum, nu, w)) for w in matchings(nu, nup)),
+                   ZERO)
+    assert matching_sum(datum, nu, nup) == expected
+    layout = gram._layout(nu, nup)
+    if layout is None:
+        assert expected == ZERO
+        return
+    runs, targets = layout
+    for core in CORES:
+        total = LaurentPoly(core(datum, runs, targets))
+        assert gram._times_run_prefactor(datum, runs, total) == expected, core
+
+
+def test_both_cores_agree_on_whole_blocks():
+    """Every pair of G2 (6,4), B2 (7,5) and the D4->G2 modified blocks to
+    height 6, on both sides of the subset DP's leaf threshold."""
+    def letter_blocks():
+        for name, gamma in (("G2", (6, 4)), ("B2", (7, 5))):
+            yield qfold.get_preset(name).side(), [gamma]
+        side = qfold.get_folding("D4->G2").side("modified")
+        yield side, weights_up_to(side[0], 6)
+
+    sides = Counter()
+    for (datum, seq, word), gammas in letter_blocks():
+        for gamma in gammas:
+            letters = [expand_word(word(c), datum).labels
+                       for c in enumerate_block(seq, gamma)]
+            for a, nu in enumerate(letters):
+                for nup in letters[a:]:
+                    runs, targets = gram._layout(nu, nup)
+                    by_recursion, by_subsets = (core(datum, runs, targets)
+                                                for core in CORES)
+                    assert by_recursion == by_subsets, (gamma, nu, nup)
+                    sides[gram._leaves(runs, targets) >= gram.SUBSET_DP_MIN_LEAVES] += 1
+    assert sides[True] and sides[False]

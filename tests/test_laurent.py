@@ -1,10 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
-from qfold.laurent import (LaurentPoly, RationalFn, ONE, Q, ZERO, bar,
-                           parse_laurent, parse_rational, q_power, qfact,
-                           qint, split_bar_parts)
+from qfold.laurent import (LaurentPoly, RationalFn, ONE, Q, RF_ONE, RF_ZERO,
+                           ZERO, bar, parse_laurent, parse_rational, q_power,
+                           qfact, qint, split_bar_parts)
+from test_ldl import SETTINGS, laurent
+
+rational = st.builds(RationalFn, laurent, laurent.filter(bool))
 
 
 def L(s):
@@ -34,6 +38,33 @@ def test_ring_axioms_on_random_inputs():
         assert (a * b) * c == a * (b * c)
         assert a * ONE == a
         assert a * (b + c) == a * b + a * c
+
+
+@SETTINGS
+@given(laurent, laurent, laurent, st.integers(0, 3), st.integers(-3, 3))
+def test_laurent_ring_laws(a, b, c, k, shift):
+    assert a + b == b + a and a * b == b * a
+    assert (a + b) + c == a + (b + c) and (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c and (a + b) * c == a * c + b * c
+    assert a + ZERO == a and a * ONE == a and a * ZERO == ZERO
+    assert a - a == ZERO and -(-a) == a and a - b == -(b - a)
+    assert a ** 0 == ONE and a ** k * a * a == a ** (k + 2)
+    assert a.shift(shift) == a * q_power(shift)
+    assert hash(a * (b + c)) == hash(a * b + a * c)
+
+
+@SETTINGS
+@given(rational, rational, rational)
+def test_rational_field_laws(a, b, c):
+    assert a + b == b + a and a * b == b * a
+    assert (a + b) + c == a + (b + c) and (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + RF_ZERO == a and a * RF_ONE == a and a - a == RF_ZERO
+    assert hash(a * (b + c)) == hash(a * b + a * c)
+    if not b.is_zero():
+        assert (a / b) * b == a and b / b == RF_ONE
+    # a common factor cancels into the same normal form
+    assert RationalFn(a.num * a.den, a.den) == RationalFn(a.num)
 
 
 def test_bar_examples():

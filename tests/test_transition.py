@@ -1,11 +1,16 @@
+import json
+
 import pytest
+from hypothesis import given, strategies as st
 
 import qfold
 from qfold.laurent import ONE, LaurentPoly, RationalFn, parse_laurent, parse_rational
-from qfold.transition import (NotIntegral, SingularPivot, block_from_json,
-                              block_to_json, gram_block, ldl, matmul_laurent,
-                              mod_p_compare, pipeline, pq_split, reconstruct_lam,
-                              sigma_submatrix)
+from qfold.transition import (NotIntegral, SingularPivot, TransitionBlock,
+                              block_from_json, block_to_json, gram_block, ldl,
+                              matmul_laurent, mod_p_compare, pipeline, pq_split,
+                              reconstruct_lam, sigma_submatrix)
+from test_laurent import rational
+from test_ldl import SETTINGS, laurent
 
 
 def R(s):
@@ -189,6 +194,34 @@ def test_block_json_round_trip():
     data = block_to_json(block, ("1", "2"))
     again = block_from_json(data)
     assert block == again
+
+
+@st.composite
+def small_blocks(draw):
+    """A TransitionBlock of random entries, n <= 3, with negative
+    exponents and coefficients, zeros and proper fractions."""
+    n = draw(st.integers(0, 3))
+    rank = draw(st.integers(1, 4))
+
+    def matrix(entries):
+        return [[draw(entries) for _ in range(n)] for _ in range(n)]
+
+    return TransitionBlock(
+        weight=tuple(draw(st.lists(st.integers(0, 9), min_size=rank, max_size=rank))),
+        index=[tuple(draw(st.lists(st.integers(0, 9), min_size=rank, max_size=rank)))
+               for _ in range(n)],
+        lam=matrix(rational), H=matrix(laurent), D=[draw(rational) for _ in range(n)],
+        P=matrix(laurent), Q=matrix(laurent))
+
+
+@SETTINGS
+@given(small_blocks())
+def test_block_json_round_trips_random_blocks(block):
+    labels = [str(i + 1) for i in range(len(block.weight))]
+    data = json.loads(json.dumps(block_to_json(block, labels)))
+    again = block_from_json(data)
+    assert again == block
+    assert block_to_json(again, labels) == data
 
 
 def test_h_column_of_single_position_vector_is_q_to_delta():
