@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .folding import fold_exponent, orbit_blocks, sigma_on_exponents, unfold_exponent
+from .folding import fold_exponent, sigma_on_exponents, unfold_exponent
 from .laurent import RationalFn
 from .gram import (MismatchError, expand_word, inner_mackey,
                    inner_mackey_restricted, inner_shuffle, pbw_diag)
@@ -150,7 +150,7 @@ def check_delta(presets=("A3", "A5", "D4", "D5", "E6"), max_height=10):
     for name in presets:
         preset = preset_with_folding(name)
         seq = preset.seq
-        for _k, positions in orbit_blocks(preset.fd, seq):
+        for _orbit, positions in preset.orbit_parts():
             stack = [(0, max_height, [0] * seq.N)]
             while stack:
                 pos, budget, c = stack.pop()

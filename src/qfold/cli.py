@@ -12,11 +12,9 @@ import re
 import sys
 
 from .checks import SUITES
-from .folding import (NotAdmissible, identity_folding, orbit_blocks,
-                      validate_admissible)
-from .presets import BASES, Preset, get_folding, get_preset
-from .rootsys import (RootSystemError, betas_from_sequence, bipartite_w0,
-                      cartan_datum, weights_up_to)
+from .folding import NotAdmissible
+from .presets import BASES, custom_preset, get_folding, get_preset
+from .rootsys import RootSystemError, weights_up_to
 from .transition import (block_to_json, block_to_tsv, gram_block, pipeline,
                          sigma_submatrix)
 
@@ -46,42 +44,32 @@ def _read_config(path):
     return out
 
 
-def _parse_sigma_cycles(text, labels):
+def _parse_sigma_cycles(text):
     sigma = {}
     for cycle in re.findall(r"\(([^()]*)\)", text):
         members = cycle.split()
         for a, b in zip(members, members[1:] + members[:1]):
             sigma[a] = b
-    for lab in labels:
-        sigma.setdefault(lab, lab)
     return sigma
 
 
 def _custom_preset(cfg):
-    labels = cfg["labels"].split()
     rows = [r.strip() for r in cfg["form"].split(";") if r.strip()]
     try:
         form = [[int(x) for x in row.split()] for row in rows]
     except ValueError:
         raise ConfigError(f"form needs integer entries, got {cfg['form']!r}") from None
-    datum = cartan_datum(labels, form)
-    if "sigma" in cfg:
-        fd = validate_admissible(datum, _parse_sigma_cycles(cfg["sigma"], datum.labels))
-    else:
-        fd = identity_folding(datum)
+    sigma = _parse_sigma_cycles(cfg["sigma"]) if "sigma" in cfg else None
+    word = parts = None
     if "word" in cfg:
         word = tuple(cfg["word"].split())
     elif "parts" in cfg:
         parts = [p.split() for p in cfg["parts"].split(";")]
         if len(parts) != 2:
             raise ConfigError(f"parts needs the form I0;I1, got {cfg['parts']!r}")
-        word = bipartite_w0(datum, parts)
     else:
         raise ConfigError("custom data need either word=... or parts=I0;I1")
-    seq = betas_from_sequence(datum, word)
-    ulword = tuple(fd.quotient.labels[k] for k, _ in orbit_blocks(fd, seq))
-    ulseq = betas_from_sequence(fd.quotient, ulword)
-    return Preset("custom", fd, seq, ulseq, None, ((), ()), False)
+    return custom_preset(cfg["labels"].split(), form, sigma, word, parts)
 
 
 def _resolve(args, cfg):
@@ -98,18 +86,6 @@ def _resolve(args, cfg):
             return _custom_preset(cfg)
         raise ConfigError("a --preset, --fold, or custom datum is required")
     return get_preset(preset_name)
-
-
-def _basis(preset, basis):
-    basis = basis or preset.default_basis
-    if basis not in BASES:
-        raise ConfigError(f"basis must be one of {', '.join(BASES)}, got {basis!r}")
-    if basis == "folded" and not preset.is_quotient and preset.fd.is_trivial():
-        raise ConfigError("the folded basis needs a folded preset or a folding")
-    if basis == "symmetric" and (preset.is_quotient
-                                 or not preset.fd.base.is_symmetric()):
-        raise ConfigError("the plain symmetric basis needs a symmetric datum")
-    return basis
 
 
 def _parse_weight(text, datum):
@@ -189,13 +165,13 @@ def cmd_roots(args, cfg):
         "betas": [list(b) for b in seq.betas],
     }
     if not fd.is_trivial() and not preset.is_quotient:
-        blocks = orbit_blocks(fd, preset.seq)
+        parts = preset.orbit_parts()
         payload["orbit_parts"] = [
-            {"orbit": list(fd.orbits[k]), "positions": [p + 1 for p in positions]}
-            for k, positions in blocks]
+            {"orbit": list(orbit), "positions": [p + 1 for p in positions]}
+            for orbit, positions in parts]
         lines.append("orbit parts: " + "  ".join(
-            "{" + " ".join(fd.orbits[k]) + "}@" + ",".join(str(p + 1) for p in positions)
-            for k, positions in blocks))
+            "{" + " ".join(orbit) + "}@" + ",".join(str(p + 1) for p in positions)
+            for orbit, positions in parts))
     rows = ["\t".join(["k", "label", "beta"])]
     rows += ["\t".join([str(k + 1), seq.indices[k], _root_str(datum, seq.betas[k])])
              for k in range(seq.N)]
@@ -205,7 +181,7 @@ def cmd_roots(args, cfg):
 
 def cmd_gram(args, cfg):
     preset = _resolve(args, cfg)
-    basis = _basis(preset, args.basis or cfg.get("basis"))
+    basis = args.basis or cfg.get("basis") or preset.default_basis
     datum, _seq, _word = preset.side(basis)
     results, pretty = [], []
     for gamma in _weights(args, cfg, datum):
@@ -222,16 +198,16 @@ def cmd_gram(args, cfg):
             "gamma_factors": [str(g) for g in gram.g],
         }
         pretty.append(f"weight {gamma} ({basis}): {len(gram.index)} vectors")
-        for c, row in zip(gram.index, gram.lam):
-            pretty.append(f"  {c}: " + "  |  ".join(str(v) for v in row))
+        for c, row in zip(gram.index, entry["lambda"]):
+            pretty.append(f"  {c}: " + "  |  ".join(row))
         if not preset.fd.is_trivial() and basis != "folded":
             sub_index, sub = sigma_submatrix(preset.fd, preset.seq, gram.index,
-                                             gram.lam)
+                                             entry["lambda"])
             entry["index_sigma"] = [list(c) for c in sub_index]
-            entry["lambda_sigma"] = [[str(v) for v in row] for row in sub]
+            entry["lambda_sigma"] = sub
             pretty.append(f"  fixed part: {len(sub_index)} vectors")
             for c, row in zip(sub_index, sub):
-                pretty.append(f"  {c}: " + "  |  ".join(str(v) for v in row))
+                pretty.append(f"  {c}: " + "  |  ".join(row))
         results.append(entry)
     payload = results[0] if len(results) == 1 else {"blocks": results}
     rows = []
@@ -245,7 +221,7 @@ def cmd_gram(args, cfg):
 
 def cmd_transition(args, cfg):
     preset = _resolve(args, cfg)
-    basis = _basis(preset, args.basis or cfg.get("basis"))
+    basis = args.basis or cfg.get("basis") or preset.default_basis
     datum, _seq, _word = preset.side(basis)
     results, pretty, tsv_parts = [], [], []
     for gamma in _weights(args, cfg, datum):
@@ -254,7 +230,7 @@ def cmd_transition(args, cfg):
         data["preset"] = preset.name
         data["basis"] = basis
         results.append(data)
-        tsv_parts.append(block_to_tsv(block, datum.labels))
+        tsv_parts.append(block_to_tsv(data))
         pretty.append(f"weight {gamma} ({basis}): {len(block.index)} vectors")
         for name in ("index", "H", "D", "P", "Q"):
             pretty.append(f"{name}:")

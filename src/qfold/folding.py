@@ -173,6 +173,14 @@ def orbit_blocks(fd, seq):
     return tuple(blocks)
 
 
+def quotient_sequence(fd, seq):
+    """The quotient reduced sequence a lifted word comes from: one letter
+    per orbit part, named after its orbit.  NotReduced propagates when the
+    word does not group into orbits or the letters are not reduced."""
+    return betas_from_sequence(fd.quotient, tuple(
+        fd.quotient.labels[k] for k, _ in orbit_blocks(fd, seq)))
+
+
 def sigma_on_exponents(fd, seq, c):
     """Permute the coordinates of c inside each orbit part.
 

@@ -12,7 +12,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 
-from .folding import FoldingDatum, identity_folding, lift_sequence, validate_admissible
+from .folding import (FoldingDatum, identity_folding, lift_sequence,
+                      orbit_blocks, quotient_sequence, validate_admissible)
 from .monomial import (Orientation, validate_orientation, word_folded,
                        word_modified, word_sym)
 from .rootsys import (RootSystemError, betas_from_sequence, bipartite_w0,
@@ -43,18 +44,32 @@ class Preset:
         """The folded basis on a folded target, the modified one otherwise."""
         return "folded" if self.is_quotient else "modified"
 
+    def orbit_parts(self):
+        """(orbit, positions) for each orbit part of the base word."""
+        return [(self.fd.orbits[k], positions)
+                for k, positions in orbit_blocks(self.fd, self.seq)]
+
     def side(self, basis=None):
         """(datum, sequence, word of an exponent vector) a basis lives on;
-        the default basis when none is named."""
+        the default basis when none is named.  The folded basis needs a
+        quotient or a nontrivial folding, the plain symmetric one a
+        symmetric base that is not a quotient."""
         basis = basis or self.default_basis
         fd = self.fd
         if basis == "folded":
+            if fd.is_trivial() and not self.is_quotient:
+                raise UnsupportedPreset(
+                    "the folded basis needs a folded preset or a folding")
             return fd.quotient, self.ulseq, lambda c: word_folded(fd, self.ulseq, c)
         if basis == "modified":
             return fd.base, self.seq, lambda c: word_modified(fd, self.seq, c)
         if basis == "symmetric":
+            if self.is_quotient or not fd.base.is_symmetric():
+                raise UnsupportedPreset(
+                    "the plain symmetric basis needs a symmetric datum")
             return fd.base, self.seq, lambda c: word_sym(self.seq, c)
-        raise ValueError(f"unknown basis {basis!r}")
+        raise UnsupportedPreset(
+            f"basis must be one of {', '.join(BASES)}, got {basis!r}")
 
 
 def _datum_from_edges(labels, edges):
@@ -75,9 +90,8 @@ def _build(name, labels, edges, sigma, part0, part1):
     fd = validate_admissible(datum, sigma)
     word = bipartite_w0(datum, (part0, part1))
     seq = betas_from_sequence(datum, word)
-    ulword = _fold_word(fd, part0, part1)
-    ulseq = betas_from_sequence(fd.quotient, ulword)
-    if lift_sequence(fd, ulword) != word:
+    ulseq = quotient_sequence(fd, seq)
+    if lift_sequence(fd, ulseq.indices) != word:
         raise RootSystemError("lifted quotient word does not match the base word")
     orientation = Orientation(tuple(
         (b, a) if a in part0 else (a, b) for a, b in datum.edges()))
@@ -89,22 +103,18 @@ def _build(name, labels, edges, sigma, part0, part1):
                   (tuple(part0), tuple(part1)), False)
 
 
-def _fold_word(fd, part0, part1):
-    """Collapse each orbit of the alternating base word to its quotient label."""
-    repeats = len(bipartite_w0(fd.base, (part0, part1))) \
-        // (len(part0) + len(part1))
-
-    def fold_part(part):
-        out, seen = [], set()
-        for lab in part:
-            k = fd.orbit_index(lab)
-            if k not in seen:
-                seen.add(k)
-                out.append(fd.quotient.labels[k])
-        return out
-
-    block = fold_part(part0) + fold_part(part1)
-    return tuple(block * repeats)
+def custom_preset(labels, form, sigma=None, word=None, parts=None):
+    """A preset on user data: a Cartan datum by labels and form, an
+    automorphism as a label map (the identity when None), and the base word,
+    given as is or as the bipartite word of parts = (I0, I1).  The quotient
+    word is read off the word's orbit parts; no orientation is attached."""
+    datum = cartan_datum(labels, form)
+    fd = validate_admissible(datum, sigma or {})
+    if word is None:
+        word = bipartite_w0(datum, parts)
+    seq = betas_from_sequence(datum, word)
+    return Preset("custom", fd, seq, quotient_sequence(fd, seq), None,
+                  ((), ()), False)
 
 
 def _preset_a(rank):
@@ -213,8 +223,8 @@ def get_preset(name):
     if preset.is_quotient:
         return preset
     fd = identity_folding(preset.fd.base)
-    ulseq = betas_from_sequence(fd.quotient, preset.seq.indices)
-    return replace(preset, name=name, fd=fd, ulseq=ulseq)
+    return replace(preset, name=name, fd=fd,
+                   ulseq=quotient_sequence(fd, preset.seq))
 
 
 def get_folding(spec):

@@ -84,7 +84,17 @@ def gram_block(preset, gamma, basis=None):
     return GramBlock(index, words, M, g, delta, lam)
 
 
-def ldl(index, lam):
+def _common_denominator(dens):
+    """The lcm C of some denominators and the cofactor C / den of each
+    distinct one, by exact division."""
+    dens = dict.fromkeys(dens)
+    C = ONE
+    for den in dens:
+        C = poly_lcm(C, den)
+    return C, {den: laurent_div_exact(C, den) for den in dens}
+
+
+def ldl(lam):
     """Solve lam = H^t D H for unit lower triangular H and diagonal D.
 
     The elimination runs over one common denominator instead of in Q(q).
@@ -102,11 +112,8 @@ def ldl(index, lam):
     normalised once per row.
     """
     n = len(lam)
-    dens = dict.fromkeys(lam[i][j].den for i in range(n) for j in range(i + 1))
-    C = ONE
-    for den in dens:
-        C = poly_lcm(C, den)
-    cofactor = {den: laurent_div_exact(C, den) for den in dens}
+    C, cofactor = _common_denominator(lam[i][j].den
+                                      for i in range(n) for j in range(i + 1))
     H = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
     S = [[None] * n for _ in range(n)]      # coefficient items of S[e][j], j <= e
     D = [None] * n
@@ -186,10 +193,8 @@ def reconstruct_lam(H, D):
     normalised once.
     """
     n = len(H)
-    C = ONE
-    for den in dict.fromkeys(d.den for d in D):
-        C = poly_lcm(C, den)
-    CD = [d.num * laurent_div_exact(C, d.den) for d in D]
+    C, cofactor = _common_denominator(d.den for d in D)
+    CD = [d.num * cofactor[d.den] for d in D]
     HCD = [[H[e][b] * CD[e] for b in range(e + 1)] for e in range(n)]
     out = [[None] * n for _ in range(n)]
     for a in range(n):
@@ -255,7 +260,7 @@ def factor_gram(gram, gamma):
     """ldl -> pq_split on a Gram record: the transition block at gamma."""
     if not gram.index:
         return TransitionBlock(tuple(gamma), [], [], [], [], [], [])
-    H, D = ldl(gram.index, gram.lam)
+    H, D = ldl(gram.lam)
     P, Q = pq_split(H)
     return TransitionBlock(tuple(gamma), gram.index, gram.lam, H, D, P, Q)
 
@@ -293,18 +298,14 @@ def block_from_json(data):
     )
 
 
-def block_to_tsv(block, labels):
-    lines = []
-    weight = ", ".join(f"{n}*a[{lab}]" for lab, n in zip(labels, block.weight) if n)
-    lines.append(f"# weight\t{weight or '0'}")
-    lines.append("# index")
-    for c in block.index:
-        lines.append("\t".join(str(x) for x in c))
-    for name, matrix in (("lambda", block.lam), ("H", block.H),
-                         ("P", block.P), ("Q", block.Q)):
+def block_to_tsv(data):
+    """A block_to_json record laid out as TSV sections, reusing its strings."""
+    weight = ", ".join(f"{n}*a[{lab}]"
+                       for lab, n in zip(data["labels"], data["weight"]) if n)
+    lines = [f"# weight\t{weight or '0'}", "# index"]
+    lines += ["\t".join(str(x) for x in c) for c in data["index"]]
+    for name in ("lambda", "H", "P", "Q"):
         lines.append(f"# {name}")
-        for row in matrix:
-            lines.append("\t".join(str(v) for v in row))
-    lines.append("# D")
-    lines.append("\t".join(str(v) for v in block.D))
+        lines += ["\t".join(row) for row in data[name]]
+    lines += ["# D", "\t".join(data["D"])]
     return "\n".join(lines) + "\n"

@@ -131,6 +131,20 @@ def test_custom_datum_via_config(tmp_path, capsys):
     assert json.loads(out)["word"] == ["1", "1'", "2", "1", "1'", "2"]
 
 
+def test_custom_datum_by_word_via_config(tmp_path, capsys):
+    cfg = tmp_path / "custom.cfg"
+    datum = ("labels = 1 1' 2\n"
+             "form = 2 0 -1; 0 2 -1; -1 -1 2\n"
+             "sigma = (1 1')(2)\n")
+    cfg.write_text(datum + "word = 1' 1 2 1 1' 2\n")
+    code, out, _ = run(["roots", "--config", str(cfg)], capsys)
+    assert code == 0
+    assert json.loads(out)["word"] == ["1'", "1", "2", "1", "1'", "2"]
+    cfg.write_text(datum + "word = 1 1 2 1 1' 2\n")
+    code, out, err = run(["roots", "--config", str(cfg)], capsys)
+    assert code == 2 and not out and "not reduced" in err
+
+
 def test_check_suite_exit_code(capsys):
     code, out, _ = run(["check", "--suite", "delta", "--preset", "A3",
                         "--max-height", "6"], capsys)
@@ -196,6 +210,26 @@ def test_tsv_and_out_file(tmp_path, capsys):
     text = out_file.read_text()
     assert text.startswith("# weight")
     assert "q^4 + 1" in text
+
+
+def test_tsv_cells_are_the_json_cells(capsys):
+    for argv in (["--fold", "A3->B2", "--weight", "2,2,1"],
+                 ["--preset", "B2", "--weight", "2,1"],
+                 ["--preset", "G2", "--weight", "2,1"],
+                 ["--fold", "D4->G2", "--weight", "2,2,2,1"]):
+        _, out, _ = run(["transition"] + argv, capsys)
+        data = json.loads(out)
+        _, tsv, _ = run(["transition", "--format", "tsv"] + argv, capsys)
+        sections = {}
+        for line in tsv.splitlines():
+            if line.startswith("# "):
+                rows = sections.setdefault(line[2:].split("\t")[0], [])
+            else:
+                rows.append(line.split("\t"))
+        assert sections["index"] == [[str(x) for x in c] for c in data["index"]]
+        for name in ("lambda", "H", "P", "Q"):
+            assert sections[name] == data[name], (argv, name)
+        assert sections["D"] == [data["D"]], argv
 
 
 def test_max_height_sweep(capsys):

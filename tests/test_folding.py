@@ -1,7 +1,10 @@
+import inspect
+
 import pytest
 
 import qfold
 from qfold import presets
+from qfold.checks import SUITES
 from qfold.folding import (NotAdmissible, fold_exponent, lift_sequence,
                            orbit_blocks, sigma_on_exponents, unfold_exponent,
                            validate_admissible)
@@ -163,3 +166,32 @@ def test_get_folding_returns_its_source_preset():
     for spec in ("A5->B2", "A3->C3", "D4->B3", "E6->G2", "A4->B2"):
         with pytest.raises(presets.UnsupportedPreset):
             qfold.get_folding(spec)
+
+
+def test_side_refuses_a_basis_the_preset_does_not_carry():
+    for preset, basis in ((qfold.get_preset("B2"), "symmetric"),
+                          (qfold.get_preset("A3"), "folded"),
+                          (qfold.get_preset("A3"), "foo"),
+                          (qfold.get_folding("A3->B2"), "foo")):
+        with pytest.raises(presets.UnsupportedPreset, match=basis):
+            preset.side(basis)
+
+
+def test_every_checked_folding_has_a_folded_side():
+    params = [inspect.signature(suite).parameters for suite in SUITES.values()]
+    specs = {spec for p in params if "folds" in p for spec in p["folds"].default}
+    assert specs
+    for spec in specs:
+        preset = qfold.get_folding(spec)
+        datum, ulseq, _word = preset.side("folded")
+        assert datum == preset.fd.quotient and ulseq == preset.ulseq
+        assert lift_sequence(preset.fd, ulseq.indices) == preset.seq.indices
+
+
+def test_quotient_sequence_reads_one_letter_per_orbit_part():
+    fd = qfold.get_folding("A3->B2").fd
+    seq = qfold.betas_from_sequence(fd.base, ("1'", "1", "2", "1", "1'", "2"))
+    assert qfold.quotient_sequence(fd, seq).indices == ("1", "2", "1", "2")
+    seq = qfold.betas_from_sequence(fd.base, ("1", "2", "1'", "2", "1", "2"))
+    with pytest.raises(qfold.rootsys.NotReduced):
+        qfold.quotient_sequence(fd, seq)

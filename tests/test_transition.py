@@ -64,8 +64,8 @@ def test_gram_block_b2():
 
 
 def test_ldl_golden_a3():
-    index, lam = gram(a3_fold(), (2, 2, 1))
-    H, D = ldl(index, lam)
+    _index, lam = gram(a3_fold(), (2, 2, 1))
+    H, D = ldl(lam)
     u = "1 + q^2"
     assert H == [[L(x) for x in row] for row in [
         ["1", "0", "0", "0"],
@@ -80,8 +80,8 @@ def test_ldl_golden_a3():
 
 
 def test_ldl_golden_b2():
-    index, lam = gram(qfold.get_preset("B2"), (2, 1))
-    H, D = ldl(index, lam)
+    _index, lam = gram(qfold.get_preset("B2"), (2, 1))
+    H, D = ldl(lam)
     assert H == [[ONE, LaurentPoly(0)], [L("1 + q^4"), ONE]]
     assert D == [R("1/((1 - q^2)(1 - q^4))"),
                  R("1/((1 - q^2)(1 - q^4)(1 - q^8))")]
@@ -89,22 +89,22 @@ def test_ldl_golden_b2():
 
 def test_ldl_one_by_one():
     x = R("(1 + q^2)/(1 - q^2)")
-    H, D = ldl([(0,)], [[x]])
+    H, D = ldl([[x]])
     assert H == [[ONE]] and D == [x]
 
 
 def test_ldl_errors():
     one, zero = RationalFn(1), RationalFn(0)
     with pytest.raises(SingularPivot):
-        ldl([(0,), (1,)], [[one, zero], [zero, zero]])
+        ldl([[one, zero], [zero, zero]])
     r = R("1/(1 - q^2)")
     with pytest.raises(NotIntegral):
-        ldl([(0,), (1,)], [[one, r], [r, one]])
+        ldl([[one, r], [r, one]])
 
 
 def test_pq_split_golden():
-    index, lam = gram(a3_fold(), (2, 2, 1))
-    H, _D = ldl(index, lam)
+    _index, lam = gram(a3_fold(), (2, 2, 1))
+    H, _D = ldl(lam)
     P, Q = pq_split(H)
     assert P == [[L(x) for x in row] for row in [
         ["1", "0", "0", "0"],
