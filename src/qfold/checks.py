@@ -252,7 +252,7 @@ def check_equivariance(folds=("A3->B2", "D4->G2"), max_height=8):
                 tag = f"{spec} {gamma} {c}"
                 if lhs != rhs:
                     result.fail(f"{tag}: permutation law fails: {lhs} vs {rhs}")
-                if sc == c:
+                elif sc == c:
                     ulc = unfold_exponent(fd, seq, ulseq, c)
                     folded = collapse_orbit_runs(fd, word_modified(fd, seq, c))
                     if folded != word_folded(fd, ulseq, ulc):

@@ -45,6 +45,8 @@ def _read_config(path):
 
 
 def _parse_sigma_cycles(text):
+    if not re.fullmatch(r"(\s*\([^()]*\))*\s*", text):
+        raise ConfigError(f"sigma needs cycles like (1 1')(2), got {text!r}")
     sigma = {}
     for cycle in re.findall(r"\(([^()]*)\)", text):
         members = cycle.split()

@@ -7,10 +7,12 @@ per pair from the number of leaves the recursion would visit: a recursion
 over target sets for short words, and a DP over the subsets of target
 positions used so far for long repetitive ones, whose leaves it merges.
 `matchings` and `inversion_stat` enumerate the sum term by term and are the
-reference both cores are tested against.  The oracle route recurses through
-the coproduct: peeling the first letter of one word distributes over the
-positions of the other with an explicit q-twist.  Both routes return exact
-values in Q(q) and must agree.
+reference both cores are tested against.  The oracle route, `inner_shuffle`,
+recurses through the coproduct, peeling the first letter of one word against
+each equal letter of the other at a q-twist; it shares only `expand_word`
+with `gram_block`.  Both routes sum Laurent numerators and build one
+RationalFn per value, so nothing here combines Q(q) values; the coproduct
+memo lives for one call, so this module keeps no memo that grows with use.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .laurent import (ONE, ZERO, LaurentPoly, RationalFn, RF_ONE, RF_ZERO,
-                      q_power, qfact)
+from .laurent import (ONE, ZERO, LaurentPoly, RationalFn, RF_ZERO, q_power,
+                      qfact)
 
 
 class MismatchError(ArithmeticError):
@@ -302,42 +304,34 @@ def inner_mackey(datum, word, wordp):
                       delta_weight(datum, word) * nu.prefactor * nup.prefactor)
 
 
-# append-only memo; concurrent readers only ever see finished values
-_SHUFFLE_CACHE = {}
-
-
-def _letters_pairing(datum, nu, nup):
-    """Coproduct recursion on expanded letter sequences."""
-    if not nu:
-        return RF_ONE if not nup else RF_ZERO
-    if len(nu) != len(nup):
-        return RF_ZERO
-    key = (datum, nu, nup)
-    cached = _SHUFFLE_CACHE.get(key)
-    if cached is not None:
-        return cached
-    head, rest = nu[0], nu[1:]
-    hi = datum.index(head)
-    self_pairing = RationalFn(1, ONE - q_power(2 * datum.d(head)))
-    total = RF_ZERO
-    twist = 0
-    for k, lab in enumerate(nup):
-        if lab == head:
-            term = self_pairing * _letters_pairing(datum, rest, nup[:k] + nup[k + 1:])
-            total = total + RationalFn(q_power(-twist)) * term
-        twist += datum.form[datum.index(lab)][hi]
-    _SHUFFLE_CACHE[key] = total
-    return total
-
-
 def inner_shuffle(datum, word, wordp):
-    """Inner product via the coproduct recursion; agrees with inner_mackey."""
+    """Inner product via the coproduct recursion; agrees with inner_mackey.
+
+    Each peeled letter's self-pairing 1/(1 - q_l^2) is the same on every
+    branch, so the recursion sums numerators over one denominator.
+    """
     if word.weight(datum) != wordp.weight(datum):
         return RF_ZERO
     nu = expand_word(word, datum)
     nup = expand_word(wordp, datum)
-    value = _letters_pairing(datum, nu.labels, nup.labels)
-    return value / RationalFn(nu.prefactor * nup.prefactor)
+    memo = {((), ()): ONE}
+
+    def pairing(nu, nup):
+        key = (nu, nup)
+        if key not in memo:
+            head, rest = nu[0], nu[1:]
+            hi = datum.index(head)
+            total, twist = ZERO, 0
+            for k, lab in enumerate(nup):
+                if lab == head:
+                    total = total + pairing(rest, nup[:k] + nup[k + 1:]).shift(-twist)
+                twist += datum.form[datum.index(lab)][hi]
+            memo[key] = total
+        return memo[key]
+
+    den = math.prod((ONE - q_power(2 * datum.d(lab)) for lab in nu.labels),
+                    start=nu.prefactor * nup.prefactor)
+    return RationalFn(pairing(nu.labels, nup.labels), den)
 
 
 def pbw_diag(datum, seq, c):

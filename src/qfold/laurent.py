@@ -6,7 +6,10 @@ ordinary integer polynomials in q; it is the value type for Gram-matrix
 entries and for the diagonal of the symmetric factorization.
 
 Both types are immutable, hashable, and in canonical normal form, so equality
-of values is equality of representations.
+of values is equality of representations.  Outside this module each
+RationalFn is built once, from a Laurent numerator and denominator, and then
+only compared or printed, since every Q(q) operation costs a polynomial
+gcd.  The memo of `qfact`, one entry per (n, d), is this module's only one.
 """
 
 from __future__ import annotations

@@ -1,8 +1,11 @@
 import pytest
 
 import qfold.checks
-from qfold.checks import check_delta, check_factorization, check_oracle
-from qfold.laurent import ONE, RF_ONE
+from qfold.checks import (SUITES, check_congruence, check_delta, check_equivariance,
+                          check_factorization, check_oracle, check_restriction)
+from qfold.cli import main
+from qfold.gram import MismatchError
+from qfold.laurent import ONE, RF_ONE, RationalFn, q_power
 from qfold.transition import factor_gram, gram_block
 
 
@@ -50,3 +53,51 @@ def test_delta_uses_the_orbit_parts_of_every_symmetric_name():
     # single root positions alone would give 79 and 71 instances
     assert check_delta(presets=("A7",), max_height=6).instances == 135
     assert check_delta(presets=("D6",), max_height=6).instances == 90
+
+
+def _mismatch(fd, ulword, ulwordp):
+    raise MismatchError("inversion statistic changed under unfolding: 1 -> 2")
+
+
+def _quotient_P_plus_q(gram, gamma):
+    block = factor_gram(gram, gamma)
+    if len(gamma) == 2 and len(block.P) > 1:   # a B2 block, the quotient side
+        block.P = [row[:] for row in block.P]
+        block.P[-1][0] = block.P[-1][0] + q_power(1)
+    return block
+
+
+@pytest.mark.parametrize("suite, kwargs, name, tamper, message", [
+    (check_delta, {"presets": ("A3",), "max_height": 4},
+     "delta_codim", lambda seq, orientation, c: 1, "delta != 0 at"),
+    (check_restriction, {"folds": ("A3->B2",), "max_height": 4},
+     "inner_mackey_restricted", _mismatch, "inversion statistic changed"),
+    (check_congruence, {"folds": ("A3->B2",), "max_height": 3},
+     "factor_gram", _quotient_P_plus_q, "NOT congruent mod 2"),
+    (check_equivariance, {"folds": ("A3->B2",), "max_height": 4},
+     "sigma_on_exponents", lambda fd, seq, c: c, "permutation law fails"),
+], ids=["delta", "restriction", "congruence", "equivariance"])
+def test_suite_gates_a_tampered_step(suite, kwargs, name, tamper, message,
+                                     monkeypatch):
+    monkeypatch.setattr(qfold.checks, name, tamper)
+    result = suite(**kwargs)
+    assert result.failures
+    assert all(message in f for f in result.failures), result.failures
+
+
+_FIELD_OPERATIONS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                     "__rmul__", "__truediv__", "__rtruediv__", "__neg__")
+
+
+def test_no_code_combines_values_of_the_fraction_field(monkeypatch):
+    # every Q(q) value is built once from a Laurent numerator and denominator
+    def refuse(*_args):
+        raise AssertionError("Q(q) arithmetic outside laurent.py")
+
+    for name in _FIELD_OPERATIONS:
+        monkeypatch.setattr(RationalFn, name, refuse)
+    for name, suite in SUITES.items():
+        assert suite(max_height=4).ok, name
+    for argv in (["transition", "--fold", "A5->B3", "--weight", "2,2,2,2,1"],
+                 ["gram", "--preset", "G2", "--weight", "6,4"]):
+        assert main(argv) == 0, argv

@@ -113,10 +113,12 @@ def test_output_is_deterministic(capsys):
 
 def test_config_file(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("preset = B2\nweight = 2,1\n")
-    code, out, _ = run(["transition", "--config", str(cfg)], capsys)
-    assert code == 0
-    assert json.loads(out)["P"][1][0] == "q^4"
+    for text in ("preset = B2\nweight = 2,1\n",
+                 "preset: B2\nweight: 2,1  # a comment\n"):
+        cfg.write_text(text)
+        code, out, _ = run(["transition", "--config", str(cfg)], capsys)
+        assert code == 0
+        assert json.loads(out)["P"][1][0] == "q^4"
 
 
 def test_custom_datum_via_config(tmp_path, capsys):
@@ -128,7 +130,9 @@ def test_custom_datum_via_config(tmp_path, capsys):
         "parts = 1 1'; 2\n")
     code, out, _ = run(["roots", "--config", str(cfg)], capsys)
     assert code == 0
-    assert json.loads(out)["word"] == ["1", "1'", "2", "1", "1'", "2"]
+    data = json.loads(out)
+    assert data["word"] == ["1", "1'", "2", "1", "1'", "2"]
+    assert data["orbit_parts"][0] == {"orbit": ["1", "1'"], "positions": [1, 2]}
 
 
 def test_custom_datum_by_word_via_config(tmp_path, capsys):
@@ -180,6 +184,8 @@ def test_bad_config_values_exit_two_naming_the_key(tmp_path, capsys):
         ("max-height", ["check"], "preset = A3\nmax-height = x\n"),
         ("form", ["roots"], "labels = 1 2\nform = 2 -1; -1 two\nparts = 1; 2\n"),
         ("parts", ["roots"], "labels = 1 2\nform = 2 -1; -1 2\nparts = 1 2\n"),
+        ("sigma", ["roots"], "labels = 1 1' 2\nform = 2 0 -1; 0 2 -1; -1 -1 2\n"
+                             "sigma = 1 1'\nparts = 1 1'; 2\n"),
     ]
     for key, argv, text in cases:
         cfg = tmp_path / "run.cfg"
@@ -210,6 +216,40 @@ def test_tsv_and_out_file(tmp_path, capsys):
     text = out_file.read_text()
     assert text.startswith("# weight")
     assert "q^4 + 1" in text
+
+
+def test_gram_pretty_prints_a_header_and_one_line_per_vector(capsys):
+    argv = ["gram", "--fold", "A3->B2", "--weight", "2,2,1"]
+    data = json.loads(run(argv, capsys)[1])
+    code, out, _ = run(argv + ["--format", "pretty"], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "weight (2, 2, 1) (modified): 4 vectors"
+    assert lines[1:5] == [f"  {tuple(c)}: " + "  |  ".join(row)
+                          for c, row in zip(data["index"], data["lambda"])]
+    assert lines[5] == "  fixed part: 2 vectors"
+    assert len(lines) == 8
+
+
+def test_transition_pretty_prints_a_header_and_one_line_per_vector(capsys):
+    argv = ["transition", "--preset", "B2", "--weight", "2,1"]
+    data = json.loads(run(argv, capsys)[1])
+    code, out, _ = run(argv + ["--format", "pretty"], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "weight (2, 1) (folded): 2 vectors"
+    sections = {}
+    for line in lines[1:]:
+        if line.startswith("  "):
+            rows.append(line[2:])
+        else:
+            rows = sections.setdefault(line.rstrip(":"), [])
+    assert list(sections) == ["index", "H", "D", "P", "Q"]
+    assert sections["index"] == [str(c) for c in data["index"]]
+    assert sections["D"] == data["D"]
+    for name in ("H", "P", "Q"):
+        assert sections[name] == ["[" + ",  ".join(row) + "]"
+                                  for row in data[name]], name
 
 
 def test_tsv_cells_are_the_json_cells(capsys):

@@ -105,6 +105,20 @@ def test_inner_shuffle_basics():
     assert inner_shuffle(a3, W(("1", 1)), W(("2", 1))).is_zero()
 
 
+def test_inner_shuffle_on_long_words_equals_the_gram_block():
+    # words of 10-12 letters with d = 2 and d = 3
+    for name, gamma in (("G2", (6, 4)), ("B2", (7, 5))):
+        preset = qfold.get_preset(name)
+        datum = preset.side()[0]
+        block = qfold.gram_block(preset, gamma)
+        words = block.words
+        assert len(words) in (12, 13)
+        for a in range(len(words)):
+            for b in range(a, len(words)):
+                assert inner_shuffle(datum, words[a], words[b]) == \
+                    block.lam[a][b], (name, a, b)
+
+
 def test_symmetry_of_the_pairing():
     import random
 
