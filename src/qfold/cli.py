@@ -15,8 +15,13 @@ from .checks import SUITES
 from .folding import NotAdmissible
 from .presets import BASES, custom_preset, get_folding, get_preset
 from .rootsys import RootSystemError, weights_up_to
-from .transition import (block_to_json, block_to_tsv, gram_block, pipeline,
-                         sigma_submatrix)
+from .transition import (BlockTooLarge, block_to_json, block_to_tsv, gram_block,
+                         pipeline, sigma_submatrix)
+
+# The largest block `gram` and `transition` compute unless told otherwise:
+# twice the largest block of the test suite and the benchmark (n = 128).
+# A7 at (2,...,2), n = 1625, has about 160 times as many entries.
+MAX_BLOCK = 256
 
 
 class ConfigError(ValueError):
@@ -121,6 +126,20 @@ def _max_height(args, cfg):
     return height
 
 
+def _max_block(args, cfg):
+    """The flag, else the config value, else MAX_BLOCK; a positive integer."""
+    bound = args.max_block
+    if bound is None:
+        bound = cfg.get("max-block", MAX_BLOCK)
+        try:
+            bound = int(bound)
+        except ValueError:
+            raise ConfigError(f"max-block must be an integer, got {bound!r}") from None
+    if bound < 1:
+        raise ConfigError(f"max-block must be positive, got {bound}")
+    return bound
+
+
 def _weights(args, cfg, datum):
     height = _max_height(args, cfg)
     weight = args.weight or cfg.get("weight")
@@ -185,9 +204,10 @@ def cmd_gram(args, cfg):
     preset = _resolve(args, cfg)
     basis = args.basis or cfg.get("basis") or preset.default_basis
     datum, _seq, _word = preset.side(basis)
+    max_block = _max_block(args, cfg)
     results, pretty = [], []
     for gamma in _weights(args, cfg, datum):
-        gram = gram_block(preset, gamma, basis)
+        gram = gram_block(preset, gamma, basis, max_block)
         entry = {
             "weight": list(gamma),
             "labels": list(datum.labels),
@@ -225,9 +245,10 @@ def cmd_transition(args, cfg):
     preset = _resolve(args, cfg)
     basis = args.basis or cfg.get("basis") or preset.default_basis
     datum, _seq, _word = preset.side(basis)
+    max_block = _max_block(args, cfg)
     results, pretty, tsv_parts = [], [], []
     for gamma in _weights(args, cfg, datum):
-        block = pipeline(preset, gamma, basis)
+        block = pipeline(preset, gamma, basis, max_block)
         data = block_to_json(block, datum.labels)
         data["preset"] = preset.name
         data["basis"] = basis
@@ -295,6 +316,8 @@ def build_parser():
         if weights:
             p.add_argument("--weight")
             p.add_argument("--max-height", type=int, dest="max_height")
+            p.add_argument("--max-block", type=int, dest="max_block",
+                           help=f"largest block size n computed (default {MAX_BLOCK})")
 
     common(sub.add_parser("roots", help="reduced word, root order, orbit parts"),
            weights=False)
@@ -323,7 +346,8 @@ def main(argv=None):
             return cmd_transition(args, cfg)
         return cmd_check(args, cfg)
     # RootSystemError covers UnsupportedPreset
-    except (ConfigError, RootSystemError, NotAdmissible, OSError) as exc:
+    except (ConfigError, RootSystemError, NotAdmissible, BlockTooLarge,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     # every other failure is a breach: the mismatch, pivot and integrality

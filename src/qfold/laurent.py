@@ -6,10 +6,14 @@ ordinary integer polynomials in q; it is the value type for Gram-matrix
 entries and for the diagonal of the symmetric factorization.
 
 Both types are immutable, hashable, and in canonical normal form, so equality
-of values is equality of representations.  Outside this module each
-RationalFn is built once, from a Laurent numerator and denominator, and then
-only compared or printed, since every Q(q) operation costs a polynomial
-gcd.  The memo of `qfact`, one entry per (n, d), is this module's only one.
+of values is equality of representations.  Every RationalFn built, and every
+Q(q) operation, reduces one fraction by a polynomial gcd: the heuristic gcd
+GCDHEU on Kronecker-packed integers (Char, Geddes and Gonnet, J. Symbolic
+Comput. 7, 1989), which CPython's big-integer gcd and division carry, with
+the primitive-PRS gcd as its fallback.  Outside this module each RationalFn
+is built once, from a Laurent numerator and denominator, and then only
+compared or printed.  The memo of `qfact`, one entry per (n, d), is this
+module's only one.
 """
 
 from __future__ import annotations
@@ -213,7 +217,8 @@ def _dense(lp):
     if not d:
         return []
     n = max(d)
-    assert min(d) >= 0
+    if min(d) < 0:
+        raise ValueError("a polynomial in Z[q] has no negative exponents")
     return [d.get(i, 0) for i in range(n + 1)]
 
 
@@ -292,16 +297,136 @@ def laurent_div_exact(a, b):
     return _poly_div_exact(a.shift(-lo_a), b.shift(-lo_b)).shift(lo_a - lo_b)
 
 
+def _prs_gcd_cofactors(a, b):
+    """(g, a / g, b / g) by the primitive-PRS gcd and two exact divisions:
+    the fallback of `_gcd_cofactors` and its reference."""
+    g = _poly_gcd(a, b)
+    return g, _poly_div_exact(a, g), _poly_div_exact(b, g)
+
+
+# GCDHEU (Char, Geddes and Gonnet, J. Symbolic Comput. 7, 1989): evaluate at
+# x = 2^w, take the integer gcd, read it back as a polynomial.  Each try
+# doubles w, and after the last one the PRS gcd takes over.
+_HEURISTIC_TRIES = 4
+# Bits the first width adds for the cofactors' coefficient growth: with 8,
+# all but 12 of the 37 876 gcds that the check suites and `gram` and
+# `transition` on the benchmark's blocks take are accepted at the first
+# width, and those 12 at the second.
+_WIDTH_SLACK = 8
+
+
+def _pack(xs, w):
+    """The value at q = 2^w of the dense polynomial xs (Kronecker packing)."""
+    v = 0
+    for c in reversed(xs):
+        v = (v << w) + c
+    return v
+
+
+def _unpack(v, w):
+    """The dense polynomial whose balanced base-2^w digits, each in
+    [-2^(w-1), 2^(w-1)), make up the integer v; the inverse of `_pack` on
+    polynomials with coefficients in that range."""
+    half, mask = 1 << (w - 1), (1 << w) - 1
+    xs = []
+    while v:
+        c = ((v + half) & mask) - half
+        xs.append(c)
+        v = (v - c) >> w
+    return xs
+
+
+def _norm(xs):
+    return max(map(abs, xs))
+
+
+def _split(lp):
+    """(lowest exponent, integer content, primitive part) of a nonzero
+    Laurent polynomial; the primitive part is dense, ascending from a
+    nonzero constant term."""
+    d = lp.coeffs
+    g = 0
+    for c in d.values():
+        g = math.gcd(g, c)
+    lo = min(d)
+    return lo, g, [d.get(e, 0) // g for e in range(lo, max(d) + 1)]
+
+
+def _heuristic_gcd_cofactors(A, B):
+    """(g, A / g, B / g) as dense lists for primitive dense polynomials A, B
+    of degree >= 1 with nonzero constant terms, g their gcd with positive
+    leading coefficient; None when the heuristic gives up.
+
+    The candidate g is the primitive part of the balanced digits of
+    gcd(A(x), B(x)) at x = 2^w (a positive integer, so the leading digit
+    is positive too), and the cofactors are the digits of the
+    exact integer quotients A(x) / g(x) and B(x) / g(x).  With every
+    coefficient of A, B and of the products g * cofactor below x / 2 in
+    absolute value, the packed identities A(x) = g(x) * (A / g)(x) are
+    polynomial identities (balanced digits are unique), and since
+    x >= 2 * min(|A|, |B|) + 2, a candidate dividing both is the gcd.
+    The first width leaves room for the cofactors' coefficient growth.
+    """
+    w = (max(_norm(A), _norm(B)).bit_length() + 1
+         + max(len(A), len(B)).bit_length() + _WIDTH_SLACK)
+    for _ in range(_HEURISTIC_TRIES):
+        pa, pb = _pack(A, w), _pack(B, w)
+        g = _primitive(_unpack(math.gcd(pa, pb), w))
+        pg = _pack(g, w)
+        qa, ra = divmod(pa, pg)
+        qb, rb = divmod(pb, pg)
+        if not ra and not rb:
+            ca, cb = _unpack(qa, w), _unpack(qb, w)
+            bound = (1 << (w - 1)) // _norm(g)
+            if (min(len(g), len(ca)) * _norm(ca) < bound
+                    and min(len(g), len(cb)) * _norm(cb) < bound):
+                return g, ca, cb
+        w *= 2
+    return None
+
+
+def _laurent(xs, shift, scale):
+    """q^shift * scale * xs as a LaurentPoly, xs dense and scale nonzero."""
+    out = object.__new__(LaurentPoly)
+    object.__setattr__(out, "coeffs", {i + shift: c * scale
+                                       for i, c in enumerate(xs) if c})
+    return out
+
+
+def _dense_gcd_cofactors(A, B):
+    """(g, A / g, B / g) for split primitive parts A, B (see `_split`): the
+    heuristic gcd, else the PRS gcd."""
+    if len(A) == 1 or len(B) == 1:
+        return [1], A, B
+    found = _heuristic_gcd_cofactors(A, B)
+    if found is None:
+        found = [_dense(p) for p in _prs_gcd_cofactors(
+            _laurent(A, 0, 1), _laurent(B, 0, 1))]
+    return found
+
+
+def _gcd_cofactors(a, b):
+    """(g, a / g, b / g) for polynomials a, b in Z[q], g their primitive gcd
+    with positive leading coefficient (the value of `_poly_gcd`).
+
+    Powers of q and the integer contents are split off first; the rest is
+    reduced by the heuristic gcd on packed integers, or by the PRS gcd when
+    the heuristic gives up.
+    """
+    if not a or not b:
+        return _prs_gcd_cofactors(a, b)
+    (la, ca, A), (lb, cb, B) = _split(a), _split(b)
+    if la < 0 or lb < 0:
+        raise ValueError("a polynomial in Z[q] has no negative exponents")
+    low = min(la, lb)
+    g, ga, gb = _dense_gcd_cofactors(A, B)
+    return (_laurent(g, low, 1), _laurent(ga, la - low, ca),
+            _laurent(gb, lb - low, cb))
+
+
 def poly_lcm(a, b):
     """A common multiple a * b / gcd(a, b) of two polynomials in Z[q]."""
-    return a * _poly_div_exact(b, _poly_gcd(a, b))
-
-
-def _content(lp):
-    g = 0
-    for c in lp.coeffs.values():
-        g = math.gcd(g, c)
-    return g
+    return a * _gcd_cofactors(a, b)[2]
 
 
 class RationalFn:
@@ -311,7 +436,9 @@ class RationalFn:
     exponents) with gcd(num, den) = 1 over Q, gcd of the two integer
     contents equal to 1, and den with positive leading coefficient.
     Powers of q migrate freely into num or den during reduction, since q
-    is a unit of the Laurent ring.
+    is a unit of the Laurent ring.  Each construction costs one gcd of
+    the primitive parts, by `_dense_gcd_cofactors`, whose cofactors are
+    the reduced num and den.
     """
 
     __slots__ = ("num", "den")
@@ -352,10 +479,8 @@ class RationalFn:
             return NotImplemented
         if self.den == other.den:
             return RationalFn(self.num + other.num, self.den)
-        g = _poly_gcd(self.den, other.den)
-        db = _poly_div_exact(other.den, g)
-        num = self.num * db + other.num * _poly_div_exact(self.den, g)
-        return RationalFn(num, self.den * db)
+        _, da, db = _gcd_cofactors(self.den, other.den)
+        return RationalFn(self.num * db + other.num * da, self.den * db)
 
     __radd__ = __add__
 
@@ -429,29 +554,25 @@ def _as_rational(x):
 
 
 def _normalize(num, den):
+    """The normal form of num / den for Laurent polynomials num and den.
+
+    q is a unit, so splitting off each side's lowest power of q and its
+    integer content leaves primitive parts N and D whose cofactors by their
+    gcd are coprime and primitive.  Only the difference of the powers and
+    the two contents over their gcd go back, with the sign making the
+    denominator's leading coefficient positive.
+    """
     if den.is_zero():
         raise ZeroDivisionError("zero denominator in Q(q)")
     if num.is_zero():
         return ZERO, ONE
-    if den == ONE:
-        if num.min_exp() >= 0:
-            return num, ONE
-        return num.shift(-num.min_exp()), LaurentPoly({-num.min_exp(): 1})
-    shift = -min(num.min_exp(), den.min_exp(), 0)
-    num, den = num.shift(shift), den.shift(shift)
-    drop = min(num.min_exp(), den.min_exp())
-    if drop:
-        num, den = num.shift(-drop), den.shift(-drop)
-    g = _poly_gcd(num, den)
-    if g != ONE:
-        num, den = _poly_div_exact(num, g), _poly_div_exact(den, g)
-    c = math.gcd(_content(num), _content(den))
-    if c > 1:
-        num = LaurentPoly({e: v // c for e, v in num.coeffs.items()})
-        den = LaurentPoly({e: v // c for e, v in den.coeffs.items()})
-    if den.coeffs[den.max_exp()] < 0:
-        num, den = -num, -den
-    return num, den
+    (ln, cn, N), (ld, cd, D) = _split(num), _split(den)
+    _, N, D = _dense_gcd_cofactors(N, D)
+    c = math.gcd(cn, cd)
+    cn, cd = cn // c, cd // c
+    if D[-1] < 0:
+        cn, cd = -cn, -cd
+    return _laurent(N, max(ln - ld, 0), cn), _laurent(D, max(ld - ln, 0), cd)
 
 
 RF_ZERO = RationalFn(0)

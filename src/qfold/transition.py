@@ -31,6 +31,10 @@ class IndexMismatch(ValueError):
     pass
 
 
+class BlockTooLarge(ValueError):
+    pass
+
+
 @dataclass
 class TransitionBlock:
     weight: tuple
@@ -57,17 +61,23 @@ class GramBlock(NamedTuple):
     lam: list
 
 
-def gram_block(preset, gamma, basis=None):
+def gram_block(preset, gamma, basis=None, max_block=None):
     """Index, words and Gram matrix of a monomial family at weight gamma,
     on the preset's default basis unless one is named.
 
     Every word of the block has weight gamma, so the weight factor is
     computed once per block and each word's letters and prefactor once per
     index.  The matching sum is symmetric in its two letter sequences, so
-    it runs once per unordered pair.
+    it runs once per unordered pair.  When max_block is given, a block of
+    more vectors raises BlockTooLarge as soon as its index is counted,
+    before any word is built.
     """
     datum, seq, word = preset.side(basis)
     index = enumerate_block(seq, gamma)
+    if max_block is not None and len(index) > max_block:
+        raise BlockTooLarge(
+            f"the block at weight {','.join(map(str, gamma))} has "
+            f"n = {len(index)} vectors, more than max-block {max_block}")
     words = [word(c) for c in index]
     letters = [expand_word(w, datum) for w in words]
     g = [lt.prefactor for lt in letters]
@@ -265,9 +275,9 @@ def factor_gram(gram, gamma):
     return TransitionBlock(tuple(gamma), gram.index, gram.lam, H, D, P, Q)
 
 
-def pipeline(preset, gamma, basis=None):
+def pipeline(preset, gamma, basis=None, max_block=None):
     """gram_block -> ldl -> pq_split, with all artifacts attached."""
-    return factor_gram(gram_block(preset, gamma, basis), gamma)
+    return factor_gram(gram_block(preset, gamma, basis, max_block), gamma)
 
 
 # -- serialization ----------------------------------------------------------

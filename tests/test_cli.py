@@ -312,3 +312,34 @@ def test_arithmetic_errors_exit_three(monkeypatch, capsys):
                        capsys)
     assert code == 3
     assert "internal invariant breach" in err
+
+
+def test_max_block_refuses_a_larger_block_naming_n(tmp_path, capsys):
+    # A7 at (2,...,2) has n = 1625, above the default bound
+    code, out, err = run(["gram", "--preset", "A7", "--weight",
+                          "2,2,2,2,2,2,2"], capsys)
+    assert code == 2 and "n = 1625" in err and not out
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("preset = G2\nweight = 6,4\nmax-block = 12\n")
+    for command in ("gram", "transition"):
+        for argv in ([command, "--preset", "G2", "--weight", "6,4",
+                      "--max-block", "12"],
+                     [command, "--config", str(cfg)]):
+            code, out, err = run(argv, capsys)
+            assert code == 2 and "n = 13" in err and "max-block" in err, argv
+            assert not out
+        code, out, _ = run([command, "--config", str(cfg), "--max-block", "13"],
+                           capsys)
+        assert code == 0 and len(json.loads(out)["index"]) == 13
+
+
+def test_bad_max_block_exits_two(tmp_path, capsys):
+    for argv in (["gram", "--preset", "B2", "--weight", "2,1", "--max-block", "0"],
+                 ["transition", "--preset", "B2", "--max-height", "2",
+                  "--max-block", "-3"]):
+        code, out, err = run(argv, capsys)
+        assert code == 2 and "max-block" in err and not out, argv
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("preset = B2\nweight = 2,1\nmax-block = many\n")
+    code, _, err = run(["gram", "--config", str(cfg)], capsys)
+    assert code == 2 and "max-block" in err

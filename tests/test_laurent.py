@@ -1,8 +1,10 @@
+import math
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
+import qfold.laurent as qlaurent
 from qfold.laurent import (LaurentPoly, RationalFn, ONE, Q, RF_ONE, RF_ZERO,
                            ZERO, bar, parse_laurent, parse_rational, q_power,
                            qfact, qint, split_bar_parts)
@@ -175,3 +177,106 @@ def test_display_round_trip():
         assert str(parse_laurent(s)) == str(L(s))
     r = parse_rational("(1 + q^2)/((1 - q^2)^5(1 + q^2)^2)")
     assert parse_rational(str(r)) == r
+
+
+# -- the gcd behind every normal form ----------------------------------------
+
+def poly(coeffs):
+    """A polynomial in Z[q], coefficients ascending from q^0."""
+    return LaurentPoly(dict(enumerate(coeffs)))
+
+
+def as_polynomial(a):
+    """a times the power of q that makes its lowest exponent 0."""
+    return a.shift(-a.min_exp())
+
+
+big = st.integers(-2 ** 70, 2 ** 70)
+dense = st.lists(st.integers(-9, 9) | big, min_size=1, max_size=8).map(
+    poly).filter(bool)
+cyclotomic = st.lists(st.integers(1, 4), max_size=3).map(
+    lambda ds: math.prod((ONE - q_power(2 * d) for d in ds), start=ONE))
+quantum_factorial = st.builds(lambda n, d: as_polynomial(qfact(n, d)),
+                              st.integers(0, 5), st.integers(1, 3))
+common_factor = (st.just(ONE) | cyclotomic | quantum_factorial
+                 | dense | st.builds(lambda x, y: x * y, quantum_factorial, dense))
+cofactor = st.builds(lambda a, k, s: a.shift(k) * s, dense,
+                     st.integers(0, 3), st.sampled_from([1, -1, 3, -2 ** 65]))
+
+
+@SETTINGS
+@given(st.integers(2, 130), st.data())
+def test_packing_is_evaluation_at_a_power_of_two(w, data):
+    half = 1 << (w - 1)
+    xs = data.draw(st.lists(st.integers(-half, half - 1), max_size=8))
+    packed = qlaurent._pack(xs, w)
+    assert packed == sum(c << (w * i) for i, c in enumerate(xs))
+    assert qlaurent._unpack(packed, w) == qlaurent._strip(xs[:])
+
+
+@SETTINGS
+@given(common_factor, cofactor, cofactor)
+def test_gcd_cofactors_equal_the_prs_reference(g, a, b):
+    """The heuristic gcd of g*a and g*b, coprime a and b included, is the
+    primitive PRS gcd with positive leading coefficient, and its cofactors
+    are the exact quotients."""
+    x, y = g * a, g * b
+    ref = qlaurent._prs_gcd_cofactors(x, y)
+    assert qlaurent._gcd_cofactors(x, y) == ref
+    assert ref[0] * ref[1] == x and ref[0] * ref[2] == y
+
+
+@SETTINGS
+@given(common_factor, cofactor, cofactor, st.integers(-3, 3))
+def test_normal_form_does_not_depend_on_the_heuristic(g, a, b, k):
+    """With the heuristic giving up, the PRS fallback gives the same normal
+    form."""
+    num, den = (g * a).shift(k), g * b
+    fast = RationalFn(num, den)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qlaurent, "_heuristic_gcd_cofactors", lambda A, B: None)
+        slow = RationalFn(num, den)
+    assert (fast.num, fast.den) == (slow.num, slow.den)
+    assert fast.num * den == fast.den * num
+
+
+def test_a_narrow_width_is_refused_by_the_coefficient_bound(monkeypatch):
+    """x = (1 - q)...(1 - q^8) has coefficients of at most 2, but its
+    cofactor by gcd(x, (1 - q)^8) is the q-factorial [8]! with a coefficient
+    of 3836, which 8-bit digits cannot hold.  Started at 8 bits, the
+    heuristic must reject that width and the next and accept at 32."""
+    x = math.prod((ONE - q_power(i) for i in range(1, 9)), start=ONE)
+    y = (ONE - Q) ** 8
+    widths = []
+    pack = qlaurent._pack
+
+    def recorded(xs, w):
+        widths.append(w)
+        return pack(xs, w)
+
+    monkeypatch.setattr(qlaurent, "_WIDTH_SLACK", -6)
+    monkeypatch.setattr(qlaurent, "_pack", recorded)
+    g, cx, cy = qlaurent._gcd_cofactors(x, y)
+    assert (g, cx, cy) == qlaurent._prs_gcd_cofactors(x, y)
+    assert max(cx.coeffs.values()) == 3836 and cy == ONE
+    assert sorted(set(widths)) == [8, 16, 32]
+
+
+def test_gcd_cofactors_of_known_pairs():
+    one_minus = poly([1, 0, -1])                 # 1 - q^2
+    assert qlaurent._gcd_cofactors(one_minus * poly([2, 3]), one_minus * Q) == \
+        (poly([-1, 0, 1]), poly([-2, -3]), -Q)
+    assert qlaurent._gcd_cofactors(Q ** 3, Q ** 2 + Q ** 5) == \
+        (Q ** 2, Q, ONE + Q ** 3)
+    assert qlaurent._gcd_cofactors(poly([6]), poly([4, 2])) == \
+        (ONE, poly([6]), poly([4, 2]))
+    assert qlaurent._gcd_cofactors(ZERO, poly([2, -4])) == \
+        (poly([-1, 2]), ZERO, LaurentPoly(-2))
+
+
+def test_polynomial_helpers_refuse_negative_exponents():
+    for call in (lambda: qlaurent._dense(q_power(-1)),
+                 lambda: qlaurent._poly_gcd(q_power(-1), ONE),
+                 lambda: qlaurent._gcd_cofactors(Q, q_power(-2) + ONE)):
+        with pytest.raises(ValueError, match="negative exponents"):
+            call()

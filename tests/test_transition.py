@@ -179,6 +179,32 @@ def test_mod_p_compare():
     assert not mod_p_compare(bad, ul_block.P, 2).equal
 
 
+def test_heuristic_gcd_serves_every_fraction_of_the_reference_blocks(monkeypatch):
+    """Every Q(q) fraction of these blocks (Gram entries, the lcm of their
+    denominators, D, the reconstruction) is reduced by the heuristic gcd;
+    a slide back to the PRS gcd fails here."""
+    import qfold.laurent as qlaurent
+
+    served = []
+    heuristic = qlaurent._heuristic_gcd_cofactors
+
+    def counted(A, B):
+        served.append(len(A))
+        return heuristic(A, B)
+
+    def refuse(a, b):
+        raise AssertionError(f"PRS fallback on ({a}, {b})")
+
+    monkeypatch.setattr(qlaurent, "_heuristic_gcd_cofactors", counted)
+    monkeypatch.setattr(qlaurent, "_prs_gcd_cofactors", refuse)
+    for preset, gamma in ((qfold.get_preset("A3"), (4, 4, 4)),
+                          (qfold.get_preset("G2"), (6, 4)),
+                          (qfold.get_folding("D4->G2"), (2, 2, 2, 2))):
+        block = pipeline(preset, gamma)
+        assert reconstruct_lam(block.H, block.D) == block.lam
+    assert len(served) > 1000
+
+
 def test_pipeline_trivial_weight():
     a3 = a3_fold()
     block = pipeline(a3, (1, 0, 0))
