@@ -78,14 +78,11 @@ class FoldingDatum:
 def validate_admissible(base, sigma):
     """Build the FoldingDatum for a label permutation, or raise NotAdmissible.
 
-    sigma may be a dict label -> label or a callable.
+    sigma is a dict label -> label; labels it omits are fixed.
     """
-    if callable(sigma):
-        image = {lab: sigma(lab) for lab in base.labels}
-    else:
-        image = dict(sigma)
-        for lab in base.labels:
-            image.setdefault(lab, lab)
+    image = dict(sigma)
+    for lab in base.labels:
+        image.setdefault(lab, lab)
     if set(image) != set(base.labels) or set(image.values()) != set(base.labels):
         raise NotAdmissible("sigma is not a bijection of the label set")
     n = base.rank

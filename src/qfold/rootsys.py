@@ -255,17 +255,23 @@ def enumerate_block(seq, gamma):
     return out
 
 
-def weights_up_to(datum, height):
-    """All nonzero gamma in the positive root lattice with |gamma| <= height."""
+def vectors_up_to(sizes, height):
+    """All nonzero c >= 0 with sum(c[k] * sizes[k]) <= height, ascending in
+    lex order.  The sizes must be positive."""
     out = []
 
-    def rec(i, left, prefix):
-        if i == datum.rank:
+    def rec(k, left, prefix):
+        if k == len(sizes):
             if any(prefix):
                 out.append(tuple(prefix))
             return
-        for v in range(left + 1):
-            rec(i + 1, left - v, prefix + [v])
+        for v in range(left // sizes[k] + 1):
+            rec(k + 1, left - v * sizes[k], prefix + [v])
 
     rec(0, height, [])
     return out
+
+
+def weights_up_to(datum, height):
+    """All nonzero gamma in the positive root lattice with |gamma| <= height."""
+    return vectors_up_to([1] * datum.rank, height)

@@ -4,7 +4,7 @@ import qfold.checks
 from qfold.checks import (SUITES, check_congruence, check_delta, check_equivariance,
                           check_factorization, check_oracle, check_restriction)
 from qfold.cli import main
-from qfold.gram import MismatchError
+from qfold.gram import MismatchError, inner_mackey_restricted
 from qfold.laurent import ONE, RF_ONE, RationalFn, q_power
 from qfold.transition import factor_gram, gram_block
 
@@ -55,8 +55,18 @@ def test_delta_uses_the_orbit_parts_of_every_symmetric_name():
     assert check_delta(presets=("D6",), max_height=6).instances == 90
 
 
+def test_equivariance_walks_every_vector_up_to_the_height():
+    assert check_equivariance(folds=("A3->B2",), max_height=8).instances == 602
+    assert check_equivariance(folds=("D4->G2",), max_height=8).instances == 2790
+
+
 def _mismatch(fd, ulword, ulwordp):
     raise MismatchError("inversion statistic changed under unfolding: 1 -> 2")
+
+
+def _wrong_sum(fd, ulword, ulwordp):
+    total, witness = inner_mackey_restricted(fd, ulword, ulwordp)
+    return total + ONE, witness
 
 
 def _quotient_P_plus_q(gram, gamma):
@@ -72,11 +82,16 @@ def _quotient_P_plus_q(gram, gamma):
      "delta_codim", lambda seq, orientation, c: 1, "delta != 0 at"),
     (check_restriction, {"folds": ("A3->B2",), "max_height": 4},
      "inner_mackey_restricted", _mismatch, "inversion statistic changed"),
+    (check_restriction, {"folds": ("A3->B2",), "max_height": 4},
+     "inner_mackey_restricted", _wrong_sum, "restricted sum differs"),
     (check_congruence, {"folds": ("A3->B2",), "max_height": 3},
      "factor_gram", _quotient_P_plus_q, "NOT congruent mod 2"),
     (check_equivariance, {"folds": ("A3->B2",), "max_height": 4},
      "sigma_on_exponents", lambda fd, seq, c: c, "permutation law fails"),
-], ids=["delta", "restriction", "congruence", "equivariance"])
+    (check_equivariance, {"folds": ("A3->B2",), "max_height": 4},
+     "word_folded", lambda fd, ulseq, ulc: None, "does not collapse"),
+], ids=["delta", "restriction", "restriction-sum", "congruence",
+        "equivariance", "equivariance-collapse"])
 def test_suite_gates_a_tampered_step(suite, kwargs, name, tamper, message,
                                      monkeypatch):
     monkeypatch.setattr(qfold.checks, name, tamper)

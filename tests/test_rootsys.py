@@ -1,9 +1,12 @@
+import itertools
+
 import pytest
 
 import qfold
 from qfold.rootsys import (InvalidColoring, NotReduced, WrongLength,
                            betas_from_sequence, bipartite_w0, enumerate_block,
-                           lex_compare, positive_roots, reflect, weight_of)
+                           lex_compare, positive_roots, reflect, vectors_up_to,
+                           weight_of, weights_up_to)
 
 
 def a3():
@@ -129,3 +132,22 @@ def test_enumerate_block_sorted_and_weighted():
             assert len(set(block)) == len(block)
             for c in block:
                 assert weight_of(setup_seq, c) == gamma
+
+
+@pytest.mark.parametrize("name, height", [("G2", 5), ("A3", 6), ("D4", 6)])
+def test_weights_up_to_lists_every_weight_in_lex_order(name, height):
+    datum = qfold.get_preset(name).side()[0]
+    expected = [v for v in itertools.product(range(height + 1),
+                                              repeat=datum.rank)
+                if 0 < sum(v) <= height]
+    assert weights_up_to(datum, height) == expected
+
+
+@pytest.mark.parametrize("spec", ["A3->B2", "D4->G2", "A5->B3"])
+def test_vectors_up_to_root_heights_walks_every_block(spec):
+    preset = qfold.get_folding(spec)
+    for seq in (preset.seq, preset.ulseq):
+        walked = vectors_up_to([sum(beta) for beta in seq.betas], 6)
+        blocks = [c for gamma in weights_up_to(seq.datum, 6)
+                  for c in enumerate_block(seq, gamma)]
+        assert walked == sorted(blocks)
