@@ -2,15 +2,21 @@
 
 The closed route sums q^(-A) over the label-preserving matchings between
 the two expanded letter sequences, A being the form-weighted inversion
-statistic.  `matching_sum` computes that sum with one of two cores, chosen
-per pair from the number of leaves the recursion would visit: a recursion
-over target sets for short words, and a DP over the subsets of target
-positions used so far for long repetitive ones, whose leaves it merges.
-`matchings` and `inversion_stat` enumerate the sum term by term and are the
-reference both cores are tested against.  The oracle route, `inner_shuffle`,
-recurses through the coproduct, peeling the first letter of one word against
-each equal letter of the other at a q-twist; it shares only `expand_word`
-with `gram_block`.  Both routes sum Laurent numerators and build one
+statistic.  The sum is symmetric in the two sequences, so `matching_sum`
+takes as its source the one whose runs of equal letters have the larger
+prod r!, which leaves fewer target sets to sum over.  It computes the sum
+with one of two cores, chosen per pair from the number of leaves the
+recursion would visit: a recursion over target sets for short words, and a
+DP over the subsets of target positions used so far for long repetitive
+ones, whose leaves it merges.  Both deliver the sum packed into one
+integer at q^-1 = 2^w, w the bit length of the number of matchings; every
+coefficient is a nonnegative count of matchings, so no slot can overflow,
+and the run factors multiply in packed before one unpacking.  `matchings`
+and `inversion_stat` enumerate the sum term by term and are the reference
+both cores are tested against.  The oracle route, `inner_shuffle`, recurses
+through the coproduct, peeling the first letter of one word against each
+equal letter of the other at a q-twist; it shares only `expand_word` with
+`gram_block`.  Both routes sum Laurent numerators and build one
 RationalFn per value, so nothing here combines Q(q) values; the coproduct
 memo lives for one call, so this module keeps no memo that grows with use.
 """
@@ -94,25 +100,42 @@ def inversion_stat(datum, nu, w):
 
 
 # A pair goes to the subset DP when the recursion would visit at least this
-# many leaves.  The two cores timed on every pair of the gram-wide and
-# transition-large benchmark blocks and of every A3, B2, D4 and G2 block to
-# height 6 (2-core x86 VM, Python 3.11; mean per pair): below 20 leaves the
-# recursion is faster, 0.115 against 0.120 ms for 16-19 leaves and 0.076
-# against 0.100 ms for 12-15; from 20 up the DP is, 0.25 against 0.14 ms
-# for 24-31 leaves, 2.0 against 0.61 ms for 128-511 and 8.0 against
-# 1.2 ms for 512-2047.
-SUBSET_DP_MIN_LEAVES = 20
+# many leaves.  The two cores timed on every oriented pair of the benchmark's
+# 22 gram and transition pool blocks and of every A3, B2, D4 and G2 block to
+# height 6 (2-core x86 VM, Python 3.11; mean per pair, recursion against
+# DP): 0.044 against 0.050 ms for 8-11 leaves and 0.060 against 0.066 for
+# 12-15, so below 16 the recursion is faster; from 16 up the DP is, 0.083
+# against 0.061 ms for 16-19, 0.18 against 0.084 for 24-31, 1.4 against
+# 0.36 for 128-511 and 4.5 against 0.57 for 512-2047.  Orientation moved
+# the crossover down from 20, where it lay on unoriented pairs.
+SUBSET_DP_MIN_LEAVES = 16
+
+
+def _runs(labels):
+    """The maximal runs of equal consecutive labels, as (label, length)."""
+    return [(lab, len(list(group))) for lab, group in itertools.groupby(labels)]
+
+
+def _run_factorials(runs):
+    return math.prod(math.factorial(r) for _, r in runs)
 
 
 def _layout(nu, nup):
-    """The runs of nu as (label, length) and the positions of each label in
-    nup; None when no label-preserving bijection exists."""
+    """The runs of the source and the positions of each label in the
+    target; None when no label-preserving bijection exists.
+
+    The sum is symmetric in its two sequences, so the source is the one
+    whose runs have the larger prod r!, which leaves the recursion fewer
+    leaves and the subset DP fewer states; nu on a tie.
+    """
     if len(nu) != len(nup):
         return None
+    runs, runsp = _runs(nu), _runs(nup)
+    if _run_factorials(runsp) > _run_factorials(runs):
+        nup, runs = nu, runsp
     targets = {}
     for pos, lab in enumerate(nup):
         targets.setdefault(lab, []).append(pos)
-    runs = [(lab, len(list(group))) for lab, group in itertools.groupby(nu)]
     counts = dict.fromkeys(targets, 0)
     for lab, r in runs:
         if lab not in counts:
@@ -123,28 +146,54 @@ def _layout(nu, nup):
     return runs, targets
 
 
+def _matching_count(targets):
+    """prod over labels m!: the number of matchings."""
+    return math.prod(math.factorial(len(ps)) for ps in targets.values())
+
+
 def _leaves(runs, targets):
     """Leaves of the recursion: the ways to hand each label's m target
     positions to its runs, m! / prod r! per label."""
-    return (math.prod(math.factorial(len(ps)) for ps in targets.values())
-            // math.prod(math.factorial(r) for _, r in runs))
+    return _matching_count(targets) // _run_factorials(runs)
 
 
-def _times_run_prefactor(datum, runs, total):
-    """total times the run-internal inversions of one set of targets,
-    summed over the r! orders in which a run of length r can take them:
-    per run, with (a_x, a_x) = 2d, prod over j <= r of sum over k < j of
-    q^(-2dk), which is q^(-d r(r-1)/2) [r]! in q^d."""
+def _times_run_prefactor(datum, runs, packed, width):
+    """packed times the run-internal inversions of one set of targets,
+    summed over the r! orders in which a run of length r can take them.
+
+    Per run, with (a_x, a_x) = 2d, that is the product over j <= r of the
+    sum over k < j of q^(-2dk), which is q^(-d r(r-1)/2) [r]! in q^d.  At
+    q^-1 = 2^width each factor is the repunit (2^(sj) - 1) / (2^s - 1),
+    s = 2d * width, with constant term 1, so the top exponent stays.
+    """
+    factor = 1
     for lab, r in runs:
         if r > 1:
-            d = datum.d(lab)
-            total = total * qfact(r, d).shift(-d * r * (r - 1) // 2)
-    return total
+            step = 2 * datum.d(lab) * width
+            unit = (1 << step) - 1
+            for j in range(2, r + 1):
+                factor *= ((1 << (step * j)) - 1) // unit
+    return packed * factor
 
 
-def _cross_sums_by_recursion(datum, runs, targets):
-    """{-cross: count} over target sets, one leaf per assignment, with
-    ascending targets inside each run."""
+def _unpack_counts(packed, top, width):
+    """The Laurent polynomial whose coefficient of q^(top - k) is slot k of
+    packed, a sum of nonnegative counts below 2^width at q^-1 = 2^width."""
+    slot = (1 << width) - 1
+    coeffs = {}
+    e = top
+    while packed:
+        if packed & slot:
+            coeffs[e] = packed & slot
+        packed >>= width
+        e -= 1
+    return LaurentPoly(coeffs)
+
+
+def _cross_sums_by_recursion(datum, runs, targets, width):
+    """The cross sums packed at q^-1 = 2^width, with the exponent of
+    q in slot 0: one leaf per assignment of target sets, with ascending
+    targets inside each run."""
     idx = datum.index
     form = datum.form
     rows, choices, run_start = [], [], []
@@ -182,11 +231,13 @@ def _cross_sums_by_recursion(datum, runs, targets):
             used[t] = False
 
     rec(0, 0)
-    return acc
+    top = max(acc)
+    return sum(c << (width * (top - e)) for e, c in acc.items()), top
 
 
-def _cross_sums_by_subsets(datum, runs, targets):
-    """{-cross: count} by a forward DP over the runs of nu.
+def _cross_sums_by_subsets(datum, runs, targets, width):
+    """The cross sums as `_cross_sums_by_recursion` packs them, by a forward
+    DP over the runs of the source.
 
     A state is the bitmask S of target positions used so far.  A run of
     label x and length r takes an r-subset T of the free positions of x;
@@ -198,7 +249,8 @@ def _cross_sums_by_subsets(datum, runs, targets):
     the number of partial assignments with cross term base + e (Kronecker
     substitution), so merging two states is one shift and one add.  No
     slot overflows its width: each partial assignment extends to at least
-    one leaf, so no count exceeds the leaves.  Before a run every state has
+    one leaf, so no count exceeds the leaves, and the leaves are at most
+    the matchings that the width holds.  Before a run every state has
     used the same number of positions of each label, so lo, the sum over
     labels y with form[x][y] < 0 of form[x][y] * #S_y, bounds every
     target's cross term from below in all states alike; a target shifts
@@ -207,7 +259,6 @@ def _cross_sums_by_subsets(datum, runs, targets):
     idx = datum.index
     masks = {lab: sum(1 << t for t in ps) for lab, ps in targets.items()}
     used = dict.fromkeys(targets, 0)
-    width = _leaves(runs, targets).bit_length()
     states = {0: 1}
     base = 0
     for x, r in runs:
@@ -249,22 +300,17 @@ def _cross_sums_by_subsets(datum, runs, targets):
                 new[T] = get(T, 0) + (val << (width * c))
         states = new
     (packed,) = states.values()
-    slot = (1 << width) - 1
-    acc = {}
-    e = -base
-    while packed:
-        if packed & slot:
-            acc[e] = packed & slot
-        packed >>= width
-        e -= 1
-    return acc
+    return packed, -base
 
 
 def matching_sum(datum, nu, nup):
     """Sum of q^(-A) over all matchings; a Laurent polynomial.
 
-    Equal consecutive letters of nu are collapsed: the inversion statistic
-    splits into run-internal inversions, which sum to a Gaussian factorial
+    The sum is symmetric in nu and nup: a matching and its inverse invert
+    the same pairs of letters.  So the source, whose equal consecutive
+    letters are collapsed, is the sequence whose runs have the larger
+    prod r!, nu on a tie (`_layout`).  The inversion statistic splits into
+    run-internal inversions, which sum to a Gaussian factorial
     independently of everything else (`_times_run_prefactor`), and cross
     terms that depend only on the set of target positions each run takes.
     Two cores sum the cross terms.  The recursion enumerates the target sets
@@ -273,16 +319,25 @@ def matching_sum(datum, nu, nup):
     recursion is faster on short words, the DP on long repetitive ones, so
     a pair whose recursion would visit at least SUBSET_DP_MIN_LEAVES leaves,
     prod over labels m! / prod over runs r!, goes to the DP.
+
+    The sum is carried packed at q^-1 = 2^width from the cores to the end,
+    with width the bit length of prod over labels m!, the number of
+    matchings.  That width is proved, not guessed: every coefficient of the
+    cross sums, of each partial product with the run factors, and of the
+    sum itself is a nonnegative count of (partial) matchings, and together
+    they count at most all matchings, so no slot reaches 2^width.
     """
     layout = _layout(nu, nup)
     if layout is None:
         return ZERO
     runs, targets = layout
+    width = _matching_count(targets).bit_length()
     if _leaves(runs, targets) >= SUBSET_DP_MIN_LEAVES:
-        cross = _cross_sums_by_subsets(datum, runs, targets)
+        packed, top = _cross_sums_by_subsets(datum, runs, targets, width)
     else:
-        cross = _cross_sums_by_recursion(datum, runs, targets)
-    return _times_run_prefactor(datum, runs, LaurentPoly(cross))
+        packed, top = _cross_sums_by_recursion(datum, runs, targets, width)
+    return _unpack_counts(_times_run_prefactor(datum, runs, packed, width),
+                          top, width)
 
 
 def delta_weight(datum, word):

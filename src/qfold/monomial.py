@@ -126,27 +126,25 @@ def sigma_word(fd, word):
 def canonical_word(fd, word, datum=None):
     """Normal form modulo commuting-letter rearrangement.
 
-    Maximal runs of pairwise commuting letters are stably sorted by
-    (orbit index, label position).  Two letters commute when they carry
-    the same generator or orthogonal simple roots.
+    Two letters commute when they carry the same generator or orthogonal
+    simple roots, so words up to such swaps form a trace monoid, and the
+    lexicographic normal form of traces is a normal form for them
+    (Anisimov and Knuth, Int. J. Comput. Inf. Sci., 1979): repeatedly
+    take the least letter, by (orbit index, label position, exponent),
+    among those that commute with every letter before them.
     """
     datum = datum or fd.base
-    idx = datum.index
-
-    def commute(a, b):
-        return a == b or datum.form[idx(a)][idx(b)] == 0
-
-    letters = list(word.letters)
+    form = datum.form
+    rest = [(fd.orbit_index(lab), datum.index(lab), e) for lab, e in word.letters]
     out = []
-    pos = 0
-    while pos < len(letters):
-        run = [letters[pos]]
-        pos += 1
-        while pos < len(letters) and all(commute(letters[pos][0], x[0]) for x in run):
-            run.append(letters[pos])
-            pos += 1
-        run.sort(key=lambda x: (fd.orbit_index(x[0]), idx(x[0])))
-        out.extend(run)
+    while rest:
+        least = None
+        for k, (_, i, _) in enumerate(rest):
+            if ((least is None or rest[k] < rest[least])
+                    and all(i == j or form[i][j] == 0 for _, j, _ in rest[:k])):
+                least = k
+        _, i, e = rest.pop(least)
+        out.append((datum.labels[i], e))
     return MonomialWord(tuple(out))
 
 

@@ -66,6 +66,9 @@ class CartanDatum:
                 if twice > 0 or twice % self.form[i][i]:
                     raise RootSystemError(
                         f"Cartan condition fails at ({self.labels[i]}, {self.labels[j]})")
+        # not a field: equality and hashing stay on labels and form
+        object.__setattr__(self, "_positions",
+                           {lab: i for i, lab in enumerate(self.labels)})
 
     @property
     def rank(self):
@@ -73,8 +76,8 @@ class CartanDatum:
 
     def index(self, label):
         try:
-            return self.labels.index(label)
-        except ValueError:
+            return self._positions[label]
+        except KeyError:
             raise RootSystemError(f"unknown label {label!r}") from None
 
     def d(self, label):

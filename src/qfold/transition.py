@@ -66,8 +66,10 @@ def gram_block(preset, gamma, basis=None, max_block=None):
     on the preset's default basis unless one is named.
 
     Every word of the block has weight gamma, so the weight factor is
-    computed once per block and each word's letters and prefactor once per
-    index.  The matching sum is symmetric in its two letter sequences, so
+    computed once per block, each word's letters and prefactor once per
+    index, and each denominator delta * g[a] * g[b] once per pair of
+    distinct prefactors, of which a block has far fewer than pairs of
+    words.  The matching sum is symmetric in its two letter sequences, so
     it runs once per unordered pair.  When max_block is given, a block of
     more vectors raises BlockTooLarge as soon as its index is counted,
     before any word is built.
@@ -82,15 +84,22 @@ def gram_block(preset, gamma, basis=None, max_block=None):
     letters = [expand_word(w, datum) for w in words]
     g = [lt.prefactor for lt in letters]
     delta = delta_weight(datum, words[0]) if words else ONE
+    kinds = {}                       # distinct prefactor -> its number
+    kind = [kinds.setdefault(p, len(kinds)) for p in g]
+    prefactors = list(kinds)
+    dens = [[None] * len(kinds) for _ in kinds]
+    for i, p in enumerate(prefactors):
+        row_den = delta * p
+        for j in range(i, len(kinds)):
+            dens[i][j] = dens[j][i] = row_den * prefactors[j]
     n = len(index)
     M = [[None] * n for _ in range(n)]
     lam = [[None] * n for _ in range(n)]
     for a in range(n):
-        row_den = delta * g[a]
         for b in range(a, n):
             core = matching_sum(datum, letters[a].labels, letters[b].labels)
             M[a][b] = M[b][a] = core
-            lam[a][b] = lam[b][a] = RationalFn(core, row_den * g[b])
+            lam[a][b] = lam[b][a] = RationalFn(core, dens[kind[a]][kind[b]])
     return GramBlock(index, words, M, g, delta, lam)
 
 

@@ -60,6 +60,16 @@ def test_equivariance_walks_every_vector_up_to_the_height():
     assert check_equivariance(folds=("D4->G2",), max_height=8).instances == 2790
 
 
+@pytest.mark.parametrize("spec, height", [
+    ("A5->B3", 4), ("D4->C3", 5), ("D5->C4", 4), ("E6->F4", 4), ("A7->B4", 4)])
+def test_equivariance_holds_on_every_built_in_folding(spec, height):
+    # words differing by a swap of commuting letters, such as f[1] f[2'] f[2]
+    # and f[1] f[2] f[2'] on A5->B3, are one monomial
+    result = check_equivariance(folds=(spec,), max_height=height)
+    assert result.ok, result.failures
+    assert result.instances > 0
+
+
 def _mismatch(fd, ulword, ulwordp):
     raise MismatchError("inversion statistic changed under unfolding: 1 -> 2")
 

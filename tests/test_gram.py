@@ -8,13 +8,20 @@ from qfold import gram
 from qfold.gram import (delta_weight, expand_word, inner_mackey,
                         inner_mackey_restricted, inner_shuffle,
                         inversion_stat, matching_sum, matchings, pbw_diag)
-from qfold.laurent import (ONE, ZERO, LaurentPoly, parse_laurent,
+from qfold.laurent import (ONE, ZERO, parse_laurent,
                            parse_rational, q_power, qfact)
 from qfold.monomial import MonomialWord, word_folded, word_modified
 from qfold.rootsys import enumerate_block, weights_up_to
 from test_ldl import SETTINGS
 
 CORES = (gram._cross_sums_by_recursion, gram._cross_sums_by_subsets)
+
+
+def packed_cross_sums(core, datum, runs, targets):
+    """(packed, top, width): a core's cross sums at the width of the count
+    of matchings, as `matching_sum` calls it."""
+    width = gram._matching_count(targets).bit_length()
+    return (*core(datum, runs, targets, width), width)
 
 
 def W(*letters):
@@ -197,14 +204,48 @@ def test_both_cores_sum_q_to_the_inversions_over_matchings(pair):
     expected = sum((q_power(-inversion_stat(datum, nu, w)) for w in matchings(nu, nup)),
                    ZERO)
     assert matching_sum(datum, nu, nup) == expected
+    assert matching_sum(datum, nup, nu) == expected
     layout = gram._layout(nu, nup)
     if layout is None:
         assert expected == ZERO
         return
     runs, targets = layout
     for core in CORES:
-        total = LaurentPoly(core(datum, runs, targets))
-        assert gram._times_run_prefactor(datum, runs, total) == expected, core
+        packed, top, width = packed_cross_sums(core, datum, runs, targets)
+        total = gram._times_run_prefactor(datum, runs, packed, width)
+        assert gram._unpack_counts(total, top, width) == expected, core
+
+
+def test_the_source_is_the_sequence_with_the_larger_run_factorials():
+    a3 = qfold.get_preset("A3").fd.base
+    runs, targets = gram._layout(("1", "2", "1", "2"), ("1", "1", "2", "2"))
+    assert runs == [("1", 2), ("2", 2)]
+    assert targets == {"1": [0, 2], "2": [1, 3]}
+    runs, _ = gram._layout(("2", "1"), ("1", "2"))       # a tie keeps nu
+    assert runs == [("2", 1), ("1", 1)]
+    # A3 (4,4,4) has pairs of either orientation, and the sum is the same
+    block = qfold.gram_block(qfold.get_preset("A3"), (4, 4, 4))
+    letters = [expand_word(w, a3).labels for w in block.words]
+    swapped = 0
+    for a, nu in enumerate(letters):
+        for nup in letters[a + 1:]:
+            runs, _ = gram._layout(nu, nup)
+            if runs != gram._runs(nu):
+                swapped += 1
+                assert matching_sum(a3, nup, nu) == matching_sum(a3, nu, nup)
+    assert swapped > 0
+
+
+def test_matching_sums_at_q_1_count_the_matchings():
+    # every coefficient is a count of matchings, which the packed width holds
+    for name, gamma in (("G2", (6, 4)), ("B2", (7, 5))):
+        block = qfold.gram_block(qfold.get_preset(name), gamma)
+        datum = qfold.get_preset(name).side()[0]
+        for word, row in zip(block.words, block.M):
+            count = math.prod(math.factorial(m) for m in
+                              Counter(expand_word(word, datum).labels).values())
+            assert [sum(m.coeffs.values()) for m in row] == [count] * len(row)
+            assert all(c > 0 for m in row for c in m.coeffs.values())
 
 
 def test_both_cores_agree_on_whole_blocks():
@@ -224,8 +265,9 @@ def test_both_cores_agree_on_whole_blocks():
             for a, nu in enumerate(letters):
                 for nup in letters[a:]:
                     runs, targets = gram._layout(nu, nup)
-                    by_recursion, by_subsets = (core(datum, runs, targets)
-                                                for core in CORES)
+                    by_recursion, by_subsets = (
+                        gram._unpack_counts(*packed_cross_sums(core, datum, runs, targets))
+                        for core in CORES)
                     assert by_recursion == by_subsets, (gamma, nu, nup)
                     sides[gram._leaves(runs, targets) >= gram.SUBSET_DP_MIN_LEAVES] += 1
     assert sides[True] and sides[False]

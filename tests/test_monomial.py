@@ -125,6 +125,25 @@ def test_canonical_word_sorts_commuting_runs():
         fd, MonomialWord((("1", 1), ("2", 1))))
 
 
+def test_canonical_word_is_a_normal_form_of_traces():
+    fd = qfold.get_folding("A5->B3").fd
+    labels = fd.base.labels
+    letter = dict(zip(labels, ((lab, 1) for lab in labels)))
+    for a, b in fd.base.edges():
+        # adjacent labels: swapping them changes the monomial
+        assert canonical_word(fd, MonomialWord((letter[a], letter[b]))) != \
+            canonical_word(fd, MonomialWord((letter[b], letter[a])))
+    # a letter moves past the orthogonal ones before it, never past a neighbour:
+    # f[1] f[2'] f[2] and f[1] f[2] f[2'] are one monomial
+    w1 = MonomialWord((("1", 1), ("2'", 1), ("2", 1)))
+    w2 = MonomialWord((("1", 1), ("2", 1), ("2'", 1)))
+    assert canonical_word(fd, w1) == canonical_word(fd, w2)
+    # powers of one generator commute, whatever their exponents
+    w1 = MonomialWord((("2", 1), ("1", 1), ("1", 2)))
+    w2 = MonomialWord((("2", 1), ("1", 2), ("1", 1)))
+    assert canonical_word(fd, w1) == canonical_word(fd, w2)
+
+
 def test_sigma_word_and_collapse():
     p = qfold.get_folding("A3->B2")
     fd = p.fd

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 import qfold
-from qfold.rootsys import (InvalidColoring, NotReduced, WrongLength,
+from qfold.rootsys import (InvalidColoring, NotReduced, RootSystemError, WrongLength,
                            betas_from_sequence, bipartite_w0, enumerate_block,
                            lex_compare, positive_roots, reflect, vectors_up_to,
                            weight_of, weights_up_to)
@@ -11,6 +11,13 @@ from qfold.rootsys import (InvalidColoring, NotReduced, WrongLength,
 
 def a3():
     return qfold.get_preset("A3").fd.base
+
+
+def test_index_is_the_label_position():
+    datum = a3()
+    assert [datum.index(lab) for lab in datum.labels] == [0, 1, 2]
+    with pytest.raises(RootSystemError, match="unknown label '3'"):
+        datum.index("3")
 
 
 def test_reflect_simple_root_negates():
