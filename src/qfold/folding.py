@@ -4,7 +4,7 @@ reduced sequences, and the orbit action/bijections on exponent vectors."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .rootsys import (CartanDatum, NotReduced, betas_from_sequence,
                       cartan_datum)
@@ -27,6 +27,12 @@ class FoldingDatum:
     ``orbits`` lists the sigma-orbits in the order induced by the base
     label order, each orbit in its fixed internal order; the quotient
     datum is indexed by the orbits, each named after its first member.
+
+    A folding also keeps the lookups of the lifted word it was last asked
+    about (a preset's base word, from the moment the preset is built):
+    its orbit parts and sigma's permutation of its positions, so that
+    `orbit_blocks`, `word_modified` and `sigma_on_exponents` read them
+    instead of recomputing them on every call.
     """
 
     base: CartanDatum
@@ -34,6 +40,13 @@ class FoldingDatum:
     orbits: tuple
     quotient: CartanDatum
     p: int                  # order of sigma
+    _orbit_of: dict = field(init=False, repr=False, compare=False)
+    _lifted: list = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_orbit_of", {
+            lab: k for k, orb in enumerate(self.orbits) for lab in orb})
+        object.__setattr__(self, "_lifted", [None, None, None])
 
     def is_trivial(self):
         return self.p == 1
@@ -50,10 +63,20 @@ class FoldingDatum:
         return tuple(out)
 
     def orbit_index(self, label):
-        for k, orb in enumerate(self.orbits):
-            if label in orb:
-                return k
-        raise KeyError(label)
+        """The number of the orbit holding label; KeyError for a stranger."""
+        return self._orbit_of[label]
+
+    def _lifted_word(self, seq):
+        """(orbit parts, sigma gather) of a lifted word, computed once for
+        the word last asked about; see `orbit_blocks` and
+        `sigma_on_exponents`.  The gather is None when sigma does not
+        stabilize every orbit part."""
+        last, parts, gather = self._lifted
+        if last is not seq:
+            parts = _orbit_parts(self, seq)
+            gather = _sigma_gather(self, seq, parts)
+            self._lifted[:] = seq, parts, gather
+        return parts, gather
 
     def expand_weight(self, ul_gamma):
         """Quotient weight -> sigma-fixed base weight (alpha_j -> sum over j)."""
@@ -156,6 +179,10 @@ def orbit_blocks(fd, seq):
     Returns a tuple of (orbit_index, positions) pairs, one per quotient
     letter; raises NotReduced when the word does not group into orbits.
     """
+    return fd._lifted_word(seq)[0]
+
+
+def _orbit_parts(fd, seq):
     blocks = []
     pos = 0
     indices = seq.indices
@@ -170,6 +197,19 @@ def orbit_blocks(fd, seq):
     return tuple(blocks)
 
 
+def _sigma_gather(fd, seq, parts):
+    """gather[t] = s for the position s that sigma moves to t, or None."""
+    gather = [None] * len(seq.indices)
+    for _, positions in parts:
+        betas = {seq.betas[s]: s for s in positions}
+        for s in positions:
+            image = fd.sigma_root(seq.betas[s])
+            if image not in betas:
+                return None
+            gather[betas[image]] = s
+    return tuple(gather)
+
+
 def quotient_sequence(fd, seq):
     """The quotient reduced sequence a lifted word comes from: one letter
     per orbit part, named after its orbit.  NotReduced propagates when the
@@ -182,18 +222,14 @@ def sigma_on_exponents(fd, seq, c):
     """Permute the coordinates of c inside each orbit part.
 
     Position s goes to the position t of the same part with
-    beta_t = sigma(beta_s); this matches the action on PBW indices.
+    beta_t = sigma(beta_s); this matches the action on PBW indices.  The
+    permutation is read off the folding's lookups for the word, so a call
+    is one gather.
     """
-    c = tuple(c)
-    out = [None] * len(c)
-    for _, positions in orbit_blocks(fd, seq):
-        betas = {seq.betas[s]: s for s in positions}
-        for s in positions:
-            image = fd.sigma_root(seq.betas[s])
-            if image not in betas:
-                raise NotReduced("sigma does not stabilize an orbit part of the word")
-            out[betas[image]] = c[s]
-    return tuple(out)
+    gather = fd._lifted_word(seq)[1]
+    if gather is None:
+        raise NotReduced("sigma does not stabilize an orbit part of the word")
+    return tuple([c[s] for s in gather])
 
 
 def fold_exponent(fd, ulseq, ulc):

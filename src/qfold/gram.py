@@ -8,10 +8,13 @@ prod r!, which leaves fewer target sets to sum over.  It computes the sum
 with one of two cores, chosen per pair from the number of leaves the
 recursion would visit: a recursion over target sets for short words, and a
 DP over the subsets of target positions used so far for long repetitive
-ones, whose leaves it merges.  Both deliver the sum packed into one
-integer at q^-1 = 2^w, w the bit length of the number of matchings; every
-coefficient is a nonnegative count of matchings, so no slot can overflow,
-and the run factors multiply in packed before one unpacking.  `matchings`
+ones, whose leaves it merges.  What a sum needs of one word (its runs,
+the positions of each label, the run factor) is a `WordLayout`, which a
+caller pairing each word with many others builds once per word.  Both
+cores deliver the sum packed into one integer at q^-1 = 2^w, w the bit
+length of the number of matchings; every coefficient is a nonnegative
+count of matchings, so no slot can overflow, and the run factor
+multiplies in packed before one unpacking.  `matchings`
 and `inversion_stat` enumerate the sum term by term and are the reference
 both cores are tested against.  The oracle route, `inner_shuffle`, recurses
 through the coproduct, peeling the first letter of one word against each
@@ -116,55 +119,16 @@ def _runs(labels):
     return [(lab, len(list(group))) for lab, group in itertools.groupby(labels)]
 
 
-def _run_factorials(runs):
-    return math.prod(math.factorial(r) for _, r in runs)
-
-
-def _layout(nu, nup):
-    """The runs of the source and the positions of each label in the
-    target; None when no label-preserving bijection exists.
-
-    The sum is symmetric in its two sequences, so the source is the one
-    whose runs have the larger prod r!, which leaves the recursion fewer
-    leaves and the subset DP fewer states; nu on a tie.
-    """
-    if len(nu) != len(nup):
-        return None
-    runs, runsp = _runs(nu), _runs(nup)
-    if _run_factorials(runsp) > _run_factorials(runs):
-        nup, runs = nu, runsp
-    targets = {}
-    for pos, lab in enumerate(nup):
-        targets.setdefault(lab, []).append(pos)
-    counts = dict.fromkeys(targets, 0)
-    for lab, r in runs:
-        if lab not in counts:
-            return None
-        counts[lab] += r
-    if any(m != len(targets[lab]) for lab, m in counts.items()):
-        return None
-    return runs, targets
-
-
-def _matching_count(targets):
-    """prod over labels m!: the number of matchings."""
-    return math.prod(math.factorial(len(ps)) for ps in targets.values())
-
-
-def _leaves(runs, targets):
-    """Leaves of the recursion: the ways to hand each label's m target
-    positions to its runs, m! / prod r! per label."""
-    return _matching_count(targets) // _run_factorials(runs)
-
-
-def _times_run_prefactor(datum, runs, packed, width):
-    """packed times the run-internal inversions of one set of targets,
-    summed over the r! orders in which a run of length r can take them.
+def _run_factor(datum, runs, width):
+    """The run-internal inversions of one set of targets, summed over the
+    r! orders in which a run of length r can take them, packed at
+    q^-1 = 2^width.
 
     Per run, with (a_x, a_x) = 2d, that is the product over j <= r of the
     sum over k < j of q^(-2dk), which is q^(-d r(r-1)/2) [r]! in q^d.  At
     q^-1 = 2^width each factor is the repunit (2^(sj) - 1) / (2^s - 1),
-    s = 2d * width, with constant term 1, so the top exponent stays.
+    s = 2d * width, with constant term 1, so multiplying a packed sum by
+    it keeps the sum's top exponent.
     """
     factor = 1
     for lab, r in runs:
@@ -173,7 +137,80 @@ def _times_run_prefactor(datum, runs, packed, width):
             unit = (1 << step) - 1
             for j in range(2, r + 1):
                 factor *= ((1 << (step * j)) - 1) // unit
-    return packed * factor
+    return factor
+
+
+class WordLayout:
+    """What a matching sum needs of one letter sequence, built once per word.
+
+    As a source: its runs of equal letters and their prod r!, the form row
+    of each letter, which letters start a run, and the run factor packed
+    at the width.  As a target: the positions of each label, the form
+    column of each position, and for the subset DP, per label x, each
+    position of x with the positions above it grouped by form value, and
+    the labels y with (x, y) < 0.  The count of matchings, prod over labels
+    m!, and the width, its bit length, depend only on the label
+    multiplicities, which all words of a weight block share.
+    """
+
+    __slots__ = ("labels", "counts", "runs", "run_factorials", "matchings",
+                 "width", "run_factor", "rows", "run_start", "targets", "cols",
+                 "candidates", "negatives")
+
+    def __init__(self, datum, labels):
+        idx, form = datum.index, datum.form
+        self.labels = labels
+        self.runs = _runs(labels)
+        self.run_factorials = math.prod(math.factorial(r) for _, r in self.runs)
+        targets = {}
+        for pos, lab in enumerate(labels):
+            targets.setdefault(lab, []).append(pos)
+        self.targets = targets
+        self.counts = {lab: len(ps) for lab, ps in targets.items()}
+        self.matchings = math.prod(math.factorial(m) for m in self.counts.values())
+        self.width = self.matchings.bit_length()
+        self.run_factor = _run_factor(datum, self.runs, self.width)
+        self.cols = [idx(lab) for lab in labels]
+        self.rows = [form[i] for i in self.cols]
+        self.run_start = [k == 0 or labels[k - 1] != lab
+                          for k, lab in enumerate(labels)]
+        masks = {lab: sum(1 << t for t in ps) for lab, ps in targets.items()}
+        self.candidates, self.negatives = {}, {}
+        for x, ps in targets.items():
+            row = form[idx(x)]
+            weighted = {}                # form value -> positions of its labels
+            negatives = []
+            for y, m in masks.items():
+                f = row[idx(y)]
+                if f:
+                    weighted[f] = weighted.get(f, 0) | m
+                    if f < 0:
+                        negatives.append((y, f))
+            self.negatives[x] = negatives
+            self.candidates[x] = [(1 << t, [(m >> (t + 1) << (t + 1), f)
+                                            for f, m in weighted.items()])
+                                  for t in ps]
+
+
+def _orient(layout, layoutp):
+    """The pair as (source, target), or None when no label-preserving
+    bijection exists.
+
+    The sum is symmetric in its two sequences, so the source is the one
+    whose runs have the larger prod r!, which leaves the recursion fewer
+    leaves and the subset DP fewer states; the first on a tie.
+    """
+    if layout.counts != layoutp.counts:
+        return None
+    if layoutp.run_factorials > layout.run_factorials:
+        return layoutp, layout
+    return layout, layoutp
+
+
+def _leaves(source):
+    """Leaves of the recursion: the ways to hand each label's m target
+    positions to the source's runs, m! / prod r! per label."""
+    return source.matchings // source.run_factorials
 
 
 def _unpack_counts(packed, top, width):
@@ -190,23 +227,13 @@ def _unpack_counts(packed, top, width):
     return LaurentPoly(coeffs)
 
 
-def _cross_sums_by_recursion(datum, runs, targets, width):
+def _cross_sums_by_recursion(source, target):
     """The cross sums packed at q^-1 = 2^width, with the exponent of
     q in slot 0: one leaf per assignment of target sets, with ascending
     targets inside each run."""
-    idx = datum.index
-    form = datum.form
-    rows, choices, run_start = [], [], []
-    for lab, r in runs:
-        for i in range(r):
-            rows.append(form[idx(lab)])
-            choices.append(targets[lab])
-            run_start.append(i == 0)
-    cols = [None] * len(rows)
-    for lab, ps in targets.items():
-        for t in ps:
-            cols[t] = idx(lab)
-
+    width = source.width
+    rows, run_start, cols = source.rows, source.run_start, target.cols
+    choices = [target.targets[lab] for lab in source.labels]
     used = [False] * len(rows)
     placed = []                      # target positions chosen so far, in nu order
     acc = {}
@@ -235,7 +262,7 @@ def _cross_sums_by_recursion(datum, runs, targets, width):
     return sum(c << (width * (top - e)) for e, c in acc.items()), top
 
 
-def _cross_sums_by_subsets(datum, runs, targets, width):
+def _cross_sums_by_subsets(source, target):
     """The cross sums as `_cross_sums_by_recursion` packs them, by a forward
     DP over the runs of the source.
 
@@ -256,26 +283,17 @@ def _cross_sums_by_subsets(datum, runs, targets, width):
     target's cross term from below in all states alike; a target shifts
     by its cross term minus lo, which keeps slots nonnegative.
     """
-    idx = datum.index
-    masks = {lab: sum(1 << t for t in ps) for lab, ps in targets.items()}
-    used = dict.fromkeys(targets, 0)
+    width = source.width
+    used = dict.fromkeys(target.targets, 0)
     states = {0: 1}
     base = 0
-    for x, r in runs:
-        row = datum.form[idx(x)]
-        weighted = {}                # form value -> positions of its labels
+    for x, r in source.runs:
         lo = 0
-        for y, m in masks.items():
-            f = row[idx(y)]
-            if f:
-                weighted[f] = weighted.get(f, 0) | m
-                if f < 0:
-                    lo += f * used[y]
+        for y, f in target.negatives[x]:
+            lo += f * used[y]
         base += r * lo
         used[x] += r
-        candidates = [(1 << t, [(m >> (t + 1) << (t + 1), f)
-                                for f, m in weighted.items()])
-                      for t in targets[x]]
+        candidates = target.candidates[x]
         new = {}
         get = new.get
         for S, val in states.items():
@@ -303,16 +321,20 @@ def _cross_sums_by_subsets(datum, runs, targets, width):
     return packed, -base
 
 
-def matching_sum(datum, nu, nup):
+def matching_sum(datum, nu, nup, layout=None, layoutp=None):
     """Sum of q^(-A) over all matchings; a Laurent polynomial.
+
+    layout and layoutp are the `WordLayout`s of nu and nup; a caller that
+    pairs each word with many others, such as `gram_block`, builds them
+    once per word, and they are built here when not given.
 
     The sum is symmetric in nu and nup: a matching and its inverse invert
     the same pairs of letters.  So the source, whose equal consecutive
     letters are collapsed, is the sequence whose runs have the larger
-    prod r!, nu on a tie (`_layout`).  The inversion statistic splits into
+    prod r!, nu on a tie (`_orient`).  The inversion statistic splits into
     run-internal inversions, which sum to a Gaussian factorial
-    independently of everything else (`_times_run_prefactor`), and cross
-    terms that depend only on the set of target positions each run takes.
+    independently of everything else (`_run_factor`), and cross terms
+    that depend only on the set of target positions each run takes.
     Two cores sum the cross terms.  The recursion enumerates the target sets
     one leaf at a time, with ascending targets inside each run; the subset
     DP merges partial assignments that used the same positions.  The
@@ -327,17 +349,16 @@ def matching_sum(datum, nu, nup):
     sum itself is a nonnegative count of (partial) matchings, and together
     they count at most all matchings, so no slot reaches 2^width.
     """
-    layout = _layout(nu, nup)
-    if layout is None:
+    pair = _orient(WordLayout(datum, nu) if layout is None else layout,
+                   WordLayout(datum, nup) if layoutp is None else layoutp)
+    if pair is None:
         return ZERO
-    runs, targets = layout
-    width = _matching_count(targets).bit_length()
-    if _leaves(runs, targets) >= SUBSET_DP_MIN_LEAVES:
-        packed, top = _cross_sums_by_subsets(datum, runs, targets, width)
+    source, target = pair
+    if _leaves(source) >= SUBSET_DP_MIN_LEAVES:
+        packed, top = _cross_sums_by_subsets(source, target)
     else:
-        packed, top = _cross_sums_by_recursion(datum, runs, targets, width)
-    return _unpack_counts(_times_run_prefactor(datum, runs, packed, width),
-                          top, width)
+        packed, top = _cross_sums_by_recursion(source, target)
+    return _unpack_counts(packed * source.run_factor, top, source.width)
 
 
 def delta_weight(datum, word):

@@ -11,9 +11,12 @@ Q(q) operation, reduces one fraction by a polynomial gcd: the heuristic gcd
 GCDHEU on Kronecker-packed integers (Char, Geddes and Gonnet, J. Symbolic
 Comput. 7, 1989), which CPython's big-integer gcd and division carry, with
 the primitive-PRS gcd as its fallback.  Outside this module each RationalFn
-is built once, from a Laurent numerator and denominator, and then only
-compared or printed.  The memo of `qfact`, one entry per (n, d), is this
-module's only one.
+is built once, from a Laurent numerator over a denominator, and then only
+compared or printed.  The denominator is a Laurent polynomial or a
+`Factored` product of them, which many fractions can share: it is split
+and packed once per width for all of them and expanded at most once.  The
+memo of `qfact`, one entry per (n, d), is this module's only one; a
+`Factored` keeps its packed values for as long as its owner keeps it.
 """
 
 from __future__ import annotations
@@ -353,9 +356,10 @@ def _split(lp):
 
 
 def _heuristic_gcd_cofactors(A, B):
-    """(g, A / g, B / g) as dense lists for primitive dense polynomials A, B
-    of degree >= 1 with nonzero constant terms, g their gcd with positive
-    leading coefficient; None when the heuristic gives up.
+    """(g, A / g, B / g) as dense lists for a primitive dense polynomial A
+    and the primitive part of a `Factored` B, both of degree >= 1 with
+    nonzero constant terms, g their gcd with positive leading coefficient;
+    None when the heuristic gives up.
 
     The candidate g is the primitive part of the balanced digits of
     gcd(A(x), B(x)) at x = 2^w (a positive integer, so the leading digit
@@ -365,12 +369,14 @@ def _heuristic_gcd_cofactors(A, B):
     absolute value, the packed identities A(x) = g(x) * (A / g)(x) are
     polynomial identities (balanced digits are unique), and since
     x >= 2 * min(|A|, |B|) + 2, a candidate dividing both is the gcd.
-    The first width leaves room for the cofactors' coefficient growth.
+    B enters only by its value at x and by B.bound >= |B|, so the width
+    serves a product of factors that is never expanded.  The first width
+    leaves room for the cofactors' coefficient growth.
     """
-    w = (max(_norm(A), _norm(B)).bit_length() + 1
-         + max(len(A), len(B)).bit_length() + _WIDTH_SLACK)
+    w = (max(_norm(A), B.bound).bit_length() + 1
+         + max(len(A), B.length).bit_length() + _WIDTH_SLACK)
     for _ in range(_HEURISTIC_TRIES):
-        pa, pb = _pack(A, w), _pack(B, w)
+        pa, pb = _pack(A, w), B.pack(w)
         g = _primitive(_unpack(math.gcd(pa, pb), w))
         pg = _pack(g, w)
         qa, ra = divmod(pa, pg)
@@ -385,6 +391,69 @@ def _heuristic_gcd_cofactors(A, B):
     return None
 
 
+class Factored:
+    """A nonzero Laurent polynomial kept as a product of factors, each
+    split once by `_split`: q^low * content * the product of the
+    primitive dense parts, which is primitive by Gauss's lemma.
+
+    A denominator shared by many fractions, such as delta * g[a] * g[b]
+    in a Gram block, is never expanded for the heuristic gcd: its value
+    at 2^w is the product of the parts' values, kept per width, and
+    bound = min over k of |f_k| * prod over j != k of |f_j|_1 bounds the
+    coefficients of the product (|.| the largest coefficient, |.|_1
+    their sum).  For one factor the bound is |f| itself.  The expanded
+    primitive part is built only on demand, at most once.
+    """
+
+    __slots__ = ("low", "content", "parts", "length", "bound", "_packs", "_dense")
+
+    def __init__(self, *factors):
+        low, content, parts = 0, 1, []
+        for f in factors:
+            if isinstance(f, Factored):
+                low, content = low + f.low, content * f.content
+                parts.extend(f.parts)
+                continue
+            if f.is_zero():
+                raise ZeroDivisionError("zero denominator in Q(q)")
+            lo, c, P = _split(f)
+            low += lo
+            if len(P) == 1:                   # a monomial: its sign joins the content
+                content *= c * P[0]
+            else:
+                content *= c
+                parts.append(P)
+        self.low, self.content, self.parts = low, content, parts
+        self.length = sum(map(len, parts)) - len(parts) + 1
+        if len(parts) == 1:
+            self.bound = _norm(parts[0])
+        else:
+            ones = [sum(map(abs, P)) for P in parts]
+            total = math.prod(ones)
+            self.bound = min((total // one * _norm(P) for one, P in zip(ones, parts)),
+                             default=1)
+        self._packs = {}
+        self._dense = None
+
+    def pack(self, w):
+        """The primitive part's value at q = 2^w."""
+        v = self._packs.get(w)
+        if v is None:
+            v = self._packs[w] = math.prod(_pack(P, w) for P in self.parts)
+        return v
+
+    def dense(self):
+        """The primitive part as a dense list: read off its value at a width
+        whose digits hold every coefficient, since each is at most bound."""
+        if self._dense is None:
+            if len(self.parts) <= 1:
+                self._dense = self.parts[0] if self.parts else [1]
+            else:
+                w = self.bound.bit_length() + 1
+                self._dense = _unpack(self.pack(w), w)
+        return self._dense
+
+
 def _laurent(xs, shift, scale):
     """q^shift * scale * xs as a LaurentPoly, xs dense and scale nonzero."""
     out = object.__new__(LaurentPoly)
@@ -394,14 +463,15 @@ def _laurent(xs, shift, scale):
 
 
 def _dense_gcd_cofactors(A, B):
-    """(g, A / g, B / g) for split primitive parts A, B (see `_split`): the
-    heuristic gcd, else the PRS gcd."""
-    if len(A) == 1 or len(B) == 1:
-        return [1], A, B
+    """(g, A / g, B / g) for the split primitive part A of a numerator (see
+    `_split`) and a `Factored` B: the heuristic gcd, else the PRS gcd on
+    the expanded primitive part of B."""
+    if len(A) == 1 or B.length == 1:
+        return [1], A, B.dense()
     found = _heuristic_gcd_cofactors(A, B)
     if found is None:
         found = [_dense(p) for p in _prs_gcd_cofactors(
-            _laurent(A, 0, 1), _laurent(B, 0, 1))]
+            _laurent(A, 0, 1), _laurent(B.dense(), 0, 1))]
     return found
 
 
@@ -415,13 +485,13 @@ def _gcd_cofactors(a, b):
     """
     if not a or not b:
         return _prs_gcd_cofactors(a, b)
-    (la, ca, A), (lb, cb, B) = _split(a), _split(b)
-    if la < 0 or lb < 0:
+    (la, ca, A), B = _split(a), Factored(b)
+    if la < 0 or B.low < 0:
         raise ValueError("a polynomial in Z[q] has no negative exponents")
-    low = min(la, lb)
+    low = min(la, B.low)
     g, ga, gb = _dense_gcd_cofactors(A, B)
     return (_laurent(g, low, 1), _laurent(ga, la - low, ca),
-            _laurent(gb, lb - low, cb))
+            _laurent(gb, B.low - low, B.content))
 
 
 def poly_lcm(a, b):
@@ -438,13 +508,19 @@ class RationalFn:
     Powers of q migrate freely into num or den during reduction, since q
     is a unit of the Laurent ring.  Each construction costs one gcd of
     the primitive parts, by `_dense_gcd_cofactors`, whose cofactors are
-    the reduced num and den.
+    the reduced num and den.  The denominator may be given as a
+    `Factored` product, which many fractions can share; a plain one is
+    the product of one factor.
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=1):
-        num, den = _as_laurent(num), _as_laurent(den)
+        num = _as_laurent(num)
+        if not isinstance(den, Factored):
+            den = _as_laurent(den)
+            if den is not NotImplemented:
+                den = Factored(den)
         if num is NotImplemented or den is NotImplemented:
             raise TypeError("RationalFn takes integers or Laurent polynomials")
         n, d = _normalize(num, den)
@@ -554,7 +630,8 @@ def _as_rational(x):
 
 
 def _normalize(num, den):
-    """The normal form of num / den for Laurent polynomials num and den.
+    """The normal form of num / den for a Laurent polynomial num and a
+    `Factored` den.
 
     q is a unit, so splitting off each side's lowest power of q and its
     integer content leaves primitive parts N and D whose cofactors by their
@@ -562,15 +639,13 @@ def _normalize(num, den):
     the two contents over their gcd go back, with the sign making the
     denominator's leading coefficient positive.
     """
-    if den.is_zero():
-        raise ZeroDivisionError("zero denominator in Q(q)")
     if num.is_zero():
         return ZERO, ONE
-    (ln, cn, N), (ld, cd, D) = _split(num), _split(den)
-    _, N, D = _dense_gcd_cofactors(N, D)
+    (ln, cn, N), ld, cd = _split(num), den.low, den.content
+    _, N, D = _dense_gcd_cofactors(N, den)
     c = math.gcd(cn, cd)
     cn, cd = cn // c, cd // c
-    if D[-1] < 0:
+    if (D[-1] < 0) != (cd < 0):
         cn, cd = -cn, -cd
     return _laurent(N, max(ln - ld, 0), cn), _laurent(D, max(ld - ln, 0), cd)
 

@@ -86,16 +86,18 @@ def word_folded(fd, ulseq, ulc):
 
 
 def word_modified(fd, seq, c):
-    """The orbit-aware monomial: one descending factor per orbit part of c."""
-    datum = seq.datum
+    """The orbit-aware monomial: one descending factor per orbit part of c,
+    the part's sum of c_s * beta_s over the simple roots."""
+    labels, betas = seq.datum.labels, seq.betas
     letters = []
     for _, positions in orbit_blocks(fd, seq):
-        dv = {}
+        dv = [0] * len(labels)
         for s in positions:
             if c[s]:
-                for lab, v in dvec(seq, c, s).items():
-                    dv[lab] = dv.get(lab, 0) + v
-        letters.extend(_factor(datum, dv))
+                for i, x in enumerate(betas[s]):
+                    dv[i] += c[s] * x
+        letters.extend((labels[i], dv[i])
+                       for i in range(len(labels) - 1, -1, -1) if dv[i])
     return MonomialWord(tuple(letters))
 
 

@@ -13,9 +13,10 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .folding import sigma_on_exponents
-from .gram import delta_weight, expand_word, matching_sum
-from .laurent import (ONE, ZERO, LaurentPoly, RationalFn, bar, laurent_div_exact,
-                      parse_laurent, parse_rational, poly_lcm, split_bar_parts)
+from .gram import WordLayout, delta_weight, expand_word, matching_sum
+from .laurent import (ONE, ZERO, Factored, LaurentPoly, RationalFn, bar,
+                      laurent_div_exact, parse_laurent, parse_rational, poly_lcm,
+                      split_bar_parts)
 from .rootsys import enumerate_block
 
 
@@ -65,14 +66,19 @@ def gram_block(preset, gamma, basis=None, max_block=None):
     """Index, words and Gram matrix of a monomial family at weight gamma,
     on the preset's default basis unless one is named.
 
-    Every word of the block has weight gamma, so the weight factor is
-    computed once per block, each word's letters and prefactor once per
-    index, and each denominator delta * g[a] * g[b] once per pair of
-    distinct prefactors, of which a block has far fewer than pairs of
-    words.  The matching sum is symmetric in its two letter sequences, so
-    it runs once per unordered pair.  When max_block is given, a block of
-    more vectors raises BlockTooLarge as soon as its index is counted,
-    before any word is built.
+    Everything that depends on one word or one prefactor is built once per
+    block, so the loop over pairs does only the work of the pair: one
+    matching sum and one gcd.  Every word has weight gamma, so the weight
+    factor is computed once; each word's letters, prefactor and
+    `WordLayout` once per index; and each denominator delta * g[a] * g[b]
+    once per pair of distinct prefactors, of which a block has far fewer
+    than pairs of words.  A denominator is kept `Factored`: delta and each
+    prefactor are split once, and the product is packed once per gcd
+    width for every entry over it, never expanded unless a gcd needs it.
+    The matching sum is symmetric in its two letter sequences, so it runs
+    once per unordered pair.  These caches go with the block.  When
+    max_block is given, a block of more vectors raises BlockTooLarge as
+    soon as its index is counted, before any word is built.
     """
     datum, seq, word = preset.side(basis)
     index = enumerate_block(seq, gamma)
@@ -82,22 +88,24 @@ def gram_block(preset, gamma, basis=None, max_block=None):
             f"n = {len(index)} vectors, more than max-block {max_block}")
     words = [word(c) for c in index]
     letters = [expand_word(w, datum) for w in words]
+    layouts = [WordLayout(datum, lt.labels) for lt in letters]
     g = [lt.prefactor for lt in letters]
     delta = delta_weight(datum, words[0]) if words else ONE
     kinds = {}                       # distinct prefactor -> its number
     kind = [kinds.setdefault(p, len(kinds)) for p in g]
-    prefactors = list(kinds)
+    split_delta = Factored(delta)
+    prefactors = [Factored(p) for p in kinds]
     dens = [[None] * len(kinds) for _ in kinds]
     for i, p in enumerate(prefactors):
-        row_den = delta * p
         for j in range(i, len(kinds)):
-            dens[i][j] = dens[j][i] = row_den * prefactors[j]
+            dens[i][j] = dens[j][i] = Factored(split_delta, p, prefactors[j])
     n = len(index)
     M = [[None] * n for _ in range(n)]
     lam = [[None] * n for _ in range(n)]
     for a in range(n):
         for b in range(a, n):
-            core = matching_sum(datum, letters[a].labels, letters[b].labels)
+            core = matching_sum(datum, letters[a].labels, letters[b].labels,
+                                layouts[a], layouts[b])
             M[a][b] = M[b][a] = core
             lam[a][b] = lam[b][a] = RationalFn(core, dens[kind[a]][kind[b]])
     return GramBlock(index, words, M, g, delta, lam)

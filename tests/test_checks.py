@@ -70,6 +70,20 @@ def test_equivariance_holds_on_every_built_in_folding(spec, height):
     assert result.instances > 0
 
 
+@pytest.mark.parametrize("spec, height, blocks, pairs", [
+    ("A5->B3", 5, 55, 346), ("D4->C3", 5, 55, 353), ("D5->C4", 4, 69, 273),
+    ("E6->F4", 4, 69, 281), ("A7->B4", 4, 69, 271)],
+    ids=["A5->B3", "D4->C3", "D5->C4", "E6->F4", "A7->B4"])
+def test_congruence_and_restriction_hold_on_every_built_in_folding(
+        spec, height, blocks, pairs):
+    congruence = check_congruence(folds=(spec,), max_height=height)
+    assert congruence.ok, congruence.failures
+    assert congruence.instances == blocks
+    restriction = check_restriction(folds=(spec,), max_height=height)
+    assert restriction.ok, restriction.failures
+    assert restriction.instances == pairs
+
+
 def _mismatch(fd, ulword, ulwordp):
     raise MismatchError("inversion statistic changed under unfolding: 1 -> 2")
 

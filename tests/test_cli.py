@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import pathlib
@@ -76,6 +77,27 @@ def test_gram_computes_each_matching_sum_once(monkeypatch, capsys):
     n = len(json.loads(out)["index"])
     assert n == 13
     assert len(calls) == n * (n + 1) // 2
+
+
+# SHA-256 of the stdout of these commands, taken before the Gram block kept
+# its denominators factored; any drift in the printed normal form fails here.
+GOLDEN_DIGESTS = {
+    ("gram --preset G2 --weight 6,4", "json"):
+        "9dcc60f42916ac9f76a133e241a5ca7312b938eeeccd391852709fb7358ae570",
+    ("gram --preset G2 --weight 6,4", "tsv"):
+        "875d8e370ac37cc4d6860ef1f304018203a84253dd71f8fb91ccacbbdf4b8ab1",
+    ("transition --fold D4->G2 --weight 2,2,2,2", "json"):
+        "0df56c7be0b30e1598acbaf2daa7aed06281af06525a35040e22475f4e3d0670",
+    ("transition --fold D4->G2 --weight 2,2,2,2", "tsv"):
+        "cc012cbde133a89475a3665993fbff654acc5c54ec50cd77a598f89a1cf2b3f4",
+}
+
+
+@pytest.mark.parametrize("command, fmt", sorted(GOLDEN_DIGESTS))
+def test_output_matches_its_golden_digest(command, fmt, capsys):
+    code, out, _ = run(command.split() + ["--format", fmt], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_DIGESTS[command, fmt]
 
 
 def test_gram_empty_block_exits_zero(capsys):

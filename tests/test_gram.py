@@ -17,11 +17,15 @@ from test_ldl import SETTINGS
 CORES = (gram._cross_sums_by_recursion, gram._cross_sums_by_subsets)
 
 
-def packed_cross_sums(core, datum, runs, targets):
+def packed_cross_sums(core, source, target):
     """(packed, top, width): a core's cross sums at the width of the count
     of matchings, as `matching_sum` calls it."""
-    width = gram._matching_count(targets).bit_length()
-    return (*core(datum, runs, targets, width), width)
+    return (*core(source, target), source.width)
+
+
+def oriented(datum, nu, nup):
+    """(source, target) layouts of a pair as `matching_sum` orients it."""
+    return gram._orient(gram.WordLayout(datum, nu), gram.WordLayout(datum, nup))
 
 
 def W(*letters):
@@ -205,32 +209,32 @@ def test_both_cores_sum_q_to_the_inversions_over_matchings(pair):
                    ZERO)
     assert matching_sum(datum, nu, nup) == expected
     assert matching_sum(datum, nup, nu) == expected
-    layout = gram._layout(nu, nup)
-    if layout is None:
+    pair = oriented(datum, nu, nup)
+    if pair is None:
         assert expected == ZERO
         return
-    runs, targets = layout
+    source, target = pair
     for core in CORES:
-        packed, top, width = packed_cross_sums(core, datum, runs, targets)
-        total = gram._times_run_prefactor(datum, runs, packed, width)
+        packed, top, width = packed_cross_sums(core, source, target)
+        total = packed * source.run_factor
         assert gram._unpack_counts(total, top, width) == expected, core
 
 
 def test_the_source_is_the_sequence_with_the_larger_run_factorials():
     a3 = qfold.get_preset("A3").fd.base
-    runs, targets = gram._layout(("1", "2", "1", "2"), ("1", "1", "2", "2"))
-    assert runs == [("1", 2), ("2", 2)]
-    assert targets == {"1": [0, 2], "2": [1, 3]}
-    runs, _ = gram._layout(("2", "1"), ("1", "2"))       # a tie keeps nu
-    assert runs == [("2", 1), ("1", 1)]
+    source, target = oriented(a3, ("1", "2", "1", "2"), ("1", "1", "2", "2"))
+    assert source.runs == [("1", 2), ("2", 2)]
+    assert target.targets == {"1": [0, 2], "2": [1, 3]}
+    source, _ = oriented(a3, ("2", "1"), ("1", "2"))     # a tie keeps nu
+    assert source.runs == [("2", 1), ("1", 1)]
     # A3 (4,4,4) has pairs of either orientation, and the sum is the same
     block = qfold.gram_block(qfold.get_preset("A3"), (4, 4, 4))
     letters = [expand_word(w, a3).labels for w in block.words]
     swapped = 0
     for a, nu in enumerate(letters):
         for nup in letters[a + 1:]:
-            runs, _ = gram._layout(nu, nup)
-            if runs != gram._runs(nu):
+            source, _ = oriented(a3, nu, nup)
+            if source.runs != gram._runs(nu):
                 swapped += 1
                 assert matching_sum(a3, nup, nu) == matching_sum(a3, nu, nup)
     assert swapped > 0
@@ -260,14 +264,42 @@ def test_both_cores_agree_on_whole_blocks():
     sides = Counter()
     for (datum, seq, word), gammas in letter_blocks():
         for gamma in gammas:
-            letters = [expand_word(word(c), datum).labels
+            layouts = [gram.WordLayout(datum, expand_word(word(c), datum).labels)
                        for c in enumerate_block(seq, gamma)]
-            for a, nu in enumerate(letters):
-                for nup in letters[a:]:
-                    runs, targets = gram._layout(nu, nup)
+            for a, layout in enumerate(layouts):
+                for layoutp in layouts[a:]:
+                    source, target = gram._orient(layout, layoutp)
                     by_recursion, by_subsets = (
-                        gram._unpack_counts(*packed_cross_sums(core, datum, runs, targets))
+                        gram._unpack_counts(*packed_cross_sums(core, source, target))
                         for core in CORES)
-                    assert by_recursion == by_subsets, (gamma, nu, nup)
-                    sides[gram._leaves(runs, targets) >= gram.SUBSET_DP_MIN_LEAVES] += 1
+                    assert by_recursion == by_subsets, \
+                        (gamma, layout.labels, layoutp.labels)
+                    sides[gram._leaves(source) >= gram.SUBSET_DP_MIN_LEAVES] += 1
     assert sides[True] and sides[False]
+
+
+def test_precomputed_layouts_give_the_same_sums():
+    """matching_sum with the layouts gram_block builds equals the call that
+    builds them itself: on pairs either orientation takes, on a tie, on a
+    pair of sequences of different multisets and on the empty word."""
+    a3 = qfold.get_preset("A3").fd.base
+    block = qfold.gram_block(qfold.get_preset("A3"), (4, 4, 4))
+    letters = [expand_word(w, a3).labels for w in block.words]
+    layouts = [gram.WordLayout(a3, nu) for nu in letters]
+    kinds = Counter()
+    for a in range(0, len(letters), 3):
+        for b in range(len(letters)):
+            nu, nup = letters[a], letters[b]
+            source, _ = gram._orient(layouts[a], layouts[b])
+            kinds[source is layouts[a]] += 1
+            assert matching_sum(a3, nu, nup, layouts[a], layouts[b]) == \
+                matching_sum(a3, nu, nup) == block.M[a][b]
+    assert kinds[True] and kinds[False]
+    tie = (("2", "1"), ("1", "2"))
+    assert gram.WordLayout(a3, tie[0]).run_factorials == \
+        gram.WordLayout(a3, tie[1]).run_factorials
+    for nu, nup in (tie, tie[::-1], (("1", "2"), ("1", "1")), ((), ())):
+        assert matching_sum(a3, nu, nup, gram.WordLayout(a3, nu),
+                            gram.WordLayout(a3, nup)) == matching_sum(a3, nu, nup)
+    assert matching_sum(a3, (), ()) == ONE
+    assert matching_sum(a3, ("1", "2"), ("1", "1")) == ZERO

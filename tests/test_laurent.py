@@ -262,6 +262,67 @@ def test_a_narrow_width_is_refused_by_the_coefficient_bound(monkeypatch):
     assert sorted(set(widths)) == [8, 16, 32]
 
 
+# factors of a shared denominator: contents > 1, negative leading
+# coefficients, negative lowest powers and constants
+factor = (st.builds(lambda a, k, s: a.shift(k) * s, dense, st.integers(-3, 3),
+                    st.sampled_from([1, -1, 3, -6]))
+          | cyclotomic.filter(lambda f: f != ONE) | quantum_factorial
+          | st.sampled_from([ONE, LaurentPoly(-4), LaurentPoly(6), q_power(-2) * -2]))
+
+
+@st.composite
+def fractions_over_factors(draw):
+    """Factors and a numerator over their product: a multiple of some of
+    them (so the gcd is not trivial), a monomial, zero, or anything."""
+    factors = draw(st.lists(factor, min_size=1, max_size=4))
+    kind = draw(st.sampled_from(("shared", "monomial", "zero", "other")))
+    if kind == "shared":
+        shared = draw(st.lists(st.sampled_from(factors), max_size=3))
+        num = math.prod(shared, start=draw(cofactor).shift(draw(st.integers(-3, 3))))
+    elif kind == "monomial":
+        num = q_power(draw(st.integers(-4, 4))) * draw(st.sampled_from([1, -2, 9]))
+    elif kind == "zero":
+        num = ZERO
+    else:
+        num = draw(dense).shift(draw(st.integers(-3, 3)))
+    return num, factors
+
+
+def _over_factors(num, factors):
+    """num over the factors kept apart, the first two grouped as a
+    `Factored` of their own, as gram_block groups delta's."""
+    head = qlaurent.Factored(*factors[:2])
+    return RationalFn(num, qlaurent.Factored(head, *factors[2:]))
+
+
+@SETTINGS
+@given(fractions_over_factors())
+def test_a_factored_denominator_gives_the_normal_form_of_its_product(fraction):
+    num, factors = fraction
+    product = math.prod(factors, start=ONE)
+    expected = RationalFn(num, product)
+    got = _over_factors(num, factors)
+    assert (got.num, got.den) == (expected.num, expected.den)
+    split = qlaurent.Factored(*factors)
+    low, content, primitive = qlaurent._split(product)
+    assert qlaurent._laurent(split.dense(), split.low, split.content) == product
+    assert (split.low, abs(split.content)) == (low, content)
+    assert split.length == len(primitive)
+    assert split.bound >= qlaurent._norm(primitive)
+    # with the heuristic giving up, the PRS gcd runs on the expanded product
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qlaurent, "_heuristic_gcd_cofactors", lambda A, B: None)
+        slow = _over_factors(num, factors)
+    assert (slow.num, slow.den) == (expected.num, expected.den)
+
+
+def test_a_factored_denominator_refuses_a_zero_factor():
+    with pytest.raises(ZeroDivisionError):
+        RationalFn(ONE, qlaurent.Factored(Q, ZERO))
+    with pytest.raises(ZeroDivisionError):
+        RationalFn(ONE, ZERO)
+
+
 def test_gcd_cofactors_of_known_pairs():
     one_minus = poly([1, 0, -1])                 # 1 - q^2
     assert qlaurent._gcd_cofactors(one_minus * poly([2, 3]), one_minus * Q) == \

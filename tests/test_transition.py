@@ -179,6 +179,23 @@ def test_mod_p_compare():
     assert not mod_p_compare(bad, ul_block.P, 2).equal
 
 
+def test_gram_entries_are_the_matching_sums_over_the_expanded_denominators():
+    """gram_block keeps each denominator delta * g[a] * g[b] as its factors;
+    every entry equals the fraction over the expanded product."""
+    for preset, gamma in ((qfold.get_preset("G2"), (6, 4)),
+                          (qfold.get_preset("A3"), (4, 4, 4)),
+                          (qfold.get_folding("D4->G2"), (2, 2, 2, 2))):
+        block = gram_block(preset, gamma)
+        n = len(block.index)
+        assert n > 10
+        for a in range(n):
+            for b in range(n):
+                expected = RationalFn(block.M[a][b],
+                                      block.delta * block.g[a] * block.g[b])
+                assert (block.lam[a][b].num, block.lam[a][b].den) == \
+                    (expected.num, expected.den), (gamma, a, b)
+
+
 def test_heuristic_gcd_serves_every_fraction_of_the_reference_blocks(monkeypatch):
     """Every Q(q) fraction of these blocks (Gram entries, the lcm of their
     denominators, D, the reconstruction) is reduced by the heuristic gcd;
