@@ -146,8 +146,8 @@ class WordLayout:
     As a source: its runs of equal letters and their prod r!, the form row
     of each letter, which letters start a run, and the run factor packed
     at the width.  As a target: the positions of each label, the form
-    column of each position, and for the subset DP, per label x, each
-    position of x with the positions above it grouped by form value, and
+    column of each position, and for the subset DP, per label x, the
+    positions of the labels y grouped by the form value (x, y) != 0, and
     the labels y with (x, y) < 0.  The count of matchings, prod over labels
     m!, and the width, its bit length, depend only on the label
     multiplicities, which all words of a weight block share.
@@ -155,7 +155,7 @@ class WordLayout:
 
     __slots__ = ("labels", "counts", "runs", "run_factorials", "matchings",
                  "width", "run_factor", "rows", "run_start", "targets", "cols",
-                 "candidates", "negatives")
+                 "weighted", "negatives")
 
     def __init__(self, datum, labels):
         idx, form = datum.index, datum.form
@@ -175,8 +175,8 @@ class WordLayout:
         self.run_start = [k == 0 or labels[k - 1] != lab
                           for k, lab in enumerate(labels)]
         masks = {lab: sum(1 << t for t in ps) for lab, ps in targets.items()}
-        self.candidates, self.negatives = {}, {}
-        for x, ps in targets.items():
+        self.weighted, self.negatives = {}, {}
+        for x in targets:
             row = form[idx(x)]
             weighted = {}                # form value -> positions of its labels
             negatives = []
@@ -186,10 +186,8 @@ class WordLayout:
                     weighted[f] = weighted.get(f, 0) | m
                     if f < 0:
                         negatives.append((y, f))
+            self.weighted[x] = list(weighted.items())
             self.negatives[x] = negatives
-            self.candidates[x] = [(1 << t, [(m >> (t + 1) << (t + 1), f)
-                                            for f, m in weighted.items()])
-                                  for t in ps]
 
 
 def _orient(layout, layoutp):
@@ -258,6 +256,7 @@ def _cross_sums_by_recursion(source, target):
             used[t] = False
 
     rec(0, 0)
+    rec = None    # rec's closure holds rec: without this the pair's state waits for gc
     top = max(acc)
     return sum(c << (width * (top - e)) for e, c in acc.items()), top
 
@@ -293,7 +292,9 @@ def _cross_sums_by_subsets(source, target):
             lo += f * used[y]
         base += r * lo
         used[x] += r
-        candidates = target.candidates[x]
+        weighted = target.weighted[x]
+        candidates = [(1 << t, [(m >> (t + 1) << (t + 1), f) for f, m in weighted])
+                      for t in target.targets[x]]
         new = {}
         get = new.get
         for S, val in states.items():
