@@ -5,8 +5,8 @@ datum with admissible automorphism and its folded quotient."""
 from .laurent import (LaurentPoly, RationalFn, bar, parse_laurent,
                       parse_rational, q_power, qfact, qint, split_bar_parts)
 from .rootsys import (CartanDatum, ReducedSequence, betas_from_sequence,
-                      bipartite_w0, cartan_datum, enumerate_block, lex_compare,
-                      reflect, weight_of, weights_up_to)
+                      bipartite_w0, cartan_datum, enumerate_block, reflect,
+                      weight_of, weights_up_to)
 from .folding import (FoldingDatum, fold_exponent, identity_folding,
                       lift_sequence, quotient_sequence, sigma_on_exponents,
                       unfold_exponent, validate_admissible)

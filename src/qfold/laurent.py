@@ -1,22 +1,23 @@
-"""Exact arithmetic in Z[q, q^-1] and its fraction field Q(q).
+"""Exact arithmetic in Z[q, q^-1], and the values of its fraction field Q(q).
 
 LaurentPoly is an integer Laurent polynomial in a single variable q, stored
 sparsely as {exponent: coefficient}.  RationalFn is a reduced quotient of two
 ordinary integer polynomials in q; it is the value type for Gram-matrix
-entries and for the diagonal of the symmetric factorization.
+entries and for the diagonal of the symmetric factorization, and has no
+arithmetic of its own: the pipeline computes on Laurent numerators.
 
 Both types are immutable, hashable, and in canonical normal form, so equality
-of values is equality of representations.  Every RationalFn built, and every
-Q(q) operation, reduces one fraction by a polynomial gcd: the heuristic gcd
-GCDHEU on Kronecker-packed integers (Char, Geddes and Gonnet, J. Symbolic
-Comput. 7, 1989), which CPython's big-integer gcd and division carry, with
-the primitive-PRS gcd as its fallback.  Outside this module each RationalFn
-is built once, from a Laurent numerator over a denominator, and then only
-compared or printed.  The denominator is a Laurent polynomial or a
-`Factored` product of them, which many fractions can share: it is split
-and packed once per width for all of them and expanded at most once.  The
-memo of `qfact`, one entry per (n, d), is this module's only one; a
-`Factored` keeps its packed values for as long as its owner keeps it.
+of values is equality of representations.  Each RationalFn is built once,
+from a Laurent numerator over a denominator, and then only compared, hashed
+or printed.  Building it reduces one fraction by a polynomial gcd: the
+heuristic gcd GCDHEU on Kronecker-packed integers (Char, Geddes and Gonnet,
+J. Symbolic Comput. 7, 1989), which CPython's big-integer gcd and division
+carry, with the primitive-PRS gcd as its fallback.  The denominator is a
+Laurent polynomial or a `Factored` product of them, which many fractions can
+share: it is split and packed once per width for all of them and expanded
+at most once.  The memo of `qfact`, one entry per (n, d), is this module's
+only one; a `Factored` keeps its packed values for as long as its owner
+keeps it.
 """
 
 from __future__ import annotations
@@ -52,9 +53,6 @@ class LaurentPoly:
 
     def min_exp(self):
         return min(self.coeffs) if self.coeffs else 0
-
-    def max_exp(self):
-        return max(self.coeffs) if self.coeffs else 0
 
     def in_qZq(self):
         """True when every exponent is >= 1 (member of q*Z[q])."""
@@ -502,6 +500,10 @@ def poly_lcm(a, b):
 class RationalFn:
     """Element of Q(q) as a reduced fraction of integer polynomials in q.
 
+    A value type: built once from a numerator and a denominator, then
+    compared, hashed and printed.  It has no field operations; equality
+    holds only between two RationalFn values.
+
     Normal form: num and den are ordinary polynomials (no negative
     exponents) with gcd(num, den) = 1 over Q, gcd of the two integer
     contents equal to 1, and den with positive leading coefficient.
@@ -533,70 +535,8 @@ class RationalFn:
     def is_zero(self):
         return self.num.is_zero()
 
-    def to_laurent(self):
-        """The equal LaurentPoly, or None when the value is not Laurent.
-
-        In normal form a value lies in Z[q, q^-1] exactly when den is a
-        plain power of q.
-        """
-        d = self.den.coeffs
-        if len(d) != 1:
-            return None
-        (e, c), = d.items()
-        if c != 1:
-            return None
-        return self.num.shift(-e)
-
-    # -- field operations -------------------------------------------------
-
-    def __add__(self, other):
-        other = _as_rational(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.den == other.den:
-            return RationalFn(self.num + other.num, self.den)
-        _, da, db = _gcd_cofactors(self.den, other.den)
-        return RationalFn(self.num * db + other.num * da, self.den * db)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        out = object.__new__(RationalFn)
-        object.__setattr__(out, "num", -self.num)
-        object.__setattr__(out, "den", self.den)
-        return out
-
-    def __sub__(self, other):
-        other = _as_rational(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return _as_rational(other) - self
-
-    def __mul__(self, other):
-        other = _as_rational(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RationalFn(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _as_rational(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero in Q(q)")
-        return RationalFn(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        return _as_rational(other) / self
-
     def __eq__(self, other):
-        other = _as_rational(other)
-        if other is NotImplemented:
+        if not isinstance(other, RationalFn):
             return NotImplemented
         return self.num == other.num and self.den == other.den
 
@@ -621,14 +561,6 @@ class RationalFn:
         return f"RationalFn({self})"
 
 
-def _as_rational(x):
-    if isinstance(x, RationalFn):
-        return x
-    if isinstance(x, (int, LaurentPoly)):
-        return RationalFn(x)
-    return NotImplemented
-
-
 def _normalize(num, den):
     """The normal form of num / den for a Laurent polynomial num and a
     `Factored` den.
@@ -651,7 +583,6 @@ def _normalize(num, den):
 
 
 RF_ZERO = RationalFn(0)
-RF_ONE = RationalFn(1)
 
 
 # -- parsing ---------------------------------------------------------------

@@ -47,9 +47,6 @@ class MonomialWord:
             out[datum.index(lab)] += e
         return tuple(out)
 
-    def is_empty(self):
-        return not self.letters
-
     def __str__(self):
         if not self.letters:
             return "1"

@@ -225,13 +225,6 @@ def weight_of(seq, c):
     return tuple(out)
 
 
-def lex_compare(c, cp):
-    """-1, 0, or 1: first differing coordinate decides."""
-    if len(c) != len(cp):
-        raise WrongLength("cannot compare exponent vectors of different lengths")
-    return (c > cp) - (c < cp)
-
-
 def enumerate_block(seq, gamma):
     """All exponent vectors of weight gamma, ascending in lex order."""
     gamma = tuple(gamma)

@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import qfold
 from qfold.gram import pbw_diag
-from qfold.laurent import ONE, ZERO, LaurentPoly, RationalFn, RF_ZERO, q_power
+from qfold.laurent import ONE, ZERO, LaurentPoly, RationalFn, q_power
 from qfold.transition import (NotIntegral, gram_block, ldl, matmul_laurent,
                               pq_split, reconstruct_lam)
 
@@ -23,6 +23,7 @@ SETTINGS = settings(max_examples=60, deadline=None, database=None)
 
 laurent = st.dictionaries(st.integers(-3, 3), st.integers(-3, 3),
                           max_size=3).map(LaurentPoly)
+rational = st.builds(RationalFn, laurent, laurent.filter(bool))
 pbw_like = st.lists(st.integers(1, 4), max_size=3).map(
     lambda ks: RationalFn(1, math.prod((ONE - q_power(2 * k) for k in ks), start=ONE)))
 
@@ -47,11 +48,28 @@ def factors(draw, min_n=1):
     return H, D
 
 
+def fraction(x):
+    """(numerator, denominator) of a Laurent or Q(q) value."""
+    return (x.num, x.den) if isinstance(x, RationalFn) else (x, ONE)
+
+
+def fraction_sum(terms):
+    """The sum of products of Laurent or Q(q) values, one tuple of factors
+    per term, by cross-multiplication over the product of every
+    denominator: an lcm-free reference for the common-denominator sums."""
+    parts = []
+    for term in terms:
+        nums, dens = zip(*map(fraction, term))
+        parts.append((math.prod(nums, start=ONE), math.prod(dens, start=ONE)))
+    num = sum((n * math.prod((d for k, (_, d) in enumerate(parts) if k != i), start=ONE)
+               for i, (n, _) in enumerate(parts)), ZERO)
+    return RationalFn(num, math.prod((d for _, d in parts), start=ONE))
+
+
 def gram(H, D):
     """H^t D H over Q(q); H may hold rational entries."""
     n = len(H)
-    return [[sum((RationalFn(1) * H[e][a] * H[e][b] * D[e]
-                  for e in range(max(a, b), n)), RF_ZERO)
+    return [[fraction_sum((H[e][a], H[e][b], D[e]) for e in range(max(a, b), n))
              for b in range(n)] for a in range(n)]
 
 
@@ -72,8 +90,8 @@ def test_ldl_rejects_a_non_laurent_factor(hd, u, m, data):
     n = len(H)
     i = data.draw(st.integers(1, n - 1))
     j = data.draw(st.integers(0, i - 1))
-    H = [[RationalFn(v) for v in row] for row in H]
-    H[i][j] = RationalFn(u) + RationalFn(1, ONE + q_power(m))
+    H = [row[:] for row in H]
+    H[i][j] = RationalFn(u * (ONE + q_power(m)) + ONE, ONE + q_power(m))
     with pytest.raises(NotIntegral):
         ldl(gram(H, D))
 
@@ -91,7 +109,7 @@ def test_ldl_a3_block_matches_pbw_diagonal():
 @given(factors(min_n=2), st.data())
 def test_reconstruct_lam_matches_the_rational_sum(hd, data):
     H, D = hd
-    D = [d * data.draw(laurent) for d in D]
+    D = [RationalFn(d.num * data.draw(laurent), d.den) for d in D]
     assume(len({d.den for d in D}) > 1)
     assert reconstruct_lam(H, D) == gram(H, D)
 

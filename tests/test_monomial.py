@@ -28,7 +28,7 @@ def test_dvec():
 
 def test_word_sym():
     a3 = qfold.get_preset("A3")
-    assert word_sym(a3.seq, (0,) * 6).is_empty()
+    assert word_sym(a3.seq, (0,) * 6).letters == ()
     assert word_sym(a3.seq, (0, 0, 0, 0, 0, 3)) == MonomialWord((("2", 3),))
     word = word_sym(a3.seq, (1, 1, 1, 0, 0, 0))
     assert word.letters == (("1", 1), ("1'", 1), ("2", 1), ("1'", 1), ("1", 1))
@@ -76,7 +76,7 @@ def test_word_folded_b2():
     word = word_folded(p.fd, p.ulseq, c)
     assert word.letters == (("1", 1), ("2", 2), ("1", 2),
                             ("2", 6), ("1", 3), ("2", 4))
-    assert word_folded(p.fd, p.ulseq, (0, 0, 0, 0)).is_empty()
+    assert word_folded(p.fd, p.ulseq, (0, 0, 0, 0)).letters == ()
 
 
 def test_word_folded_g2():

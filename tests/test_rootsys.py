@@ -5,8 +5,8 @@ import pytest
 import qfold
 from qfold.rootsys import (InvalidColoring, NotReduced, RootSystemError, WrongLength,
                            betas_from_sequence, bipartite_w0, enumerate_block,
-                           lex_compare, positive_roots, reflect, vectors_up_to,
-                           weight_of, weights_up_to)
+                           positive_roots, reflect, vectors_up_to, weight_of,
+                           weights_up_to)
 
 
 def a3():
@@ -94,14 +94,6 @@ def test_weight_of():
     assert weight_of(seq, (0,) * 6) == (0, 0, 0)
     assert weight_of(seq, (1, 1, 1, 0, 0, 0)) == (2, 2, 1)
     assert weight_of(seq, (2, 2, 0, 0, 0, 1)) == (2, 2, 1)
-
-
-def test_lex_compare():
-    assert lex_compare((1, 1, 1, 0, 0, 0), (1, 2, 0, 0, 1, 0)) == -1
-    assert lex_compare((2, 1, 0, 1, 0, 0), (2, 2, 0, 0, 0, 1)) == -1
-    assert lex_compare((1, 2), (1, 2)) == 0
-    with pytest.raises(WrongLength):
-        lex_compare((1,), (1, 2))
 
 
 def test_enumerate_block_a3():

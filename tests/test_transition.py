@@ -9,8 +9,7 @@ from qfold.transition import (NotIntegral, SingularPivot, TransitionBlock,
                               block_from_json, block_to_json, gram_block, ldl,
                               matmul_laurent, mod_p_compare, pipeline, pq_split,
                               reconstruct_lam, sigma_submatrix)
-from test_laurent import rational
-from test_ldl import SETTINGS, laurent
+from test_ldl import SETTINGS, laurent, rational
 
 
 def R(s):
