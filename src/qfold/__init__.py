@@ -2,8 +2,8 @@
 finite-type quantum groups, including the comparison between a symmetric
 datum with admissible automorphism and its folded quotient."""
 
-from .laurent import (LaurentPoly, RationalFn, bar, parse_laurent,
-                      parse_rational, q_power, qfact, qint, split_bar_parts)
+from .laurent import (LaurentPoly, RationalFn, parse_laurent, parse_rational,
+                      q_power, qfact, qint)
 from .rootsys import (CartanDatum, ReducedSequence, betas_from_sequence,
                       bipartite_w0, cartan_datum, enumerate_block, reflect,
                       weight_of, weights_up_to)

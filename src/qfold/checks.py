@@ -27,7 +27,6 @@ class CheckResult:
     name: str
     instances: int = 0
     failures: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
 
     @property
     def ok(self):
@@ -42,7 +41,6 @@ class CheckResult:
         lines = [head] + [f"  ! {f}" for f in self.failures[:20]]
         if len(self.failures) > 20:
             lines.append(f"  ... {len(self.failures) - 20} more failures")
-        lines += [f"  - {n}" for n in self.notes]
         return "\n".join(lines)
 
 
@@ -176,8 +174,8 @@ def check_restriction(folds=("A3->B2", "D4->G2"), max_height=6):
                     result.instances += 1
                     tag = f"{spec} {gamma} {index[a]} vs {index[b]}"
                     try:
-                        total, _ = inner_mackey_restricted(preset.fd, words[a],
-                                                           words[b])
+                        total = inner_mackey_restricted(preset.fd, words[a],
+                                                        words[b])
                     except MismatchError as exc:
                         result.fail(f"{tag}: {exc}")
                         continue

@@ -275,6 +275,10 @@ _SELECTOR = {"oracle": "preset", "factorization": "preset", "delta": "preset",
 
 
 def cmd_check(args, cfg):
+    custom = [key for key in ("labels", "form", "sigma", "word", "parts") if key in cfg]
+    if custom:
+        raise ConfigError(f"the check suites take only built-in presets and "
+                          f"foldings, not a custom datum ({', '.join(custom)})")
     chosen = {"preset": args.preset or cfg.get("preset"),
               "fold": args.fold or cfg.get("fold")}
     if args.suite != "all":

@@ -427,8 +427,7 @@ def inner_mackey_restricted(fd, ulword, ulwordp):
     Each quotient matching expands blockwise to a base matching (identity
     on every orbit block) whose inversion statistic must equal the quotient
     one, so the restricted sum equals the quotient matching sum term by
-    term.  Returns (sum, witness) where witness pairs each quotient matching
-    with its expanded image.
+    term.  Returns the sum, whose coefficients count the matchings.
     """
     quotient, base = fd.quotient, fd.base
     ulnu = expand_word(ulword, quotient).labels
@@ -443,8 +442,7 @@ def inner_mackey_restricted(fd, ulword, ulwordp):
 
     nu, starts = expanded(ulnu)
     nup, startsp = expanded(ulnup)
-    restricted_sum = ZERO
-    witness = []
+    counts = {}                      # -a_base -> matchings with that statistic
     for w in matchings(ulnu, ulnup):
         a_quot = inversion_stat(quotient, ulnu, w)
         wp = [None] * len(nu)
@@ -452,11 +450,9 @@ def inner_mackey_restricted(fd, ulword, ulwordp):
             size = len(fd.orbits[quotient.index(lab)])
             for i in range(size):
                 wp[starts[s] + i] = startsp[w[s]] + i
-        wp = tuple(wp)
         a_base = inversion_stat(base, nu, wp)
         if a_base != a_quot:
             raise MismatchError(
                 f"inversion statistic changed under unfolding: {a_quot} -> {a_base}")
-        restricted_sum = restricted_sum + q_power(-a_base)
-        witness.append((w, wp))
-    return restricted_sum, witness
+        counts[-a_base] = counts.get(-a_base, 0) + 1
+    return LaurentPoly(counts)

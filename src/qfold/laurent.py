@@ -29,19 +29,16 @@ import re
 class LaurentPoly:
     """Integer Laurent polynomial in q.
 
-    ``coeffs`` maps exponent -> nonzero integer coefficient; absent means 0.
+    Built from an int or from a dict of int exponents to int coefficients;
+    ``coeffs`` keeps the nonzero ones, so absent means 0.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=0):
-        if isinstance(coeffs, LaurentPoly):
-            object.__setattr__(self, "coeffs", coeffs.coeffs)
-            return
         if isinstance(coeffs, int):
-            coeffs = {0: coeffs} if coeffs else {}
-        cleaned = {int(e): int(c) for e, c in dict(coeffs).items() if c != 0}
-        object.__setattr__(self, "coeffs", cleaned)
+            coeffs = {0: coeffs}
+        object.__setattr__(self, "coeffs", {e: c for e, c in coeffs.items() if c})
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
@@ -72,8 +69,6 @@ class LaurentPoly:
             out[e] = out.get(e, 0) + c
         return LaurentPoly(out)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return LaurentPoly({e: -c for e, c in self.coeffs.items()})
 
@@ -82,9 +77,6 @@ class LaurentPoly:
         if other is NotImplemented:
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other):
-        return _as_laurent(other) - self
 
     def __mul__(self, other):
         other = _as_laurent(other)
@@ -96,8 +88,6 @@ class LaurentPoly:
                 e = e1 + e2
                 out[e] = out.get(e, 0) + c1 * c2
         return LaurentPoly(out)
-
-    __rmul__ = __mul__
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -165,22 +155,6 @@ Q = LaurentPoly({1: 1})
 
 def q_power(e):
     return LaurentPoly({e: 1})
-
-
-def bar(a):
-    """The bar involution q -> q^-1; a ring involution fixing integers."""
-    return LaurentPoly({-e: c for e, c in a.coeffs.items()})
-
-
-def split_bar_parts(a):
-    """Split a = plus + zero + minus by exponent sign.
-
-    plus carries the strictly positive exponents, minus the strictly
-    negative ones, zero is the integer constant term.
-    """
-    plus = {e: c for e, c in a.coeffs.items() if e > 0}
-    minus = {e: c for e, c in a.coeffs.items() if e < 0}
-    return LaurentPoly(plus), a.coeffs.get(0, 0), LaurentPoly(minus)
 
 
 def qint(n, d=1):
@@ -454,10 +428,7 @@ class Factored:
 
 def _laurent(xs, shift, scale):
     """q^shift * scale * xs as a LaurentPoly, xs dense and scale nonzero."""
-    out = object.__new__(LaurentPoly)
-    object.__setattr__(out, "coeffs", {i + shift: c * scale
-                                       for i, c in enumerate(xs) if c})
-    return out
+    return LaurentPoly({i + shift: c * scale for i, c in enumerate(xs)})
 
 
 def _dense_gcd_cofactors(A, B):

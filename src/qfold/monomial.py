@@ -53,11 +53,6 @@ class MonomialWord:
         return " ".join(f"f[{lab}]^({e})" for lab, e in self.letters)
 
 
-def _factor(datum, dv):
-    """F(d): generators in descending label order with exponents from dv."""
-    return [(lab, dv[lab]) for lab in reversed(datum.labels) if dv.get(lab)]
-
-
 def dvec(seq, c, k):
     """Coordinates of c_k * beta_k over the simple roots, as label -> N."""
     datum = seq.datum
@@ -66,13 +61,26 @@ def dvec(seq, c, k):
     return {lab: ck * beta[i] for i, lab in enumerate(datum.labels)}
 
 
+def _word(seq, parts, c):
+    """One descending factor per part of the positions: generators in
+    descending label order, exponents the part's sum of c_s * beta_s over
+    the simple roots."""
+    labels, betas = seq.datum.labels, seq.betas
+    letters = []
+    for positions in parts:
+        dv = [0] * len(labels)
+        for s in positions:
+            if c[s]:
+                for i, x in enumerate(betas[s]):
+                    dv[i] += c[s] * x
+        letters.extend((labels[i], dv[i])
+                       for i in range(len(labels) - 1, -1, -1) if dv[i])
+    return MonomialWord(tuple(letters))
+
+
 def word_sym(seq, c):
     """The monomial with one descending factor per position of the word."""
-    letters = []
-    for k in range(seq.N):
-        if c[k]:
-            letters.extend(_factor(seq.datum, dvec(seq, c, k)))
-    return MonomialWord(tuple(letters))
+    return _word(seq, [(k,) for k in range(seq.N) if c[k]], c)
 
 
 def word_folded(fd, ulseq, ulc):
@@ -83,19 +91,8 @@ def word_folded(fd, ulseq, ulc):
 
 
 def word_modified(fd, seq, c):
-    """The orbit-aware monomial: one descending factor per orbit part of c,
-    the part's sum of c_s * beta_s over the simple roots."""
-    labels, betas = seq.datum.labels, seq.betas
-    letters = []
-    for _, positions in orbit_blocks(fd, seq):
-        dv = [0] * len(labels)
-        for s in positions:
-            if c[s]:
-                for i, x in enumerate(betas[s]):
-                    dv[i] += c[s] * x
-        letters.extend((labels[i], dv[i])
-                       for i in range(len(labels) - 1, -1, -1) if dv[i])
-    return MonomialWord(tuple(letters))
+    """The orbit-aware monomial: one descending factor per orbit part of c."""
+    return _word(seq, [positions for _, positions in orbit_blocks(fd, seq)], c)
 
 
 def delta_codim(seq, orientation, c):

@@ -14,9 +14,8 @@ from typing import NamedTuple
 
 from .folding import sigma_on_exponents
 from .gram import WordLayout, delta_weight, expand_word, matching_sum
-from .laurent import (ONE, ZERO, Factored, LaurentPoly, RationalFn, bar,
-                      laurent_div_exact, parse_laurent, parse_rational, poly_lcm,
-                      split_bar_parts)
+from .laurent import (ONE, ZERO, Factored, LaurentPoly, RationalFn,
+                      laurent_div_exact, parse_laurent, parse_rational, poly_lcm)
 from .rootsys import enumerate_block
 
 
@@ -194,7 +193,9 @@ def pq_split(H):
     Entries are solved in increasing band distance i - j; within a band
     every entry depends only on strictly smaller bands.  Each entry's
     H[i][j] - sum of P[i][k] * Q[k][j] is accumulated in one coefficient
-    dict and split once.
+    dict acc, and P and Q are read off it: P has the coefficient
+    acc[e] - acc[-e] at each e > 0, and Q is acc[0] plus acc[e] * (q^e + q^-e)
+    for each e < 0.
     """
     n = len(H)
     P = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
@@ -204,9 +205,14 @@ def pq_split(H):
             j = i - dist
             acc = _add_products(dict(H[i][j].coeffs),
                                 ((P[i][k], Q[k][j]) for k in range(j + 1, i)), -1)
-            plus, const, minus = split_bar_parts(LaurentPoly(acc))
-            P[i][j] = plus - bar(minus)
-            Q[i][j] = minus + bar(minus) + const
+            p, q = {}, {0: acc.get(0, 0)}
+            for e, c in acc.items():
+                if e > 0:
+                    p[e] = p.get(e, 0) + c
+                elif e < 0:
+                    p[-e] = p.get(-e, 0) - c
+                    q[e] = q[-e] = c
+            P[i][j], Q[i][j] = LaurentPoly(p), LaurentPoly(q)
     return P, Q
 
 

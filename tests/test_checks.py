@@ -93,8 +93,7 @@ def _mismatch(fd, ulword, ulwordp):
 
 
 def _wrong_sum(fd, ulword, ulwordp):
-    total, witness = inner_mackey_restricted(fd, ulword, ulwordp)
-    return total + ONE, witness
+    return inner_mackey_restricted(fd, ulword, ulwordp) + ONE
 
 
 def _quotient_P_plus_q(gram, gamma):

@@ -171,6 +171,17 @@ def test_custom_datum_by_word_via_config(tmp_path, capsys):
     assert code == 2 and not out and "not reduced" in err
 
 
+def test_check_refuses_a_custom_datum(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("labels = 1 1' 2\n"
+                   "form = 2 0 -1; 0 2 -1; -1 -1 2\n"
+                   "sigma = (1 1')(2)\n"
+                   "parts = 1 1'; 2\n")
+    code, out, err = run(["check", "--config", str(cfg), "--suite", "oracle",
+                          "--max-height", "2"], capsys)
+    assert code == 2 and not out and "built-in presets and foldings" in err
+
+
 def test_check_suite_exit_code(capsys):
     code, out, _ = run(["check", "--suite", "delta", "--preset", "A3",
                         "--max-height", "6"], capsys)

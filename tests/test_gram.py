@@ -158,18 +158,15 @@ def test_pbw_diag():
 def test_restricted_matching_sums():
     b2 = qfold.get_preset("B2")
     one = word_folded(b2.fd, b2.ulseq, (0, 0, 0, 1))
-    total, witness = inner_mackey_restricted(b2.fd, one, one)
-    assert total == ONE and len(witness) == 1
+    # the coefficients count the matchings: one here, two below
+    assert inner_mackey_restricted(b2.fd, one, one) == ONE
     m1 = word_folded(b2.fd, b2.ulseq, (1, 1, 0, 0))
     m2 = word_folded(b2.fd, b2.ulseq, (2, 0, 0, 1))
-    total, witness = inner_mackey_restricted(b2.fd, m1, m2)
-    assert total == parse_laurent("q^2 + q^-2")
-    assert len(witness) == 2
+    assert inner_mackey_restricted(b2.fd, m1, m2) == parse_laurent("q^2 + q^-2")
     g2 = qfold.get_preset("G2")
     m1 = word_folded(g2.fd, g2.ulseq, (1, 1, 0, 0, 0, 0))
     m2 = word_folded(g2.fd, g2.ulseq, (2, 0, 0, 0, 0, 1))
-    total, _ = inner_mackey_restricted(g2.fd, m1, m2)
-    assert total == parse_laurent("q^3 + q^-3")
+    assert inner_mackey_restricted(g2.fd, m1, m2) == parse_laurent("q^3 + q^-3")
 
 
 def test_prefactor_identity_against_factorials():

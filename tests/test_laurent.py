@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import qfold.laurent as qlaurent
-from qfold.laurent import (LaurentPoly, RationalFn, ONE, Q, RF_ZERO, ZERO, bar,
-                           parse_laurent, parse_rational, q_power, qfact, qint,
-                           split_bar_parts)
+from qfold.laurent import (LaurentPoly, RationalFn, ONE, Q, RF_ZERO, ZERO,
+                           parse_laurent, parse_rational, q_power, qfact, qint)
 from test_ldl import SETTINGS, fraction_sum, laurent
 
 
@@ -41,6 +40,18 @@ def test_ring_axioms_on_random_inputs():
 
 
 @SETTINGS
+@given(st.dictionaries(st.integers(-5, 5), st.integers(-3, 3)))
+def test_zero_coefficients_leave_no_trace(coeffs):
+    # the constructor keeps its input's nonzero coefficients and nothing else,
+    # so equality, hashing and printing never see a zero
+    nonzero = {e: c for e, c in coeffs.items() if c}
+    a, b = LaurentPoly(coeffs), LaurentPoly(nonzero)
+    assert a.coeffs == nonzero and a == b
+    assert hash(a) == hash(b) and str(a) == str(b)
+    assert LaurentPoly(0).coeffs == {} and str(LaurentPoly(0)) == "0"
+
+
+@SETTINGS
 @given(laurent, laurent, laurent, st.integers(0, 3), st.integers(-3, 3))
 def test_laurent_ring_laws(a, b, c, k, shift):
     assert a + b == b + a and a * b == b * a
@@ -51,26 +62,6 @@ def test_laurent_ring_laws(a, b, c, k, shift):
     assert a ** 0 == ONE and a ** k * a * a == a ** (k + 2)
     assert a.shift(shift) == a * q_power(shift)
     assert hash(a * (b + c)) == hash(a * b + a * c)
-
-
-def test_bar_examples():
-    assert bar(L("q^2 + 3q^-1")) == L("q^-2 + 3q")
-    assert bar(L("q + q^-1")) == L("q + q^-1")
-
-
-def test_bar_is_a_ring_involution():
-    rng = random.Random(11)
-
-    def rand_poly():
-        return LaurentPoly({rng.randint(-6, 6): rng.randint(-9, 9)
-                            for _ in range(rng.randint(0, 6))})
-
-    for _ in range(10_000):
-        a = rand_poly()
-        b = rand_poly()
-        assert bar(bar(a)) == a
-        assert bar(a * b) == bar(a) * bar(b)
-        assert bar(a + b) == bar(a) + bar(b)
 
 
 def test_qint():
@@ -93,24 +84,6 @@ def test_qfact():
     assert qfact(2, 1) * qfact(2, 1) == L("(q + q^-1)^2")
     assert qfact(2, 2) == L("q^2 + q^-2")
     assert qfact(3, 1) == qint(1) * qint(2) * qint(3)
-
-
-def test_split_bar_parts():
-    plus, const, minus = split_bar_parts(L("q^2 + 2 + q^-1"))
-    assert (plus, const, minus) == (L("q^2"), 2, L("q^-1"))
-    assert split_bar_parts(L("1 + q^4")) == (L("q^4"), 1, ZERO)
-    assert split_bar_parts(ZERO) == (ZERO, 0, ZERO)
-
-
-def test_split_bar_parts_reassembles():
-    rng = random.Random(3)
-    for _ in range(500):
-        a = LaurentPoly({rng.randint(-5, 5): rng.randint(-9, 9)
-                         for _ in range(rng.randint(0, 6))})
-        plus, const, minus = split_bar_parts(a)
-        assert plus + const + minus == a
-        assert plus.is_zero() or plus.min_exp() >= 1
-        assert minus.is_zero() or max(minus.coeffs) <= -1
 
 
 def test_rational_arithmetic():

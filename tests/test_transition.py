@@ -6,9 +6,10 @@ from hypothesis import given, strategies as st
 import qfold
 from qfold.laurent import ONE, LaurentPoly, RationalFn, parse_laurent, parse_rational
 from qfold.transition import (NotIntegral, SingularPivot, TransitionBlock,
-                              block_from_json, block_to_json, gram_block, ldl,
-                              matmul_laurent, mod_p_compare, pipeline, pq_split,
-                              reconstruct_lam, sigma_submatrix)
+                              block_from_json, block_to_json, factor_gram,
+                              gram_block, ldl, matmul_laurent, mod_p_compare,
+                              pipeline, pq_split, reconstruct_lam,
+                              sigma_submatrix)
 from test_ldl import SETTINGS, laurent, rational
 
 
@@ -138,6 +139,19 @@ def test_pq_split_mixed_entry():
     assert P[1][0] == L("q^3 - 5q^2")
     assert Q[1][0] == L("5q^2 + 2 + 5q^-2")
     assert matmul_laurent(P, Q) == H
+
+
+@pytest.mark.parametrize("preset, gamma", [
+    (lambda: qfold.get_preset("A3"), (2, 2, 1)),
+    (lambda: qfold.get_folding("D4->G2"), (2, 2, 2, 2))], ids=["A3", "D4->G2"])
+def test_no_laurent_value_of_a_block_holds_a_zero_coefficient(preset, gamma):
+    gram = gram_block(preset(), gamma)
+    block = factor_gram(gram, gamma)
+    fractions = [x for row in gram.lam for x in row] + block.D
+    values = [x for M in (gram.M, block.H, block.P, block.Q) for row in M for x in row]
+    values += [part for x in fractions for part in (x.num, x.den)]
+    assert len(values) > 4 * len(block.index) ** 2
+    assert all(all(v.coeffs.values()) for v in values)
 
 
 def test_sigma_submatrix():
