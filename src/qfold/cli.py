@@ -15,13 +15,21 @@ from .checks import SUITES
 from .folding import NotAdmissible
 from .presets import BASES, custom_preset, get_folding, get_preset
 from .rootsys import RootSystemError, weights_up_to
-from .transition import (BlockTooLarge, block_to_json, block_to_tsv, gram_block,
-                         pipeline, sigma_submatrix)
+from .transition import (BlockTooLarge, block_to_json, block_to_tsv, formatter,
+                         gram_block, pipeline, sigma_submatrix)
 
 # The largest block `gram` and `transition` compute unless told otherwise:
 # twice the largest block of the test suite and the benchmark (n = 128).
 # A7 at (2,...,2), n = 1625, has about 160 times as many entries.
 MAX_BLOCK = 256
+
+
+# The config keys each command reads.  `check` reads the custom-datum keys
+# only to refuse them with a message of their own.
+_DATUM_KEYS = ("preset", "fold", "labels", "form", "sigma", "word", "parts")
+_BLOCK_KEYS = _DATUM_KEYS + ("basis", "weight", "max-height", "max-block")
+CONFIG_KEYS = {"roots": _DATUM_KEYS, "gram": _BLOCK_KEYS, "transition": _BLOCK_KEYS,
+               "check": _DATUM_KEYS + ("max-height",)}
 
 
 class ConfigError(ValueError):
@@ -208,14 +216,15 @@ def cmd_gram(args, cfg):
     results, pretty = [], []
     for gamma in _weights(args, cfg, datum):
         gram = gram_block(preset, gamma, basis, max_block)
+        fmt = formatter()
         entry = {
             "weight": list(gamma),
             "labels": list(datum.labels),
             "basis": basis,
             "index": [list(c) for c in gram.index],
             "words": [str(w) for w in gram.words],
-            "lambda": [[str(v) for v in row] for row in gram.lam],
-            "core": [[str(v) for v in row] for row in gram.M],
+            "lambda": [[fmt(v) for v in row] for row in gram.lam],
+            "core": [[fmt(v) for v in row] for row in gram.M],
             "delta": str(gram.delta),
             "gamma_factors": [str(g) for g in gram.g],
         }
@@ -253,17 +262,19 @@ def cmd_transition(args, cfg):
         data["preset"] = preset.name
         data["basis"] = basis
         results.append(data)
-        tsv_parts.append(block_to_tsv(data))
-        pretty.append(f"weight {gamma} ({basis}): {len(block.index)} vectors")
-        for name in ("index", "H", "D", "P", "Q"):
-            pretty.append(f"{name}:")
-            value = data[name]
-            if name in ("index", "D"):
-                for item in value:
-                    pretty.append(f"  {item}")
-            else:
-                for row in value:
-                    pretty.append("  [" + ",  ".join(row) + "]")
+        if args.format == "tsv":
+            tsv_parts.append(block_to_tsv(data))
+        elif args.format == "pretty":
+            pretty.append(f"weight {gamma} ({basis}): {len(block.index)} vectors")
+            for name in ("index", "H", "D", "P", "Q"):
+                pretty.append(f"{name}:")
+                value = data[name]
+                if name in ("index", "D"):
+                    for item in value:
+                        pretty.append(f"  {item}")
+                else:
+                    for row in value:
+                        pretty.append("  [" + ",  ".join(row) + "]")
     payload = results[0] if len(results) == 1 else {"blocks": results}
     _emit(args, payload, pretty, "".join(tsv_parts))
     return 0
@@ -342,6 +353,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         cfg = _read_config(args.config) if args.config else {}
+        unknown = [key for key in cfg if key not in CONFIG_KEYS[args.command]]
+        if unknown:
+            raise ConfigError(f"qfold {args.command} does not read the config "
+                              f"key{'s' * (len(unknown) > 1)} {', '.join(unknown)}")
         if args.command == "roots":
             return cmd_roots(args, cfg)
         if args.command == "gram":

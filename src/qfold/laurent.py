@@ -15,9 +15,13 @@ J. Symbolic Comput. 7, 1989), which CPython's big-integer gcd and division
 carry, with the primitive-PRS gcd as its fallback.  The denominator is a
 Laurent polynomial or a `Factored` product of them, which many fractions can
 share: it is split and packed once per width for all of them and expanded
-at most once.  The memo of `qfact`, one entry per (n, d), is this module's
-only one; a `Factored` keeps its packed values for as long as its owner
-keeps it.
+at most once.  Exact division, `laurent_div_exact`, also divides packed
+integers: `packed_quotient` accepts the digits of an integer quotient only
+when a norm bound proves that they are the polynomial quotient, and the
+long division `_poly_div_exact` serves whatever it leaves uncertified.
+The memo of `qfact`, one entry per (n, d), is this module's only one; a
+`Factored` keeps its packed values, and the cofactor of each gcd it has
+met, for as long as its owner keeps it.
 """
 
 from __future__ import annotations
@@ -204,9 +208,7 @@ def _strip(xs):
 
 
 def _primitive(xs):
-    g = 0
-    for v in xs:
-        g = math.gcd(g, v)
+    g = math.gcd(*xs)
     if g > 1:
         return [v // g for v in xs]
     return xs
@@ -260,18 +262,6 @@ def _poly_div_exact(a, b):
     return LaurentPoly({i: c for i, c in enumerate(quot) if c})
 
 
-def laurent_div_exact(a, b):
-    """Exact quotient a / b in Z[q, q^-1]; raises ArithmeticError when the
-    quotient is not a Laurent polynomial with integer coefficients.
-
-    Dividing out the lowest power of q leaves polynomials with nonzero
-    constant terms, whose quotient is Laurent exactly when it is an
-    ordinary polynomial.
-    """
-    lo_a, lo_b = a.min_exp(), b.min_exp()
-    return _poly_div_exact(a.shift(-lo_a), b.shift(-lo_b)).shift(lo_a - lo_b)
-
-
 def _prs_gcd_cofactors(a, b):
     """(g, a / g, b / g) by the primitive-PRS gcd and two exact divisions:
     the fallback of `_gcd_cofactors` and its reference."""
@@ -312,7 +302,61 @@ def _unpack(v, w):
 
 
 def _norm(xs):
-    return max(map(abs, xs))
+    return max(map(abs, xs), default=0)
+
+
+def packed_quotient(pa, bound_a, pb, norm_b, len_b, w):
+    """(a / b at q = 2^w, the digits of a / b) for polynomials a and b in
+    Z[q] given by their values pa and pb at q = 2^w, b with a nonzero
+    constant term, norm_b = |b| and len_b its length, and bound_a >= |a|
+    (|.| the largest coefficient); None when the width does not certify
+    the quotient.  Raises ArithmeticError when b does not divide a.
+
+    If b divides a, the quotient h is a polynomial, since b(0) != 0, and
+    pa = h(2^w) * pb exactly, so a nonzero integer remainder proves the
+    division inexact at any width.  A zero remainder proves nothing by
+    itself: the balanced digits h of the integer quotient are accepted
+    only when |a| and min(len(h), len_b) * |h| * |b| >= |h * b| are both
+    below 2^(w-1), for then h * b and a have the same value and digits in
+    that range, so they are the same polynomial (the GCDHEU rule of Char,
+    Geddes and Gonnet).
+    """
+    q, r = divmod(pa, pb)
+    if r:
+        raise ArithmeticError("inexact polynomial division")
+    half = 1 << (w - 1)
+    if bound_a >= half:
+        return None
+    h = _unpack(q, w)
+    if min(len(h), len_b) * _norm(h) * norm_b >= half:
+        return None
+    return q, h
+
+
+def laurent_div_exact(a, b):
+    """Exact quotient a / b in Z[q, q^-1]; raises ArithmeticError when the
+    quotient is not a Laurent polynomial with integer coefficients.
+
+    Dividing out the lowest power of q leaves polynomials with nonzero
+    constant terms, whose quotient is Laurent exactly when it is an
+    ordinary polynomial.  Their values at q = 2^w are divided as integers
+    by `packed_quotient`, at a width that holds both and leaves
+    `_WIDTH_SLACK` bits for the quotient's coefficients; when the quotient
+    is not certified at that width, `_poly_div_exact` divides instead.
+    """
+    if b.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    if a.is_zero():
+        return ZERO
+    lo_a, lo_b = a.min_exp(), b.min_exp()
+    A, B = _dense(a.shift(-lo_a)), _dense(b.shift(-lo_b))
+    norm_a, norm_b = _norm(A), _norm(B)
+    w = (max(norm_a, norm_b).bit_length() + 1
+         + min(len(A), len(B)).bit_length() + _WIDTH_SLACK)
+    found = packed_quotient(_pack(A, w), norm_a, _pack(B, w), norm_b, len(B), w)
+    if found is None:
+        return _poly_div_exact(a.shift(-lo_a), b.shift(-lo_b)).shift(lo_a - lo_b)
+    return _laurent(found[1], lo_a - lo_b, 1)
 
 
 def _split(lp):
@@ -320,9 +364,7 @@ def _split(lp):
     Laurent polynomial; the primitive part is dense, ascending from a
     nonzero constant term."""
     d = lp.coeffs
-    g = 0
-    for c in d.values():
-        g = math.gcd(g, c)
+    g = math.gcd(*d.values())
     lo = min(d)
     return lo, g, [d.get(e, 0) // g for e in range(lo, max(d) + 1)]
 
@@ -335,11 +377,13 @@ def _heuristic_gcd_cofactors(A, B):
 
     The candidate g is the primitive part of the balanced digits of
     gcd(A(x), B(x)) at x = 2^w (a positive integer, so the leading digit
-    is positive too), and the cofactors are the digits of the
-    exact integer quotients A(x) / g(x) and B(x) / g(x).  With every
-    coefficient of A, B and of the products g * cofactor below x / 2 in
-    absolute value, the packed identities A(x) = g(x) * (A / g)(x) are
-    polynomial identities (balanced digits are unique), and since
+    is positive too), whose value g(x) is that gcd over the digits'
+    content, and the cofactors are the digits of the exact integer
+    quotients A(x) / g(x) and B(x) / g(x); B keeps its cofactor per
+    (w, g(x)), since many numerators over one denominator share a gcd.
+    With every coefficient of A, B and of the products g * cofactor below
+    x / 2 in absolute value, the packed identities A(x) = g(x) * (A / g)(x)
+    are polynomial identities (balanced digits are unique), and since
     x >= 2 * min(|A|, |B|) + 2, a candidate dividing both is the gcd.
     B enters only by its value at x and by B.bound >= |B|, so the width
     serves a product of factors that is never expanded.  The first width
@@ -348,13 +392,17 @@ def _heuristic_gcd_cofactors(A, B):
     w = (max(_norm(A), B.bound).bit_length() + 1
          + max(len(A), B.length).bit_length() + _WIDTH_SLACK)
     for _ in range(_HEURISTIC_TRIES):
-        pa, pb = _pack(A, w), B.pack(w)
-        g = _primitive(_unpack(math.gcd(pa, pb), w))
-        pg = _pack(g, w)
+        pa = _pack(A, w)
+        pg = math.gcd(pa, B.pack(w))
+        g = _unpack(pg, w)
+        content = math.gcd(*g)
+        if content > 1:
+            g = [v // content for v in g]
+            pg //= content
         qa, ra = divmod(pa, pg)
-        qb, rb = divmod(pb, pg)
-        if not ra and not rb:
-            ca, cb = _unpack(qa, w), _unpack(qb, w)
+        cb = B.cofactor(w, pg)
+        if not ra and cb is not None:
+            ca = _unpack(qa, w)
             bound = (1 << (w - 1)) // _norm(g)
             if (min(len(g), len(ca)) * _norm(ca) < bound
                     and min(len(g), len(cb)) * _norm(cb) < bound):
@@ -377,7 +425,8 @@ class Factored:
     primitive part is built only on demand, at most once.
     """
 
-    __slots__ = ("low", "content", "parts", "length", "bound", "_packs", "_dense")
+    __slots__ = ("low", "content", "parts", "length", "bound", "_packs", "_dense",
+                 "_cofactors")
 
     def __init__(self, *factors):
         low, content, parts = 0, 1, []
@@ -406,6 +455,7 @@ class Factored:
                              default=1)
         self._packs = {}
         self._dense = None
+        self._cofactors = {}
 
     def pack(self, w):
         """The primitive part's value at q = 2^w."""
@@ -413,6 +463,15 @@ class Factored:
         if v is None:
             v = self._packs[w] = math.prod(_pack(P, w) for P in self.parts)
         return v
+
+    def cofactor(self, w, pg):
+        """The digits of the primitive part's value at q = 2^w over pg, or
+        None when pg does not divide it; kept per (w, pg)."""
+        key = (w, pg)
+        if key not in self._cofactors:
+            q, r = divmod(self.pack(w), pg)
+            self._cofactors[key] = None if r else _unpack(q, w)
+        return self._cofactors[key]
 
     def dense(self):
         """The primitive part as a dense list: read off its value at a width

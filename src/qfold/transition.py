@@ -5,6 +5,14 @@ and the comparison machinery between a folding's two sides.
 Matrix convention: columns hold basis expansions, rows and columns are
 sorted ascending in the lex order on exponent vectors, so the factor
 accumulation runs from the bottom-right corner upward.
+
+`ldl` eliminates on Kronecker-packed integers: each Laurent numerator is
+its value at q = 2^w over a power of q, at one width per block, which a
+norm bound certifies before each row: every value the elimination reads
+back has its coefficients below 2^(w-1), and every quotient it accepts
+passes the GCDHEU rule of `laurent.packed_quotient`.  `pq_split`,
+`reconstruct_lam` and `matmul_laurent` still multiply coefficient dicts,
+through `_add_products`.
 """
 
 from __future__ import annotations
@@ -15,7 +23,8 @@ from typing import NamedTuple
 from .folding import sigma_on_exponents
 from .gram import WordLayout, delta_weight, expand_word, matching_sum
 from .laurent import (ONE, ZERO, Factored, LaurentPoly, RationalFn,
-                      laurent_div_exact, parse_laurent, parse_rational, poly_lcm)
+                      _dense, _laurent, _poly_div_exact, _unpack, laurent_div_exact,
+                      packed_quotient, parse_laurent, parse_rational, poly_lcm)
 from .rootsys import enumerate_block
 
 
@@ -120,6 +129,33 @@ def _common_denominator(dens):
     return C, {den: laurent_div_exact(C, den) for den in dens}
 
 
+# Bits the first width of `ldl` leaves above the largest bound of A for the
+# bounds of S, and a restart above the bound that refused the width.  The
+# bounds of S exceed A's by at most 5 bits on the benchmark's 15 pool
+# blocks, so none of them restarts.  A restart adds at least this many bits
+# plus one, so it must not be negative.
+_WIDTH_SLACK = 8
+
+
+class _TooNarrow(Exception):
+    """A bound of the elimination reached the digit range of its width."""
+
+    def __init__(self, width):
+        super().__init__(width)
+        self.width = width
+
+
+def _norms(xs):
+    """(largest absolute value, sum of absolute values) of some integers."""
+    xs = [abs(x) for x in xs]
+    return max(xs, default=0), sum(xs)
+
+
+def _evaluate(lp, w):
+    """The value at q = 2^w of a polynomial lp in Z[q]."""
+    return sum(c << (w * e) for e, c in lp.coeffs.items())
+
+
 def ldl(lam):
     """Solve lam = H^t D H for unit lower triangular H and diagonal D.
 
@@ -136,38 +172,118 @@ def ldl(lam):
     division H[i][j] = S[i][j] / S[i][i] before a higher row uses it.  No
     fraction is reduced during the elimination; D[i] = S[i][i] / C is
     normalised once per row.
+
+    The numerators are Kronecker-packed (Harvey, J. Symbolic Comput. 44,
+    2009): `_eliminate` keeps each as its value at q = 2^w over a power of
+    q, with one width w for the block, so an update H[e][i] * S[e][j] is
+    one integer product and H[i][j] one `divmod` by the packed pivot.  The
+    width is certified, not guessed.  Before row i is eliminated, every
+    entry of it is bounded by
+
+        |S[i][j]| <= max over j of |A[i][j]|
+                     + sum over e > i of |H[e][i]|_1 * SB[e],
+
+    where SB[e] >= |S[e][j]| for every j is the largest of
+    min(|pivot_e|_1 * |H[e][j]|, |pivot_e| * |H[e][j]|_1), |.| being the
+    largest coefficient and |.|_1 their sum.  That bound must lie below
+    2^(w-1), so that the pivot and every S entry of the row are read back
+    exactly from their balanced base-2^w digits.  A row whose bound does
+    not fit restarts the block at a width that holds it.  The bounds come
+    from A, H and the pivots, none of which depends on w, so the restarts
+    end.  A quotient is accepted only under the rule of `packed_quotient`,
+    and an entry that the rule leaves uncertified takes the exact long
+    division `_poly_div_exact`.  H and the pivots are unpacked once each,
+    for the output.
+    """
+    kinds = {}                      # distinct denominator -> its number
+    kind = [[kinds.setdefault(x.den, len(kinds)) for x in row[:i + 1]]
+            for i, row in enumerate(lam)]
+    C, cofactor = _common_denominator(kinds)
+    cofactors = [cofactor[den] for den in kinds]
+    C = Factored(C)                 # packed once per gcd width for every D[i]
+    norms = [_norms(c.coeffs.values()) for c in cofactors]
+    a_bound = []                    # the largest bound of |A[i][j]| over j <= i
+    for row, kind_row in zip(lam, kind):
+        bound = 0
+        for x, k in zip(row, kind_row):
+            num_max, num_sum = _norms(x.num.coeffs.values())
+            cof_max, cof_sum = norms[k]
+            bound = max(bound, min(num_max * cof_sum, num_sum * cof_max))
+        a_bound.append(bound)
+    w = max(a_bound, default=0).bit_length() + 1 + _WIDTH_SLACK
+    while True:
+        try:
+            return _eliminate(lam, kind, C, cofactors, a_bound, w)
+        except _TooNarrow as exc:
+            w = exc.width
+
+
+def _eliminate(lam, kind, C, cofactors, a_bound, w):
+    """`ldl` on values at q = 2^w; raises _TooNarrow with a wider width when
+    a row's bound reaches 2^(w-1).
+
+    S[e] holds the values of S[e][j], j <= e, over q^t[e], t[e] the lowest
+    exponent in row e, and SB[e] bounds their coefficients.  A nonzero H
+    entry is kept as (lowest exponent, value over that power of q, sum of
+    absolute coefficients).
     """
     n = len(lam)
-    C, cofactor = _common_denominator(lam[i][j].den
-                                      for i in range(n) for j in range(i + 1))
+    half = 1 << (w - 1)
+    packed = [_evaluate(c, w) for c in cofactors]
     H = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-    S = [[None] * n for _ in range(n)]      # coefficient items of S[e][j], j <= e
     D = [None] * n
+    HP = [None] * n
+    S, t, SB = [None] * n, [0] * n, [0] * n
     for i in range(n - 1, -1, -1):
-        column = [(e, H[e][i].coeffs.items()) for e in range(i + 1, n) if H[e][i]]
-        for j in range(i, -1, -1):
-            entry = lam[i][j]
-            acc = dict((entry.num * cofactor[entry.den]).coeffs)
-            for e, h in column:
-                s = S[e][j]
-                for e1, c1 in h:
-                    for e2, c2 in s:
-                        k = e1 + e2
-                        acc[k] = acc.get(k, 0) - c1 * c2
-            value = LaurentPoly(acc)
-            S[i][j] = value.coeffs.items()
-            if j == i:
-                pivot = value
-                if i and pivot.is_zero():
-                    raise SingularPivot(f"zero pivot at block position {i}")
-                D[i] = RationalFn(pivot, C)
-            elif value:
-                try:
-                    H[i][j] = laurent_div_exact(value, pivot)
-                except ArithmeticError:
-                    raise NotIntegral(
-                        f"H[{i}][{j}] = ({value}) / ({pivot}) is not a "
-                        f"Laurent polynomial") from None
+        column = [(e, HP[e][i]) for e in range(i + 1, n) if HP[e][i]]
+        bound = a_bound[i] + sum(h[2] * SB[e] for e, h in column)
+        if bound >= half:
+            raise _TooNarrow(bound.bit_length() + 1 + _WIDTH_SLACK)
+        # every value of row i is taken over q^base, which divides each term
+        base = min([0] + [h[0] + t[e] for e, h in column])
+        shift = -w * base
+        acc = [_evaluate(x.num, w) * packed[k] << shift
+               for x, k in zip(lam[i], kind[i])]
+        for e, (low, value, _) in column:
+            hv = value << w * (low + t[e] - base)
+            acc = [a - hv * s for a, s in zip(acc, S[e])]
+        pivot = acc[i]
+        if not pivot:
+            if i:
+                raise SingularPivot(f"zero pivot at block position {i}")
+            D[i] = RationalFn(0)
+            break
+        zeros = ((pivot & -pivot).bit_length() - 1) // w    # digits below it
+        pv, pl = pivot >> w * zeros, base + zeros
+        P = _unpack(pv, w)
+        p_max, p_sum = _norms(P)
+        D[i] = RationalFn(_laurent(P, pl, 1), C)
+        row, lows, sb = [None] * i, [0], p_max
+        for j in range(i):
+            value = acc[j]
+            if not value:
+                continue
+            try:
+                found = packed_quotient(value, bound, pv, p_max, len(P), w)
+                if found is None:
+                    digits = _dense(_poly_div_exact(_laurent(_unpack(value, w), 0, 1),
+                                                    _laurent(P, 0, 1)))
+                    found = value // pv, digits
+            except ArithmeticError:
+                raise NotIntegral(
+                    f"H[{i}][{j}] = ({_laurent(_unpack(value, w), base, 1)}) / "
+                    f"({_laurent(P, pl, 1)}) is not a Laurent polynomial") from None
+            q, digits = found
+            z = next(k for k, c in enumerate(digits) if c)
+            h_max, h_sum = _norms(digits)
+            H[i][j] = _laurent(digits, base - pl, 1)
+            row[j] = (base - pl + z, q >> w * z, h_sum)
+            lows.append(base - pl + z)
+            sb = max(sb, min(p_sum * h_max, p_max * h_sum))
+        t[i] = pl + min(lows)
+        shift = w * (t[i] - base)
+        S[i] = [a >> shift for a in acc] if shift else acc
+        SB[i], HP[i] = sb, row
     return H, D
 
 
@@ -228,6 +344,7 @@ def reconstruct_lam(H, D):
     n = len(H)
     C, cofactor = _common_denominator(d.den for d in D)
     CD = [d.num * cofactor[d.den] for d in D]
+    C = Factored(C)                 # packed once per gcd width for every entry
     HCD = [[H[e][b] * CD[e] for b in range(e + 1)] for e in range(n)]
     out = [[None] * n for _ in range(n)]
     for a in range(n):
@@ -306,16 +423,31 @@ def pipeline(preset, gamma, basis=None, max_block=None):
 # -- serialization ----------------------------------------------------------
 
 
+def formatter():
+    """str for values that stay alive while it is used, computed once per
+    object: lam[a][b] and lam[b][a] are one value, and the zeros and ones
+    of H, P and Q are shared."""
+    text = {}
+
+    def fmt(v):
+        s = text.get(id(v))
+        if s is None:
+            s = text[id(v)] = str(v)
+        return s
+    return fmt
+
+
 def block_to_json(block, labels):
+    fmt = formatter()
     return {
         "weight": list(block.weight),
         "labels": list(labels),
         "index": [list(c) for c in block.index],
-        "lambda": [[str(v) for v in row] for row in block.lam],
-        "H": [[str(v) for v in row] for row in block.H],
-        "D": [str(v) for v in block.D],
-        "P": [[str(v) for v in row] for row in block.P],
-        "Q": [[str(v) for v in row] for row in block.Q],
+        "lambda": [[fmt(v) for v in row] for row in block.lam],
+        "H": [[fmt(v) for v in row] for row in block.H],
+        "D": [fmt(v) for v in block.D],
+        "P": [[fmt(v) for v in row] for row in block.P],
+        "Q": [[fmt(v) for v in row] for row in block.Q],
     }
 
 

@@ -229,6 +229,26 @@ def test_bad_config_values_exit_two_naming_the_key(tmp_path, capsys):
     assert run(["roots", "--config", str(cfg)], capsys)[0] == 2
 
 
+def test_unknown_config_keys_exit_two_naming_the_key(tmp_path, capsys):
+    cases = [
+        ("max-heigth", ["check", "--suite", "delta"], "preset = A3\nmax-heigth = 2\n"),
+        ("weight", ["check", "--suite", "delta"],
+         "preset = A3\nmax-height = 2\nweight = 1,1,1\n"),
+        ("format", ["gram"], "preset = B2\nweight = 2,1\nformat = tsv\n"),
+        ("weigth", ["transition"], "preset = B2\nweigth = 2,1\n"),
+        ("max-height", ["roots"], "preset = B2\nmax_height = 3\n"),
+    ]
+    for key, argv, text in cases:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        code, out, err = run(argv + ["--config", str(cfg)], capsys)
+        assert code == 2 and not out and key in err, (text, err)
+    # the same files without the stray key run
+    cfg.write_text("preset = A3\nmax-height = 2\n")
+    code, out, _ = run(["check", "--suite", "delta", "--config", str(cfg)], capsys)
+    assert code == 0 and "pass" in out
+
+
 @pytest.mark.parametrize("error", [KeyError("orbit"), ValueError("no orbit run")])
 def test_internal_key_and_value_errors_exit_three(error, monkeypatch, capsys):
     def breach(*_args):
