@@ -27,6 +27,9 @@ class CheckResult:
     name: str
     instances: int = 0
     failures: list = field(default_factory=list)
+    # negative coefficients seen where no theorem makes them a failure; None
+    # when the suite does not count them
+    ungated_negatives: int | None = None
 
     @property
     def ok(self):
@@ -41,6 +44,9 @@ class CheckResult:
         lines = [head] + [f"  ! {f}" for f in self.failures[:20]]
         if len(self.failures) > 20:
             lines.append(f"  ... {len(self.failures) - 20} more failures")
+        if self.ungated_negatives is not None:
+            lines.append(f"  {self.ungated_negatives} negative coefficients of P "
+                         f"on quotient presets (not gated)")
         return "\n".join(lines)
 
 
@@ -114,11 +120,22 @@ def _regroup(rng, letters):
 
 
 def check_factorization(presets=("A3", "B2", "D4", "G2"), max_height=8):
-    """Reconstruction and shape invariants of every transition block."""
+    """Reconstruction, shape and sign invariants of every transition block.
+
+    Off the diagonal P has no negative coefficient on a symmetric preset:
+    there P's entries are PBW coefficients of the canonical basis, which are
+    dimensions of stalks of intersection cohomology (Lusztig), and the
+    built-in words are adapted to a quiver orientation.  Such a coefficient
+    fails the block, as an error in the Gram matrix that the factorization
+    absorbs would.  On a quotient preset no such theorem is cited, so the
+    suite counts the negative coefficients and does not gate on them.
+    """
     result = CheckResult(f"factorization invariants (height <= {max_height})")
     for name in presets:
         preset = get_preset(name)
         datum, seq, _word = preset.side()
+        if preset.is_quotient and result.ungated_negatives is None:
+            result.ungated_negatives = 0
         for gamma, gram in _grams(preset, max_height):
             block = factor_gram(gram, gamma)
             result.instances += 1
@@ -130,8 +147,15 @@ def check_factorization(presets=("A3", "B2", "D4", "G2"), max_height=8):
             n = len(block.index)
             for i in range(n):
                 for j in range(i):
-                    if not block.P[i][j].in_qZq():
-                        result.fail(f"{tag}: P[{i}][{j}] = {block.P[i][j]} not in qZ[q]")
+                    p = block.P[i][j]
+                    if not p.in_qZq():
+                        result.fail(f"{tag}: P[{i}][{j}] = {p} not in qZ[q]")
+                    negatives = sum(c < 0 for c in p.coeffs.values())
+                    if negatives and preset.is_quotient:
+                        result.ungated_negatives += negatives
+                    elif negatives:
+                        result.fail(f"{tag}: P[{i}][{j}] = {p} has a negative "
+                                    f"coefficient")
                 for j in range(n):
                     if not block.Q[i][j].is_bar_invariant():
                         result.fail(f"{tag}: Q[{i}][{j}] not bar-invariant")

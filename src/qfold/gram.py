@@ -4,30 +4,29 @@ The closed route sums q^(-A) over the label-preserving matchings between
 the two expanded letter sequences, A being the form-weighted inversion
 statistic.  The sum is symmetric in the two sequences, so `matching_sum`
 takes as its source the one whose runs of equal letters have the larger
-prod r!, which leaves fewer target sets to sum over.  It computes the sum
-with one of two cores, chosen per pair from the number of leaves the
-recursion would visit: a recursion over target sets for short words, and a
-DP over the subsets of target positions used so far for long repetitive
-ones, whose leaves it merges.  What a sum needs of one word (its runs,
-the positions of each label, the run factor) is a `WordLayout`, which a
-caller pairing each word with many others builds once per word.  Both
-cores deliver the sum packed into one integer at q^-1 = 2^w, w the bit
-length of the number of matchings; every coefficient is a nonnegative
-count of matchings, so no slot can overflow, and the run factor
-multiplies in packed before one unpacking.  `matchings`
-and `inversion_stat` enumerate the sum term by term and are the reference
-both cores are tested against.  The oracle route, `inner_shuffle`, recurses
-through the coproduct, peeling the first letter of one word against each
-equal letter of the other at a q-twist; it shares only `expand_word` with
-`gram_block`.  Both routes sum Laurent numerators and build one
-RationalFn per value, so nothing here combines Q(q) values; the coproduct
-memo lives for one call, so this module keeps no memo that grows with use.
+prod r!.  It scans the other sequence's letters left to right in a DP whose
+state counts, per run of the source, the letters matched so far; states
+that agree on these counts merge.  What a sum needs of one word (its runs,
+the DP's tables, the run factor) is a `WordLayout`, which a caller pairing
+each word with many others builds once per word.  The sum is carried
+packed into one integer at q^-1 = 2^w, w the bit length of the number of
+matchings; every coefficient is a nonnegative count of matchings, so no
+slot can overflow, and the run factor multiplies in packed before one
+unpacking.  `matchings` and `inversion_stat` enumerate the sum term by
+term and are the reference the DP is tested against.  The oracle route,
+`inner_shuffle`, recurses through the coproduct, peeling the first letter
+of one word against each equal letter of the other at a q-twist; it
+shares only `expand_word` with `gram_block`.  Both routes sum Laurent
+numerators and build one RationalFn per value, so nothing here combines
+Q(q) values; the coproduct memo lives for one call, so this module keeps
+no memo that grows with use.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .laurent import (ONE, ZERO, LaurentPoly, RationalFn, RF_ZERO, q_power,
@@ -102,18 +101,6 @@ def inversion_stat(datum, nu, w):
     return total
 
 
-# A pair goes to the subset DP when the recursion would visit at least this
-# many leaves.  The two cores timed on every oriented pair of the benchmark's
-# 22 gram and transition pool blocks and of every A3, B2, D4 and G2 block to
-# height 6 (2-core x86 VM, Python 3.11; mean per pair, recursion against
-# DP): 0.044 against 0.050 ms for 8-11 leaves and 0.060 against 0.066 for
-# 12-15, so below 16 the recursion is faster; from 16 up the DP is, 0.083
-# against 0.061 ms for 16-19, 0.18 against 0.084 for 24-31, 1.4 against
-# 0.36 for 128-511 and 4.5 against 0.57 for 512-2047.  Orientation moved
-# the crossover down from 20, where it lay on unoriented pairs.
-SUBSET_DP_MIN_LEAVES = 16
-
-
 def _runs(labels):
     """The maximal runs of equal consecutive labels, as (label, length)."""
     return [(lab, len(list(group))) for lab, group in itertools.groupby(labels)]
@@ -140,54 +127,74 @@ def _run_factor(datum, runs, width):
     return factor
 
 
+def _run_tables(datum, runs):
+    """The run-count DP's tables for one source: (start, count mask,
+    potential mask, moves), moves[y] = (lo, [(count shift, r, potential
+    shift, offset, step)]) over the runs of label y.
+
+    A state packs one field per run rho: the letters u_rho it has matched,
+    and above them its potential, sum over later runs rho' of
+    (x_rho, x_rho') * u_rho' minus lo_rho, the sum of the negative terms at
+    full runs, so that no field is ever negative.  Matching a letter in run
+    s raises u_s by one and the potential of each earlier run p by
+    (x_p, x_s): one added step.  lo, the least lo_rho over the runs of y,
+    bounds every cross term of a letter y from below, and offset is
+    lo_rho - lo.
+    """
+    form, idx = datum.form, datum.index
+    xs = [idx(lab) for lab, _ in runs]
+    lows = []
+    lo = {}                          # label -> the least lo_rho of its runs
+    span = 0                         # the widest range of a potential
+    for p, (lab, _) in enumerate(runs):
+        row = form[xs[p]]
+        low = high = 0
+        for x, (_, r) in zip(xs[p + 1:], runs[p + 1:]):
+            f = row[x] * r
+            if f < 0:
+                low += f
+            else:
+                high += f
+        lows.append(low)
+        span = max(span, high - low)
+        if low < lo.get(lab, 1):
+            lo[lab] = low
+    count_bits = max(r for _, r in runs).bit_length() if runs else 0
+    field = count_bits + span.bit_length()
+    start = 0
+    moves = {lab: (low, []) for lab, low in lo.items()}
+    for s, (lab, r) in enumerate(runs):
+        shift = s * field + count_bits
+        start -= lows[s] << shift
+        step = 1 << (s * field)
+        for p in range(s):
+            step += form[xs[p]][xs[s]] << (p * field + count_bits)
+        moves[lab][1].append((s * field, r, shift, lows[s] - lo[lab], step))
+    return start, (1 << count_bits) - 1, (1 << span.bit_length()) - 1, moves
+
+
 class WordLayout:
     """What a matching sum needs of one letter sequence, built once per word.
 
-    As a source: its runs of equal letters and their prod r!, the form row
-    of each letter, which letters start a run, and the run factor packed
-    at the width.  As a target: the positions of each label, the form
-    column of each position, and for the subset DP, per label x, the
-    positions of the labels y grouped by the form value (x, y) != 0, and
-    the labels y with (x, y) < 0.  The count of matchings, prod over labels
-    m!, and the width, its bit length, depend only on the label
-    multiplicities, which all words of a weight block share.
+    As a source: its runs of equal letters and their prod r!, the run
+    factor packed at the width, and the run-count DP's tables
+    (`_run_tables`).  As a target: its letters.  The count of matchings,
+    prod over labels m!, and the width, its bit length, depend only on the
+    label multiplicities, which all words of a weight block share.
     """
 
     __slots__ = ("labels", "counts", "runs", "run_factorials", "matchings",
-                 "width", "run_factor", "rows", "run_start", "targets", "cols",
-                 "weighted", "negatives")
+                 "width", "run_factor", "tables")
 
     def __init__(self, datum, labels):
-        idx, form = datum.index, datum.form
         self.labels = labels
         self.runs = _runs(labels)
         self.run_factorials = math.prod(math.factorial(r) for _, r in self.runs)
-        targets = {}
-        for pos, lab in enumerate(labels):
-            targets.setdefault(lab, []).append(pos)
-        self.targets = targets
-        self.counts = {lab: len(ps) for lab, ps in targets.items()}
+        self.counts = dict(Counter(labels))    # dict ==, not Counter.__eq__, in _orient
         self.matchings = math.prod(math.factorial(m) for m in self.counts.values())
         self.width = self.matchings.bit_length()
         self.run_factor = _run_factor(datum, self.runs, self.width)
-        self.cols = [idx(lab) for lab in labels]
-        self.rows = [form[i] for i in self.cols]
-        self.run_start = [k == 0 or labels[k - 1] != lab
-                          for k, lab in enumerate(labels)]
-        masks = {lab: sum(1 << t for t in ps) for lab, ps in targets.items()}
-        self.weighted, self.negatives = {}, {}
-        for x in targets:
-            row = form[idx(x)]
-            weighted = {}                # form value -> positions of its labels
-            negatives = []
-            for y, m in masks.items():
-                f = row[idx(y)]
-                if f:
-                    weighted[f] = weighted.get(f, 0) | m
-                    if f < 0:
-                        negatives.append((y, f))
-            self.weighted[x] = list(weighted.items())
-            self.negatives[x] = negatives
+        self.tables = _run_tables(datum, self.runs)
 
 
 def _orient(layout, layoutp):
@@ -195,20 +202,14 @@ def _orient(layout, layoutp):
     bijection exists.
 
     The sum is symmetric in its two sequences, so the source is the one
-    whose runs have the larger prod r!, which leaves the recursion fewer
-    leaves and the subset DP fewer states; the first on a tie.
+    whose runs have the larger prod r!, which leaves the DP fewer runs to
+    count and fewer states; the first on a tie.
     """
     if layout.counts != layoutp.counts:
         return None
     if layoutp.run_factorials > layout.run_factorials:
         return layoutp, layout
     return layout, layoutp
-
-
-def _leaves(source):
-    """Leaves of the recursion: the ways to hand each label's m target
-    positions to the source's runs, m! / prod r! per label."""
-    return source.matchings // source.run_factorials
 
 
 def _unpack_counts(packed, top, width):
@@ -225,101 +226,60 @@ def _unpack_counts(packed, top, width):
     return LaurentPoly(coeffs)
 
 
-def _cross_sums_by_recursion(source, target):
-    """The cross sums packed at q^-1 = 2^width, with the exponent of
-    q in slot 0: one leaf per assignment of target sets, with ascending
-    targets inside each run."""
-    width = source.width
-    rows, run_start, cols = source.rows, source.run_start, target.cols
-    choices = [target.targets[lab] for lab in source.labels]
-    used = [False] * len(rows)
-    placed = []                      # target positions chosen so far, in nu order
-    acc = {}
+# The DP serves every pair, short words too.  Timed against a recursion
+# over the target sets, one leaf per set (the tests' reference), on every
+# oriented pair of the benchmark's 22 gram and transition pool blocks and
+# of every A3, B2, D4 and G2 block to height 6 (2-core x86 VM, Python 3.11;
+# mean per matching_sum call, DP against recursion): 0.015 against 0.022 ms
+# for 1 leaf, 0.023 against 0.037 for 4-7, 0.040 against 0.090 for 12-15,
+# 0.064 against 0.24 for 24-31 and 0.23 against 5.5 for 512-2047.
+def _cross_sums_by_runs(source, target):
+    """The sums over the source runs' target sets of q^(-cross term),
+    packed at q^-1 = 2^width: (packed, top), the exponent of q in slot 0
+    being top.  A DP over the target's letters, left to right.
 
-    def rec(k, a_cross):
-        if k == len(rows):
-            acc[-a_cross] = acc.get(-a_cross, 0) + 1
-            return
-        row = rows[k]
-        floor = -1 if run_start[k] else placed[k - 1]
-        for t in choices[k]:
-            if used[t] or t <= floor:
-                continue
-            delta = 0
-            for t2 in placed:
-                if t2 > t:
-                    delta += row[cols[t2]]
-            used[t] = True
-            placed.append(t)
-            rec(k + 1, a_cross + delta)
-            placed.pop()
-            used[t] = False
+    A state is the vector u, u_rho the letters of source run rho matched so
+    far.  Matching the next target letter y to a run rho of label y inverts
+    it with every letter matched so far from a later run, so it adds sum
+    over rho' > rho of (x_rho, x_rho') * u_rho' to the cross term: that
+    depends on u alone, so states merge.  A label with one run keeps one
+    state where a DP over target subsets has C(m, k), and no state count
+    exceeds that DP's.  `_run_tables` packs u and these sums into one
+    integer, so a move is one add and two field reads.
 
-    rec(0, 0)
-    rec = None    # rec's closure holds rec: without this the pair's state waits for gc
-    top = max(acc)
-    return sum(c << (width * (top - e)) for e, c in acc.items()), top
-
-
-def _cross_sums_by_subsets(source, target):
-    """The cross sums as `_cross_sums_by_recursion` packs them, by a forward
-    DP over the runs of the source.
-
-    A state is the bitmask S of target positions used so far.  A run of
-    label x and length r takes an r-subset T of the free positions of x;
-    each t in T adds sum over labels y of form[x][y] * #(S_y above t), where
-    S_y is the set of positions of S labelled y, so the cross term depends
-    on S alone and states merge.
-
-    A state's coefficient dict is packed into one integer, slot e holding
-    the number of partial assignments with cross term base + e (Kronecker
-    substitution), so merging two states is one shift and one add.  No
-    slot overflows its width: each partial assignment extends to at least
-    one leaf, so no count exceeds the leaves, and the leaves are at most
-    the matchings that the width holds.  Before a run every state has
-    used the same number of positions of each label, so lo, the sum over
-    labels y with form[x][y] < 0 of form[x][y] * #S_y, bounds every
-    target's cross term from below in all states alike; a target shifts
-    by its cross term minus lo, which keeps slots nonnegative.
+    A state's counts are packed at q^-1 = 2^width, slot e holding the
+    partial assignments with cross term base + e, so merging two states is
+    one shift and one add.  No slot overflows: each label's remaining
+    targets equal its runs' remaining capacity, so each partial assignment
+    extends to at least one set of targets per run, and those are at most
+    the matchings that the width holds.  Each letter shifts by its cross
+    term minus a common lower bound lo, which keeps slots nonnegative; the
+    slots below the least cross term are dropped at the end.
     """
     width = source.width
-    used = dict.fromkeys(target.targets, 0)
-    states = {0: 1}
+    start, count_mask, pot_mask, moves = source.tables
+    states = {start: 1}
     base = 0
-    for x, r in source.runs:
-        lo = 0
-        for y, f in target.negatives[x]:
-            lo += f * used[y]
-        base += r * lo
-        used[x] += r
-        weighted = target.weighted[x]
-        candidates = [(1 << t, [(m >> (t + 1) << (t + 1), f) for f, m in weighted])
-                      for t in target.targets[x]]
+    for y in target.labels:
+        lo, runs = moves[y]
+        base += lo
+        if len(runs) == 1:           # no capacity to test, no states to merge
+            ((_, _, shift, _, step),) = runs         # and an offset of 0
+            states = {K + step: val << (width * (K >> shift & pot_mask))
+                      for K, val in states.items()}
+            continue
         new = {}
         get = new.get
-        for S, val in states.items():
-            free = []
-            for bit, above in candidates:
-                if S & bit:
-                    continue
-                c = -lo
-                for m, f in above:
-                    c += f * (S & m).bit_count()
-                free.append((bit, c))
-            if r == 1:
-                for bit, c in free:
-                    T = S | bit
-                    new[T] = get(T, 0) + (val << (width * c))
-                continue
-            for subset in itertools.combinations(free, r):
-                T, c = S, 0
-                for bit, ct in subset:
-                    T |= bit
-                    c += ct
-                new[T] = get(T, 0) + (val << (width * c))
+        for K, val in states.items():
+            for count_shift, r, shift, offset, step in runs:
+                if K >> count_shift & count_mask != r:
+                    T = K + step
+                    new[T] = get(T, 0) + (
+                        val << (width * ((K >> shift & pot_mask) + offset)))
         states = new
     (packed,) = states.values()
-    return packed, -base
+    empty = ((packed & -packed).bit_length() - 1) // width
+    return packed >> (width * empty), -base - empty
 
 
 def matching_sum(datum, nu, nup, layout=None, layoutp=None):
@@ -335,15 +295,10 @@ def matching_sum(datum, nu, nup, layout=None, layoutp=None):
     prod r!, nu on a tie (`_orient`).  The inversion statistic splits into
     run-internal inversions, which sum to a Gaussian factorial
     independently of everything else (`_run_factor`), and cross terms
-    that depend only on the set of target positions each run takes.
-    Two cores sum the cross terms.  The recursion enumerates the target sets
-    one leaf at a time, with ascending targets inside each run; the subset
-    DP merges partial assignments that used the same positions.  The
-    recursion is faster on short words, the DP on long repetitive ones, so
-    a pair whose recursion would visit at least SUBSET_DP_MIN_LEAVES leaves,
-    prod over labels m! / prod over runs r!, goes to the DP.
+    that depend only on the set of target positions each run takes, which
+    `_cross_sums_by_runs` sums by a DP over the target's letters.
 
-    The sum is carried packed at q^-1 = 2^width from the cores to the end,
+    The sum is carried packed at q^-1 = 2^width from the DP to the end,
     with width the bit length of prod over labels m!, the number of
     matchings.  That width is proved, not guessed: every coefficient of the
     cross sums, of each partial product with the run factors, and of the
@@ -355,10 +310,7 @@ def matching_sum(datum, nu, nup, layout=None, layoutp=None):
     if pair is None:
         return ZERO
     source, target = pair
-    if _leaves(source) >= SUBSET_DP_MIN_LEAVES:
-        packed, top = _cross_sums_by_subsets(source, target)
-    else:
-        packed, top = _cross_sums_by_recursion(source, target)
+    packed, top = _cross_sums_by_runs(source, target)
     return _unpack_counts(packed * source.run_factor, top, source.width)
 
 

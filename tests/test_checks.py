@@ -6,7 +6,7 @@ from qfold.checks import (SUITES, check_congruence, check_delta, check_equivaria
 from qfold.cli import main
 from qfold.gram import MismatchError, inner_mackey_restricted
 from qfold.laurent import ONE, RationalFn, q_power
-from qfold.transition import factor_gram, gram_block
+from qfold.transition import factor_gram, gram_block, matmul_laurent, reconstruct_lam
 
 
 def _plus_one(v):
@@ -51,6 +51,33 @@ def test_factorization_gates_a_tampered_block(tamper, message, monkeypatch):
     result = check_factorization(presets=("B2",), max_height=4)
     assert not result.ok
     assert any(message in f for f in result.failures), result.failures
+
+
+def _lam_with_a_negative_P_entry(preset, gamma, basis=None):
+    # the Gram matrix rebuilt from P'Q and D, P' being P with a negative
+    # coefficient added to its last row: H = P'Q, D, P' and Q factor the new
+    # matrix exactly, so only the sign of P can show the change
+    gram = gram_block(preset, gamma, basis)
+    block = factor_gram(gram, gamma)
+    if len(block.P) < 2:
+        return gram
+    P = [row[:] for row in block.P]
+    P[-1][0] = P[-1][0] - q_power(max(P[-1][0].coeffs, default=0) + 1)
+    return gram._replace(lam=reconstruct_lam(matmul_laurent(P, block.Q), block.D))
+
+
+def test_factorization_gates_negative_P_on_symmetric_presets_only(monkeypatch):
+    clean = check_factorization(presets=("A3", "B2"), max_height=4)
+    assert clean.ok and clean.ungated_negatives == 0
+    monkeypatch.setattr(qfold.checks, "gram_block", _lam_with_a_negative_P_entry)
+    result = check_factorization(presets=("A3",), max_height=4)
+    assert result.failures
+    assert all("has a negative coefficient" in f for f in result.failures), \
+        result.failures
+    assert result.ungated_negatives is None
+    quotient = check_factorization(presets=("B2",), max_height=4)
+    assert quotient.ok and quotient.ungated_negatives > 0
+    assert "negative coefficients of P on quotient presets (not gated)" in str(quotient)
 
 
 def test_delta_uses_the_orbit_parts_of_every_symmetric_name():

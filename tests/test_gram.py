@@ -14,13 +14,57 @@ from qfold.monomial import MonomialWord, word_folded, word_modified
 from qfold.rootsys import enumerate_block, weights_up_to
 from test_ldl import SETTINGS
 
-CORES = (gram._cross_sums_by_recursion, gram._cross_sums_by_subsets)
+def cross_sums_by_recursion(datum, source, target):
+    """The reference for `gram._cross_sums_by_runs`: one leaf per assignment
+    of target sets to the source's runs, with ascending targets inside each
+    run, packed at the source's width with the exponent of q in slot 0."""
+    width = source.width
+    rows = [datum.form[datum.index(lab)] for lab in source.labels]
+    cols = [datum.index(lab) for lab in target.labels]
+    run_start = [k == 0 or source.labels[k - 1] != lab
+                 for k, lab in enumerate(source.labels)]
+    targets = {}
+    for pos, lab in enumerate(target.labels):
+        targets.setdefault(lab, []).append(pos)
+    choices = [targets[lab] for lab in source.labels]
+    used = [False] * len(rows)
+    placed = []                      # target positions chosen so far, in nu order
+    acc = {}
+
+    def rec(k, a_cross):
+        if k == len(rows):
+            acc[-a_cross] = acc.get(-a_cross, 0) + 1
+            return
+        row = rows[k]
+        floor = -1 if run_start[k] else placed[k - 1]
+        for t in choices[k]:
+            if used[t] or t <= floor:
+                continue
+            delta = sum(row[cols[t2]] for t2 in placed if t2 > t)
+            used[t] = True
+            placed.append(t)
+            rec(k + 1, a_cross + delta)
+            placed.pop()
+            used[t] = False
+
+    rec(0, 0)
+    top = max(acc)
+    return sum(c << (width * (top - e)) for e, c in acc.items()), top
 
 
-def packed_cross_sums(core, source, target):
+CORES = (cross_sums_by_recursion,
+         lambda datum, source, target: gram._cross_sums_by_runs(source, target))
+
+
+def packed_cross_sums(core, datum, source, target):
     """(packed, top, width): a core's cross sums at the width of the count
     of matchings, as `matching_sum` calls it."""
-    return (*core(source, target), source.width)
+    return (*core(datum, source, target), source.width)
+
+
+def leaves(source):
+    """The sets of targets the recursion visits: m! / prod r! per label."""
+    return source.matchings // source.run_factorials
 
 
 def oriented(datum, nu, nup):
@@ -177,16 +221,26 @@ def test_prefactor_identity_against_factorials():
 @st.composite
 def letter_pairs(draw):
     """A letter sequence and, mostly, a rearrangement of it, else another
-    sequence of its length.  Short random words stay below the subset DP's
-    leaf threshold; a pattern of distinct labels repeated three times goes
-    above it."""
+    sequence of its length.  Short random words give the recursion few
+    leaves; a pattern of distinct labels repeated three times gives it
+    many; several runs of one label x, between runs of labels whose form
+    with x is negative, give the source runs whose DP states merge."""
     datum = qfold.get_preset(draw(st.sampled_from(("A3", "B2", "D4", "G2")))).side()[0]
     label = st.sampled_from(datum.labels)
-    if draw(st.booleans()):
+    shape = draw(st.integers(0, 2))
+    if shape == 0:
         word = draw(st.lists(st.tuples(label, st.integers(1, 3)), max_size=4))
-    else:
+    elif shape == 1:
         pattern = draw(st.lists(label, min_size=2, max_size=3, unique=True))
         word = [(lab, draw(st.integers(1, 2))) for lab in pattern] * 3
+    else:
+        x = draw(label)
+        row = datum.form[datum.index(x)]
+        neighbour = st.sampled_from([y for y in datum.labels if row[datum.index(y)] < 0])
+        word = [(x, draw(st.integers(1, 3)))]
+        for _ in range(draw(st.integers(1, 3))):
+            word += [(draw(neighbour), draw(st.integers(1, 2))),
+                     (x, draw(st.integers(1, 3)))]
     nu = tuple(lab for lab, r in word for _ in range(r))
     # the reference enumerates prod m! matchings
     assume(math.prod(math.factorial(m) for m in Counter(nu).values()) <= 5040)
@@ -212,7 +266,7 @@ def test_both_cores_sum_q_to_the_inversions_over_matchings(pair):
         return
     source, target = pair
     for core in CORES:
-        packed, top, width = packed_cross_sums(core, source, target)
+        packed, top, width = packed_cross_sums(core, datum, source, target)
         total = packed * source.run_factor
         assert gram._unpack_counts(total, top, width) == expected, core
 
@@ -221,7 +275,7 @@ def test_the_source_is_the_sequence_with_the_larger_run_factorials():
     a3 = qfold.get_preset("A3").fd.base
     source, target = oriented(a3, ("1", "2", "1", "2"), ("1", "1", "2", "2"))
     assert source.runs == [("1", 2), ("2", 2)]
-    assert target.targets == {"1": [0, 2], "2": [1, 3]}
+    assert target.labels == ("1", "2", "1", "2")
     source, _ = oriented(a3, ("2", "1"), ("1", "2"))     # a tie keeps nu
     assert source.runs == [("2", 1), ("1", 1)]
     # A3 (4,4,4) has pairs of either orientation, and the sum is the same
@@ -251,7 +305,7 @@ def test_matching_sums_at_q_1_count_the_matchings():
 
 def test_both_cores_agree_on_whole_blocks():
     """Every pair of G2 (6,4), B2 (7,5) and the D4->G2 modified blocks to
-    height 6, on both sides of the subset DP's leaf threshold."""
+    height 6, with few and with many leaves of the recursion."""
     def letter_blocks():
         for name, gamma in (("G2", (6, 4)), ("B2", (7, 5))):
             yield qfold.get_preset(name).side(), [gamma]
@@ -266,12 +320,13 @@ def test_both_cores_agree_on_whole_blocks():
             for a, layout in enumerate(layouts):
                 for layoutp in layouts[a:]:
                     source, target = gram._orient(layout, layoutp)
-                    by_recursion, by_subsets = (
-                        gram._unpack_counts(*packed_cross_sums(core, source, target))
+                    by_recursion, by_runs = (
+                        gram._unpack_counts(*packed_cross_sums(core, datum, source,
+                                                               target))
                         for core in CORES)
-                    assert by_recursion == by_subsets, \
+                    assert by_recursion == by_runs, \
                         (gamma, layout.labels, layoutp.labels)
-                    sides[gram._leaves(source) >= gram.SUBSET_DP_MIN_LEAVES] += 1
+                    sides[leaves(source) >= 16] += 1
     assert sides[True] and sides[False]
 
 
