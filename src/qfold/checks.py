@@ -79,6 +79,8 @@ def check_oracle(presets=("A3", "B2", "D4", "G2"), max_height=6,
                     if lhs != rhs:
                         result.fail(f"{name} {gamma} {index[a]} vs {index[b]}: "
                                     f"{lhs} != {rhs}")
+    if max_height < 1:               # no nonzero word to draw a random pair from
+        return result
     rng = random.Random(seed)
     names = list(presets)
     for _ in range(random_pairs):

@@ -29,8 +29,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .laurent import (ONE, ZERO, LaurentPoly, RationalFn, RF_ZERO, q_power,
-                      qfact)
+from .laurent import (ONE, ZERO, LaurentPoly, RationalFn, RF_ZERO, _lowest_digit,
+                      q_power, qfact)
 
 
 class MismatchError(ArithmeticError):
@@ -278,7 +278,7 @@ def _cross_sums_by_runs(source, target):
                         val << (width * ((K >> shift & pot_mask) + offset)))
         states = new
     (packed,) = states.values()
-    empty = ((packed & -packed).bit_length() - 1) // width
+    empty = _lowest_digit(packed, width)
     return packed >> (width * empty), -base - empty
 
 

@@ -15,10 +15,10 @@ J. Symbolic Comput. 7, 1989), which CPython's big-integer gcd and division
 carry, with the primitive-PRS gcd as its fallback.  The denominator is a
 Laurent polynomial or a `Factored` product of them, which many fractions can
 share: it is split and packed once per width for all of them and expanded
-at most once.  Exact division, `laurent_div_exact`, also divides packed
-integers: `packed_quotient` accepts the digits of an integer quotient only
-when a norm bound proves that they are the polynomial quotient, and the
-long division `_poly_div_exact` serves whatever it leaves uncertified.
+at most once.  The packed format, which `transition.ldl` uses too, lives
+here alone: one packer, one width rule, and one certified division,
+`packed_div_exact`, which takes the digits of an integer quotient when
+`packed_quotient` proves them the polynomial quotient, else divides long.
 The memo of `qfact`, one entry per (n, d), is this module's only one; a
 `Factored` keeps its packed values, and the cofactor of each gcd it has
 met, for as long as its owner keeps it.
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 import re
+from functools import reduce
 
 
 class LaurentPoly:
@@ -229,20 +230,19 @@ def _pseudo_rem(a, b):
     return a
 
 
-def _poly_gcd(a, b):
-    """Primitive gcd in Z[q] with positive leading coefficient."""
-    fa = _primitive(_strip(_dense(a)))
-    fb = _primitive(_strip(_dense(b)))
+def _poly_gcd(fa, fb):
+    """Primitive gcd of dense polynomials in Z[q], leading coefficient > 0."""
+    fa, fb = _primitive(_strip(fa[:])), _primitive(_strip(fb[:]))
     while fb:
         fa, fb = fb, _primitive(_pseudo_rem(fa, fb))
     if fa and fa[-1] < 0:
         fa = [-v for v in fa]
-    return LaurentPoly({i: c for i, c in enumerate(fa)})
+    return fa
 
 
-def _poly_div_exact(a, b):
-    """Exact quotient a / b in Z[q]; raises if the division is inexact."""
-    fa, fb = _strip(_dense(a)), _strip(_dense(b))
+def _poly_div_exact(fa, fb):
+    """Exact quotient of dense polynomials fa / fb in Z[q]; raises if inexact."""
+    fa, fb = _strip(fa[:]), _strip(fb[:])
     if not fb:
         raise ZeroDivisionError("polynomial division by zero")
     quot = [0] * max(len(fa) - len(fb) + 1, 0)
@@ -259,33 +259,33 @@ def _poly_div_exact(a, b):
         _strip(fa)
     if fa:
         raise ArithmeticError("inexact polynomial division")
-    return LaurentPoly({i: c for i, c in enumerate(quot) if c})
+    return quot
 
 
-def _prs_gcd_cofactors(a, b):
-    """(g, a / g, b / g) by the primitive-PRS gcd and two exact divisions:
-    the fallback of `_gcd_cofactors` and its reference."""
-    g = _poly_gcd(a, b)
-    return g, _poly_div_exact(a, g), _poly_div_exact(b, g)
+def _prs_gcd_cofactors(fa, fb):
+    """(g, fa / g, fb / g) as dense lists by the primitive-PRS gcd and two
+    exact divisions: the fallback of the heuristic gcd and its reference."""
+    g = _poly_gcd(fa, fb)
+    return g, _poly_div_exact(fa, g), _poly_div_exact(fb, g)
 
 
-# GCDHEU (Char, Geddes and Gonnet, J. Symbolic Comput. 7, 1989): evaluate at
-# x = 2^w, take the integer gcd, read it back as a polynomial.  Each try
-# doubles w, and after the last one the PRS gcd takes over.
-_HEURISTIC_TRIES = 4
-# Bits the first width adds for the cofactors' coefficient growth: with 8,
-# all but 12 of the 37 876 gcds that the check suites and `gram` and
+# -- Kronecker packing (Harvey, J. Symbolic Comput. 44, 2009): a polynomial
+# in Z[q] is carried as its value at q = 2^w, whose balanced base-2^w digits
+# are its coefficients while they lie in [-2^(w-1), 2^(w-1)).
+
+# Bits a first width leaves above its bound for coefficient growth.  With
+# 8, all but 12 of the 37 876 gcds that the check suites and `gram` and
 # `transition` on the benchmark's blocks take are accepted at the first
-# width, and those 12 at the second.
+# width, and those 12 at the second; no block of the benchmark's 15
+# transition pool blocks restarts `ldl` (its bounds of S exceed A's by at
+# most 5 bits).  A restart adds this plus one bit, so it must not be < 0.
 _WIDTH_SLACK = 8
 
 
-def _pack(xs, w):
-    """The value at q = 2^w of the dense polynomial xs (Kronecker packing)."""
-    v = 0
-    for c in reversed(xs):
-        v = (v << w) + c
-    return v
+def _pack(terms, w):
+    """The value at q = 2^w of the polynomial with these (exponent >= 0,
+    coefficient) terms: a dense list's `enumerate` or a dict's items."""
+    return sum(c << (w * e) for e, c in terms)
 
 
 def _unpack(v, w):
@@ -301,8 +301,31 @@ def _unpack(v, w):
     return xs
 
 
-def _norm(xs):
-    return max(map(abs, xs), default=0)
+def _lowest_digit(v, w):
+    """The index of the lowest nonzero base-2^w digit, balanced or unsigned,
+    of a nonzero integer v: such a digit is nonzero mod 2^w."""
+    return ((v & -v).bit_length() - 1) // w
+
+
+def _norms(xs):
+    """(|xs|, |xs|_1): the largest absolute value of some integers and the
+    sum of their absolute values."""
+    xs = list(map(abs, xs))
+    return max(xs, default=0), sum(xs)
+
+
+def _product_norms(f, g):
+    """Bounds (min(|f| * |g|_1, |f|_1 * |g|), |f|_1 * |g|_1) on the `_norms`
+    of f * g, given those of f and g.  Folded over factors f_k from (1, 1),
+    the first is min over k of |f_k| * prod over j != k of |f_j|_1."""
+    (mf, sf), (mg, sg) = f, g
+    return min(mf * sg, sf * mg), sf * sg
+
+
+def _width(bound, length=0):
+    """The first width whose digit range holds bound * length (bound alone
+    when length is 0) with `_WIDTH_SLACK` bits to spare."""
+    return bound.bit_length() + length.bit_length() + 1 + _WIDTH_SLACK
 
 
 def packed_quotient(pa, bound_a, pb, norm_b, len_b, w):
@@ -328,9 +351,21 @@ def packed_quotient(pa, bound_a, pb, norm_b, len_b, w):
     if bound_a >= half:
         return None
     h = _unpack(q, w)
-    if min(len(h), len_b) * _norm(h) * norm_b >= half:
+    if min(len(h), len_b) * _norms(h)[0] * norm_b >= half:
         return None
     return q, h
+
+
+def packed_div_exact(pa, bound_a, pb, B, norm_b, w):
+    """(a / b at q = 2^w, the digits of a / b) for a given by its value pa
+    and bound_a >= |a| below 2^(w-1), and b by its value pb, its digits B
+    and norm_b = |b|, with a nonzero constant term: `packed_quotient`'s
+    quotient, else the long division of a's digits by B.  Raises
+    ArithmeticError when b does not divide a."""
+    found = packed_quotient(pa, bound_a, pb, norm_b, len(B), w)
+    if found is None:
+        found = pa // pb, _poly_div_exact(_unpack(pa, w), B)
+    return found
 
 
 def laurent_div_exact(a, b):
@@ -339,24 +374,17 @@ def laurent_div_exact(a, b):
 
     Dividing out the lowest power of q leaves polynomials with nonzero
     constant terms, whose quotient is Laurent exactly when it is an
-    ordinary polynomial.  Their values at q = 2^w are divided as integers
-    by `packed_quotient`, at a width that holds both and leaves
-    `_WIDTH_SLACK` bits for the quotient's coefficients; when the quotient
-    is not certified at that width, `_poly_div_exact` divides instead.
+    ordinary polynomial.  `packed_div_exact` divides their values at
+    q = 2^w, at the `_width` of the larger norm and the shorter length.
     """
     if b.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
-    if a.is_zero():
-        return ZERO
     lo_a, lo_b = a.min_exp(), b.min_exp()
     A, B = _dense(a.shift(-lo_a)), _dense(b.shift(-lo_b))
-    norm_a, norm_b = _norm(A), _norm(B)
-    w = (max(norm_a, norm_b).bit_length() + 1
-         + min(len(A), len(B)).bit_length() + _WIDTH_SLACK)
-    found = packed_quotient(_pack(A, w), norm_a, _pack(B, w), norm_b, len(B), w)
-    if found is None:
-        return _poly_div_exact(a.shift(-lo_a), b.shift(-lo_b)).shift(lo_a - lo_b)
-    return _laurent(found[1], lo_a - lo_b, 1)
+    norm_a, norm_b = _norms(A)[0], _norms(B)[0]
+    w = _width(max(norm_a, norm_b), min(len(A), len(B)))
+    pa, pb = _pack(enumerate(A), w), _pack(enumerate(B), w)
+    return _laurent(packed_div_exact(pa, norm_a, pb, B, norm_b, w)[1], lo_a - lo_b, 1)
 
 
 def _split(lp):
@@ -367,6 +395,12 @@ def _split(lp):
     g = math.gcd(*d.values())
     lo = min(d)
     return lo, g, [d.get(e, 0) // g for e in range(lo, max(d) + 1)]
+
+
+# GCDHEU (Char, Geddes and Gonnet, J. Symbolic Comput. 7, 1989): evaluate at
+# x = 2^w, take the integer gcd, read it back as a polynomial.  Each try
+# doubles w, and after the last one the PRS gcd takes over.
+_HEURISTIC_TRIES = 4
 
 
 def _heuristic_gcd_cofactors(A, B):
@@ -387,12 +421,11 @@ def _heuristic_gcd_cofactors(A, B):
     x >= 2 * min(|A|, |B|) + 2, a candidate dividing both is the gcd.
     B enters only by its value at x and by B.bound >= |B|, so the width
     serves a product of factors that is never expanded.  The first width
-    leaves room for the cofactors' coefficient growth.
+    is the `_width` of the larger norm and the longer length.
     """
-    w = (max(_norm(A), B.bound).bit_length() + 1
-         + max(len(A), B.length).bit_length() + _WIDTH_SLACK)
+    w = _width(max(_norms(A)[0], B.bound), max(len(A), B.length))
     for _ in range(_HEURISTIC_TRIES):
-        pa = _pack(A, w)
+        pa = _pack(enumerate(A), w)
         pg = math.gcd(pa, B.pack(w))
         g = _unpack(pg, w)
         content = math.gcd(*g)
@@ -400,12 +433,12 @@ def _heuristic_gcd_cofactors(A, B):
             g = [v // content for v in g]
             pg //= content
         qa, ra = divmod(pa, pg)
-        cb = B.cofactor(w, pg)
-        if not ra and cb is not None:
-            ca = _unpack(qa, w)
-            bound = (1 << (w - 1)) // _norm(g)
-            if (min(len(g), len(ca)) * _norm(ca) < bound
-                    and min(len(g), len(cb)) * _norm(cb) < bound):
+        found = B.cofactor(w, pg)
+        if not ra and found is not None:
+            (cb, norm_cb), ca = found, _unpack(qa, w)
+            bound = (1 << (w - 1)) // _norms(g)[0]
+            if (min(len(g), len(ca)) * _norms(ca)[0] < bound
+                    and min(len(g), len(cb)) * norm_cb < bound):
                 return g, ca, cb
         w *= 2
     return None
@@ -418,11 +451,9 @@ class Factored:
 
     A denominator shared by many fractions, such as delta * g[a] * g[b]
     in a Gram block, is never expanded for the heuristic gcd: its value
-    at 2^w is the product of the parts' values, kept per width, and
-    bound = min over k of |f_k| * prod over j != k of |f_j|_1 bounds the
-    coefficients of the product (|.| the largest coefficient, |.|_1
-    their sum).  For one factor the bound is |f| itself.  The expanded
-    primitive part is built only on demand, at most once.
+    at 2^w is the product of the parts' values, kept per width, and the
+    parts' `_product_norms` bound the coefficients of the product.
+    The expanded primitive part is built only on demand, at most once.
     """
 
     __slots__ = ("low", "content", "parts", "length", "bound", "_packs", "_dense",
@@ -446,42 +477,33 @@ class Factored:
                 parts.append(P)
         self.low, self.content, self.parts = low, content, parts
         self.length = sum(map(len, parts)) - len(parts) + 1
-        if len(parts) == 1:
-            self.bound = _norm(parts[0])
-        else:
-            ones = [sum(map(abs, P)) for P in parts]
-            total = math.prod(ones)
-            self.bound = min((total // one * _norm(P) for one, P in zip(ones, parts)),
-                             default=1)
-        self._packs = {}
-        self._dense = None
-        self._cofactors = {}
+        self.bound = reduce(_product_norms, map(_norms, parts), (1, 1))[0]
+        self._packs, self._cofactors = {}, {}
+        self._dense = parts[0] if len(parts) == 1 else None
 
     def pack(self, w):
         """The primitive part's value at q = 2^w."""
         v = self._packs.get(w)
         if v is None:
-            v = self._packs[w] = math.prod(_pack(P, w) for P in self.parts)
+            v = self._packs[w] = math.prod(_pack(enumerate(P), w) for P in self.parts)
         return v
 
     def cofactor(self, w, pg):
-        """The digits of the primitive part's value at q = 2^w over pg, or
-        None when pg does not divide it; kept per (w, pg)."""
+        """(digits, largest absolute digit) of the primitive part's value at
+        q = 2^w over pg, or None when pg does not divide it; kept per (w, pg)."""
         key = (w, pg)
         if key not in self._cofactors:
             q, r = divmod(self.pack(w), pg)
-            self._cofactors[key] = None if r else _unpack(q, w)
+            cb = _unpack(q, w)
+            self._cofactors[key] = None if r else (cb, _norms(cb)[0])
         return self._cofactors[key]
 
     def dense(self):
         """The primitive part as a dense list: read off its value at a width
         whose digits hold every coefficient, since each is at most bound."""
         if self._dense is None:
-            if len(self.parts) <= 1:
-                self._dense = self.parts[0] if self.parts else [1]
-            else:
-                w = self.bound.bit_length() + 1
-                self._dense = _unpack(self.pack(w), w)
+            w = self.bound.bit_length() + 1
+            self._dense = _unpack(self.pack(w), w)
         return self._dense
 
 
@@ -496,11 +518,7 @@ def _dense_gcd_cofactors(A, B):
     the expanded primitive part of B."""
     if len(A) == 1 or B.length == 1:
         return [1], A, B.dense()
-    found = _heuristic_gcd_cofactors(A, B)
-    if found is None:
-        found = [_dense(p) for p in _prs_gcd_cofactors(
-            _laurent(A, 0, 1), _laurent(B.dense(), 0, 1))]
-    return found
+    return _heuristic_gcd_cofactors(A, B) or _prs_gcd_cofactors(A, B.dense())
 
 
 def _gcd_cofactors(a, b):
@@ -512,7 +530,8 @@ def _gcd_cofactors(a, b):
     the heuristic gives up.
     """
     if not a or not b:
-        return _prs_gcd_cofactors(a, b)
+        return tuple(_laurent(p, 0, 1)
+                     for p in _prs_gcd_cofactors(_dense(a), _dense(b)))
     (la, ca, A), B = _split(a), Factored(b)
     if la < 0 or B.low < 0:
         raise ValueError("a polynomial in Z[q] has no negative exponents")

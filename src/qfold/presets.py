@@ -93,25 +93,33 @@ def _build(name, labels, edges, sigma, part0, part1):
     ulseq = quotient_sequence(fd, seq)
     if lift_sequence(fd, ulseq.indices) != word:
         raise RootSystemError("lifted quotient word does not match the base word")
+    return Preset(name, fd, seq, ulseq, _orientation(datum, part0, part1),
+                  (tuple(part0), tuple(part1)), False)
+
+
+def _orientation(datum, part0, part1):
+    """The bipartite orientation with sinks part0, refused unless the label
+    order (the words' factor order) puts each sink before its neighbours."""
     orientation = Orientation(tuple(
         (b, a) if a in part0 else (a, b) for a, b in datum.edges()))
     validate_orientation(datum, orientation)
     for i, j in orientation.edges:
         if datum.index(j) >= datum.index(i):
-            raise RootSystemError("label order is not compatible with the orientation")
-    return Preset(name, fd, seq, ulseq, orientation,
-                  (tuple(part0), tuple(part1)), False)
+            raise RootSystemError(f"label order {' '.join(datum.labels)} does not suit "
+                                  f"parts {' '.join(part0)}; {' '.join(part1)}")
+    return orientation
 
 
 def custom_preset(labels, form, sigma=None, word=None, parts=None):
     """A preset on user data: a Cartan datum by labels and form, an
     automorphism as a label map (the identity when None), and the base word,
-    given as is or as the bipartite word of parts = (I0, I1).  The quotient
-    word is read off the word's orbit parts; no orientation is attached."""
+    as is or as the bipartite word of parts = (I0, I1), in a label order that
+    suits them (`_orientation`).  No orientation is attached."""
     datum = cartan_datum(labels, form)
     fd = validate_admissible(datum, sigma or {})
     if word is None:
         word = bipartite_w0(datum, parts)
+        _orientation(datum, *parts)
     seq = betas_from_sequence(datum, word)
     return Preset("custom", fd, seq, quotient_sequence(fd, seq), None,
                   ((), ()), False)

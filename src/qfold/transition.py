@@ -8,11 +8,12 @@ accumulation runs from the bottom-right corner upward.
 
 `ldl` eliminates on Kronecker-packed integers: each Laurent numerator is
 its value at q = 2^w over a power of q, at one width per block, which a
-norm bound certifies before each row: every value the elimination reads
-back has its coefficients below 2^(w-1), and every quotient it accepts
-passes the GCDHEU rule of `laurent.packed_quotient`.  `pq_split`,
-`reconstruct_lam` and `matmul_laurent` still multiply coefficient dicts,
-through `_add_products`.
+norm bound certifies before each row, so that every value the elimination
+reads back has its coefficients below 2^(w-1).  The packed format is
+laurent.py's: its packer, norms, product bound, width rule and certified
+division `packed_div_exact` serve `ldl`, which keeps no packing code of
+its own.  `pq_split`, `reconstruct_lam` and `matmul_laurent` still
+multiply coefficient dicts, through `_add_products`.
 """
 
 from __future__ import annotations
@@ -22,9 +23,10 @@ from typing import NamedTuple
 
 from .folding import sigma_on_exponents
 from .gram import WordLayout, delta_weight, expand_word, matching_sum
-from .laurent import (ONE, ZERO, Factored, LaurentPoly, RationalFn,
-                      _dense, _laurent, _poly_div_exact, _unpack, laurent_div_exact,
-                      packed_quotient, parse_laurent, parse_rational, poly_lcm)
+from .laurent import (ONE, ZERO, Factored, LaurentPoly, RationalFn, _laurent,
+                      _lowest_digit, _norms, _pack, _product_norms, _unpack, _width,
+                      laurent_div_exact, packed_div_exact, parse_laurent,
+                      parse_rational, poly_lcm)
 from .rootsys import enumerate_block
 
 
@@ -129,31 +131,9 @@ def _common_denominator(dens):
     return C, {den: laurent_div_exact(C, den) for den in dens}
 
 
-# Bits the first width of `ldl` leaves above the largest bound of A for the
-# bounds of S, and a restart above the bound that refused the width.  The
-# bounds of S exceed A's by at most 5 bits on the benchmark's 15 pool
-# blocks, so none of them restarts.  A restart adds at least this many bits
-# plus one, so it must not be negative.
-_WIDTH_SLACK = 8
-
-
 class _TooNarrow(Exception):
-    """A bound of the elimination reached the digit range of its width."""
-
-    def __init__(self, width):
-        super().__init__(width)
-        self.width = width
-
-
-def _norms(xs):
-    """(largest absolute value, sum of absolute values) of some integers."""
-    xs = [abs(x) for x in xs]
-    return max(xs, default=0), sum(xs)
-
-
-def _evaluate(lp, w):
-    """The value at q = 2^w of a polynomial lp in Z[q]."""
-    return sum(c << (w * e) for e, c in lp.coeffs.items())
+    """A bound of the elimination reached the digit range of its width; the
+    argument is the width to restart at."""
 
 
 def ldl(lam):
@@ -183,17 +163,14 @@ def ldl(lam):
         |S[i][j]| <= max over j of |A[i][j]|
                      + sum over e > i of |H[e][i]|_1 * SB[e],
 
-    where SB[e] >= |S[e][j]| for every j is the largest of
-    min(|pivot_e|_1 * |H[e][j]|, |pivot_e| * |H[e][j]|_1), |.| being the
-    largest coefficient and |.|_1 their sum.  That bound must lie below
-    2^(w-1), so that the pivot and every S entry of the row are read back
-    exactly from their balanced base-2^w digits.  A row whose bound does
-    not fit restarts the block at a width that holds it.  The bounds come
-    from A, H and the pivots, none of which depends on w, so the restarts
-    end.  A quotient is accepted only under the rule of `packed_quotient`,
-    and an entry that the rule leaves uncertified takes the exact long
-    division `_poly_div_exact`.  H and the pivots are unpacked once each,
-    for the output.
+    where SB[e] >= |S[e][j]| for every j is the largest `_product_norms`
+    bound of pivot_e * H[e][j], |.| being the largest coefficient and
+    |.|_1 their sum.  That bound must lie below 2^(w-1), so that the pivot and
+    every S entry of the row are read back exactly from their balanced
+    base-2^w digits.  The block starts at the `_width` of A's largest
+    bound and restarts at that of a row bound that does not fit; the bounds
+    do not depend on w, so the restarts end.  Each H entry is one
+    `packed_div_exact`; H and the pivots are unpacked once each.
     """
     kinds = {}                      # distinct denominator -> its number
     kind = [[kinds.setdefault(x.den, len(kinds)) for x in row[:i + 1]]
@@ -202,20 +179,15 @@ def ldl(lam):
     cofactors = [cofactor[den] for den in kinds]
     C = Factored(C)                 # packed once per gcd width for every D[i]
     norms = [_norms(c.coeffs.values()) for c in cofactors]
-    a_bound = []                    # the largest bound of |A[i][j]| over j <= i
-    for row, kind_row in zip(lam, kind):
-        bound = 0
-        for x, k in zip(row, kind_row):
-            num_max, num_sum = _norms(x.num.coeffs.values())
-            cof_max, cof_sum = norms[k]
-            bound = max(bound, min(num_max * cof_sum, num_sum * cof_max))
-        a_bound.append(bound)
-    w = max(a_bound, default=0).bit_length() + 1 + _WIDTH_SLACK
+    a_bound = [max(_product_norms(_norms(x.num.coeffs.values()), norms[k])[0]
+                   for x, k in zip(row, kind_row))
+               for row, kind_row in zip(lam, kind)]   # the largest of |A[i][j]|, j <= i
+    w = _width(max(a_bound, default=0))
     while True:
         try:
             return _eliminate(lam, kind, C, cofactors, a_bound, w)
         except _TooNarrow as exc:
-            w = exc.width
+            (w,) = exc.args
 
 
 def _eliminate(lam, kind, C, cofactors, a_bound, w):
@@ -229,7 +201,7 @@ def _eliminate(lam, kind, C, cofactors, a_bound, w):
     """
     n = len(lam)
     half = 1 << (w - 1)
-    packed = [_evaluate(c, w) for c in cofactors]
+    packed = [_pack(c.coeffs.items(), w) for c in cofactors]
     H = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
     D = [None] * n
     HP = [None] * n
@@ -238,11 +210,11 @@ def _eliminate(lam, kind, C, cofactors, a_bound, w):
         column = [(e, HP[e][i]) for e in range(i + 1, n) if HP[e][i]]
         bound = a_bound[i] + sum(h[2] * SB[e] for e, h in column)
         if bound >= half:
-            raise _TooNarrow(bound.bit_length() + 1 + _WIDTH_SLACK)
+            raise _TooNarrow(_width(bound))
         # every value of row i is taken over q^base, which divides each term
         base = min([0] + [h[0] + t[e] for e, h in column])
         shift = -w * base
-        acc = [_evaluate(x.num, w) * packed[k] << shift
+        acc = [_pack(x.num.coeffs.items(), w) * packed[k] << shift
                for x, k in zip(lam[i], kind[i])]
         for e, (low, value, _) in column:
             hv = value << w * (low + t[e] - base)
@@ -253,33 +225,30 @@ def _eliminate(lam, kind, C, cofactors, a_bound, w):
                 raise SingularPivot(f"zero pivot at block position {i}")
             D[i] = RationalFn(0)
             break
-        zeros = ((pivot & -pivot).bit_length() - 1) // w    # digits below it
+        zeros = _lowest_digit(pivot, w)
         pv, pl = pivot >> w * zeros, base + zeros
         P = _unpack(pv, w)
-        p_max, p_sum = _norms(P)
+        p_norms = _norms(P)
         D[i] = RationalFn(_laurent(P, pl, 1), C)
-        row, lows, sb = [None] * i, [0], p_max
+        row, lows, sb = [None] * i, [0], p_norms[0]
         for j in range(i):
             value = acc[j]
             if not value:
                 continue
             try:
-                found = packed_quotient(value, bound, pv, p_max, len(P), w)
-                if found is None:
-                    digits = _dense(_poly_div_exact(_laurent(_unpack(value, w), 0, 1),
-                                                    _laurent(P, 0, 1)))
-                    found = value // pv, digits
+                q, digits = packed_div_exact(value, bound, pv, P, p_norms[0], w)
             except ArithmeticError:
                 raise NotIntegral(
                     f"H[{i}][{j}] = ({_laurent(_unpack(value, w), base, 1)}) / "
                     f"({_laurent(P, pl, 1)}) is not a Laurent polynomial") from None
-            q, digits = found
-            z = next(k for k, c in enumerate(digits) if c)
-            h_max, h_sum = _norms(digits)
+            # the lowest digit of H times P[0] != 0 is S's, so it is in range
+            # and q's lowest set bit lies in it, long division or not
+            z = _lowest_digit(q, w)
+            h_norms = _norms(digits)
             H[i][j] = _laurent(digits, base - pl, 1)
-            row[j] = (base - pl + z, q >> w * z, h_sum)
+            row[j] = (base - pl + z, q >> w * z, h_norms[1])
             lows.append(base - pl + z)
-            sb = max(sb, min(p_sum * h_max, p_max * h_sum))
+            sb = max(sb, _product_norms(p_norms, h_norms)[0])
         t[i] = pl + min(lows)
         shift = w * (t[i] - base)
         S[i] = [a >> shift for a in acc] if shift else acc

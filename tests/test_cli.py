@@ -1,5 +1,6 @@
 import hashlib
 import io
+import itertools
 import json
 import pathlib
 import sys
@@ -8,7 +9,9 @@ import pytest
 
 from qfold.cli import main
 from qfold.laurent import parse_laurent
-from qfold.transition import block_from_json
+from qfold.presets import BASES, custom_preset
+from qfold.rootsys import RootSystemError, bipartite_w0, cartan_datum, weights_up_to
+from qfold.transition import SingularPivot, block_from_json, pipeline
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -169,6 +172,49 @@ def test_custom_datum_by_word_via_config(tmp_path, capsys):
     cfg.write_text(datum + "word = 1 1 2 1 1' 2\n")
     code, out, err = run(["roots", "--config", str(cfg)], capsys)
     assert code == 2 and not out and "not reduced" in err
+
+
+@pytest.mark.parametrize("labels", itertools.permutations(("1", "1'", "2")))
+@pytest.mark.parametrize("parts", [("1 1'", "2"), ("2", "1 1'")])
+def test_custom_parts_refuse_a_label_order_their_word_cannot_use(labels, parts,
+                                                                tmp_path, capsys):
+    """Each of the 12 label and part orders of A3 either passes the label
+    order test of the built-ins and gives clean blocks to height 4 on every
+    basis, or exits 2; then its bipartite word, given as an (unchecked)
+    word, reaches a zero pivot by height 4 on the modified basis."""
+    edges = {("1", "2"), ("2", "1"), ("2", "1'"), ("1'", "2")}
+    form = [[2 if a == b else -1 if (a, b) in edges else 0 for b in labels]
+            for a in labels]
+    sigma = {"1": "1'", "1'": "1", "2": "2"}
+    split = [p.split() for p in parts]
+    by_word = custom_preset(labels, form, sigma,
+                            word=bipartite_w0(cartan_datum(labels, form), split))
+
+    def blocks(basis):
+        for gamma in weights_up_to(by_word.side(basis)[0], 4):
+            pipeline(by_word, gamma, basis)
+
+    try:
+        custom_preset(labels, form, sigma, parts=split)
+    except RootSystemError:
+        with pytest.raises(SingularPivot):
+            blocks("modified")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"labels = {' '.join(labels)}\n"
+                       f"form = {'; '.join(' '.join(map(str, r)) for r in form)}\n"
+                       f"parts = {'; '.join(parts)}\n")
+        code, out, err = run(["roots", "--config", str(cfg)], capsys)
+        assert code == 2 and not out
+        assert f"label order {' '.join(labels)}" in err and "; ".join(parts) in err
+        return
+    for basis in BASES:
+        blocks(basis)
+
+
+def test_check_at_height_zero_exits_zero(capsys):
+    """No nonzero word has height 0, so the oracle draws no random pair."""
+    code, out, _ = run(["check", "--suite", "all", "--max-height", "0"], capsys)
+    assert code == 0 and "FAIL" not in out
 
 
 def test_check_refuses_a_custom_datum(tmp_path, capsys):

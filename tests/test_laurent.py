@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 
@@ -162,9 +163,42 @@ cofactor = st.builds(lambda a, k, s: a.shift(k) * s, dense,
 def test_packing_is_evaluation_at_a_power_of_two(w, data):
     half = 1 << (w - 1)
     xs = data.draw(st.lists(st.integers(-half, half - 1), max_size=8))
-    packed = qlaurent._pack(xs, w)
+    packed = qlaurent._pack(enumerate(xs), w)
     assert packed == sum(c << (w * i) for i, c in enumerate(xs))
     assert qlaurent._unpack(packed, w) == qlaurent._strip(xs[:])
+
+
+@SETTINGS
+@given(st.integers(2, 130), st.data())
+def test_lowest_digit_is_the_first_nonzero_digit(w, data):
+    """On balanced digits, as `_unpack` reads them, and on unsigned slots
+    with the same zeros, as `gram` packs its counts."""
+    half = 1 << (w - 1)
+    xs = data.draw(st.lists(st.integers(-half, half - 1), max_size=8).filter(any))
+    v = qlaurent._pack(enumerate(xs), w)
+    first = next(k for k, c in enumerate(qlaurent._unpack(v, w)) if c)
+    assert qlaurent._lowest_digit(v, w) == first
+    unsigned = qlaurent._pack(enumerate(c % (1 << w) for c in xs), w)
+    assert qlaurent._lowest_digit(unsigned, w) == first
+
+
+@SETTINGS
+@given(st.lists(st.lists(st.integers(-9, 9), min_size=1, max_size=6), min_size=1,
+                max_size=4))
+def test_product_norms_bound_the_expanded_product(factors):
+    """The bounds that `Factored`, `ldl`'s rows and its S entries share, on
+    the largest coefficient and the sum of absolute coefficients, hold for
+    the expanded product."""
+    product = math.prod((qlaurent._laurent(f, 0, 1) for f in factors), start=ONE)
+    bound = functools.reduce(qlaurent._product_norms, map(qlaurent._norms, factors))
+    norms = qlaurent._norms(product.coeffs.values())
+    assert bound[0] >= norms[0] and bound[1] >= norms[1]
+
+
+def prs_gcd_cofactors(x, y):
+    """`_prs_gcd_cofactors` on polynomials in Z[q] as Laurent polynomials."""
+    return tuple(qlaurent._laurent(p, 0, 1) for p in qlaurent._prs_gcd_cofactors(
+        qlaurent._dense(x), qlaurent._dense(y)))
 
 
 @SETTINGS
@@ -174,7 +208,7 @@ def test_gcd_cofactors_equal_the_prs_reference(g, a, b):
     primitive PRS gcd with positive leading coefficient, and its cofactors
     are the exact quotients."""
     x, y = g * a, g * b
-    ref = qlaurent._prs_gcd_cofactors(x, y)
+    ref = prs_gcd_cofactors(x, y)
     assert qlaurent._gcd_cofactors(x, y) == ref
     assert ref[0] * ref[1] == x and ref[0] * ref[2] == y
 
@@ -210,7 +244,7 @@ def test_a_narrow_width_is_refused_by_the_coefficient_bound(monkeypatch):
     monkeypatch.setattr(qlaurent, "_WIDTH_SLACK", -6)
     monkeypatch.setattr(qlaurent, "_pack", recorded)
     g, cx, cy = qlaurent._gcd_cofactors(x, y)
-    assert (g, cx, cy) == qlaurent._prs_gcd_cofactors(x, y)
+    assert (g, cx, cy) == prs_gcd_cofactors(x, y)
     assert max(cx.coeffs.values()) == 3836 and cy == ONE
     assert sorted(set(widths)) == [8, 16, 32]
 
@@ -261,7 +295,7 @@ def test_a_factored_denominator_gives_the_normal_form_of_its_product(fraction):
     assert qlaurent._laurent(split.dense(), split.low, split.content) == product
     assert (split.low, abs(split.content)) == (low, content)
     assert split.length == len(primitive)
-    assert split.bound >= qlaurent._norm(primitive)
+    assert split.bound >= qlaurent._norms(primitive)[0]
     # with the heuristic giving up, the PRS gcd runs on the expanded product
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(qlaurent, "_heuristic_gcd_cofactors", lambda A, B: None)
@@ -290,7 +324,7 @@ def test_gcd_cofactors_of_known_pairs():
 
 def test_polynomial_helpers_refuse_negative_exponents():
     for call in (lambda: qlaurent._dense(q_power(-1)),
-                 lambda: qlaurent._poly_gcd(q_power(-1), ONE),
+                 lambda: qlaurent._gcd_cofactors(ZERO, q_power(-1)),
                  lambda: qlaurent._gcd_cofactors(Q, q_power(-2) + ONE)):
         with pytest.raises(ValueError, match="negative exponents"):
             call()

@@ -17,11 +17,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import qfold
+import qfold.laurent as qlaurent
 import qfold.transition as qtransition
 from qfold.gram import pbw_diag
-from qfold.laurent import (ONE, ZERO, LaurentPoly, RationalFn, _laurent, _norm, _pack,
-                           _poly_div_exact, _unpack, laurent_div_exact, packed_quotient,
-                           poly_lcm, q_power)
+from qfold.laurent import (ONE, ZERO, LaurentPoly, RationalFn, _dense, _laurent, _norms,
+                           _pack, _poly_div_exact, _unpack, laurent_div_exact,
+                           packed_quotient, poly_lcm, q_power)
 from qfold.transition import (NotIntegral, SingularPivot, gram_block, ldl,
                               matmul_laurent, pq_split, reconstruct_lam)
 
@@ -82,7 +83,8 @@ def gram(H, D):
 def long_division(a, b):
     """a / b in Z[q, q^-1] by the long division `_poly_div_exact` alone."""
     lo_a, lo_b = a.min_exp(), b.min_exp()
-    return _poly_div_exact(a.shift(-lo_a), b.shift(-lo_b)).shift(lo_a - lo_b)
+    return _laurent(_poly_div_exact(_dense(a.shift(-lo_a)), _dense(b.shift(-lo_b))),
+                    lo_a - lo_b, 1)
 
 
 def ldl_reference(lam):
@@ -136,7 +138,7 @@ def widths_taken(lam, slack=None):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(qtransition, "_eliminate", recorded)
         if slack is not None:
-            mp.setattr(qtransition, "_WIDTH_SLACK", slack)
+            mp.setattr(qlaurent, "_WIDTH_SLACK", slack)
         return ldl(lam), widths
 
 
@@ -201,19 +203,29 @@ def test_a_row_bound_above_the_width_restarts_the_block():
     got, widths = widths_taken(lam, slack=0)
     assert got == ldl_reference(lam) == (H, D)
     assert widths == [83, 84]
-    assert widths_taken(lam)[1] == [widths[0] + qtransition._WIDTH_SLACK]
+    assert widths_taken(lam)[1] == [widths[0] + qlaurent._WIDTH_SLACK]
 
 
 @SETTINGS
 @given(factors(min_n=2))
 def test_uncertified_quotients_take_the_long_division(hd):
-    """With no packed quotient certified, every H entry comes from the
-    long division, and the factors do not change."""
+    """With no packed quotient certified, every H entry and every cofactor
+    of the common denominator comes from the long division, and the
+    factors do not change."""
     H, D = hd
     lam = gram(H, D)
+    divisions = []
+    long_division = qlaurent._poly_div_exact
+
+    def counted(*args):
+        divisions.append(args)
+        return long_division(*args)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(qtransition, "packed_quotient", lambda *args: None)
+        mp.setattr(qlaurent, "packed_quotient", lambda *args: None)
+        mp.setattr(qlaurent, "_poly_div_exact", counted)
         assert ldl(lam) == (H, D)
+    assert len(divisions) > sum(1 for i, row in enumerate(H) for x in row[:i] if x)
 
 
 def test_ldl_equals_the_reference_on_a_folded_block():
@@ -246,21 +258,21 @@ def test_packed_quotient_returns_only_exact_quotients(w, xs, bs, k, data):
     elif kind == "any":
         a = _laurent(xs, 0, 1)
     elif kind == "integer multiple":
-        a = _laurent(_unpack(k * _pack(bs, w), w), 0, 1)
+        a = _laurent(_unpack(k * _pack(enumerate(bs), w), w), 0, 1)
     else:
         vanishing = LaurentPoly({0: 1 << w, 1: -1}).shift(data.draw(st.integers(0, 3)))
         a = _laurent(xs, 0, 1) * b + vanishing * k
     A = [a.coeffs.get(e, 0) for e in range(max(a.coeffs, default=-1) + 1)]
     try:
-        found = packed_quotient(_pack(A, w), _norm(A), _pack(bs, w), _norm(bs),
-                                len(bs), w)
+        found = packed_quotient(_pack(enumerate(A), w), _norms(A)[0],
+                                _pack(enumerate(bs), w), _norms(bs)[0], len(bs), w)
     except ArithmeticError:
         with pytest.raises(ArithmeticError):
-            _poly_div_exact(a, b)
+            _poly_div_exact(A, bs)
         return
     if found is not None:
         q, digits = found
-        assert _laurent(digits, 0, 1) * b == a and _pack(digits, w) == q
+        assert _laurent(digits, 0, 1) * b == a and _pack(enumerate(digits), w) == q
 
 
 @pytest.mark.parametrize("w, a, b", [
@@ -271,11 +283,11 @@ def test_an_integer_quotient_of_indivisible_polynomials_is_refused(w, a, b):
     """a(2^w) / b(2^w) is an integer, and every coefficient of a is
     below 2^(w-1), but the quotient's digits times b are not a: the
     certificate refuses them."""
-    pa, pb = _pack(a, w), _pack(b, w)
+    pa, pb = _pack(enumerate(a), w), _pack(enumerate(b), w)
     assert pa % pb == 0
     with pytest.raises(ArithmeticError):
-        _poly_div_exact(_laurent(a, 0, 1), _laurent(b, 0, 1))
-    assert packed_quotient(pa, _norm(a), pb, _norm(b), len(b), w) is None
+        _poly_div_exact(a, b)
+    assert packed_quotient(pa, _norms(a)[0], pb, _norms(b)[0], len(b), w) is None
 
 
 @SETTINGS
