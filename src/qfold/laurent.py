@@ -12,15 +12,18 @@ from a Laurent numerator over a denominator, and then only compared, hashed
 or printed.  Building it reduces one fraction by a polynomial gcd: the
 heuristic gcd GCDHEU on Kronecker-packed integers (Char, Geddes and Gonnet,
 J. Symbolic Comput. 7, 1989), which CPython's big-integer gcd and division
-carry, with the primitive-PRS gcd as its fallback.  The denominator is a
-Laurent polynomial or a `Factored` product of them, which many fractions can
-share: it is split and packed once per width for all of them and expanded
-at most once.  The packed format, which `transition.ldl` uses too, lives
-here alone: one packer, one width rule, and one certified division,
-`packed_div_exact`, which takes the digits of an integer quotient when
-`packed_quotient` proves them the polynomial quotient, else divides long.
-The memo of `qfact`, one entry per (n, d), is this module's only one; a
-`Factored` keeps its packed values, and the cofactor of each gcd it has
+carry, with the primitive-PRS gcd as its fallback.  Both, and exact division,
+run in x = q^s, s the gcd of the steps of the exponents, since
+gcd(N(q^s), D(q^s)) = gcd(N, D)(q^s) and likewise for quotients: a Gram
+entry, q^k times a polynomial in q^2, packs to half the digits.  The
+denominator is a Laurent polynomial or a `Factored` product of them, which
+many fractions can share: it is split and packed once per width for all of
+them and expanded at most once.  The packed format, which `transition.ldl`
+uses too, lives here alone: one packer, one width rule, and one certified
+division, `packed_div_exact`, which takes the digits of an integer quotient
+when `packed_quotient` proves them the polynomial quotient, else divides
+long.  The memo of `qfact`, one entry per (n, d), is this module's only one;
+a `Factored` keeps its packed values, and the cofactor of each gcd it has
 met, for as long as its owner keeps it.
 """
 
@@ -270,8 +273,9 @@ def _prs_gcd_cofactors(fa, fb):
 
 
 # -- Kronecker packing (Harvey, J. Symbolic Comput. 44, 2009): a polynomial
-# in Z[q] is carried as its value at q = 2^w, whose balanced base-2^w digits
-# are its coefficients while they lie in [-2^(w-1), 2^(w-1)).
+# in Z[x], x = q or a power q^s, is carried as its value at x = 2^w, whose
+# balanced base-2^w digits are its coefficients while they lie in
+# [-2^(w-1), 2^(w-1)).
 
 # Bits a first width leaves above its bound for coefficient growth.  With
 # 8, all but 12 of the 37 876 gcds that the check suites and `gram` and
@@ -368,33 +372,51 @@ def packed_div_exact(pa, bound_a, pb, B, norm_b, w):
     return found
 
 
-def laurent_div_exact(a, b):
-    """Exact quotient a / b in Z[q, q^-1]; raises ArithmeticError when the
-    quotient is not a Laurent polynomial with integer coefficients.
-
-    Dividing out the lowest power of q leaves polynomials with nonzero
-    constant terms, whose quotient is Laurent exactly when it is an
-    ordinary polynomial.  `packed_div_exact` divides their values at
-    q = 2^w, at the `_width` of the larger norm and the shorter length.
-    """
-    if b.is_zero():
+def laurent_div_exact(a, bs):
+    """The exact quotient a / b in Z[q, q^-1] for each b of bs; raises
+    ArithmeticError at the first that is not Laurent.  By Gauss's lemma, b
+    divides a when b's content divides a's and b's primitive part, with a
+    nonzero constant term, divides a's, in x = q^s for the gcd s of all the
+    steps.  a is packed once, at the largest of the quotients' `_width`s,
+    and `packed_div_exact` divides its value by each b's."""
+    if not all(bs):
         raise ZeroDivisionError("polynomial division by zero")
-    lo_a, lo_b = a.min_exp(), b.min_exp()
-    A, B = _dense(a.shift(-lo_a)), _dense(b.shift(-lo_b))
-    norm_a, norm_b = _norms(A)[0], _norms(B)[0]
-    w = _width(max(norm_a, norm_b), min(len(A), len(B)))
-    pa, pb = _pack(enumerate(A), w), _pack(enumerate(B), w)
-    return _laurent(packed_div_exact(pa, norm_a, pb, B, norm_b, w)[1], lo_a - lo_b, 1)
+    if not a or not bs:
+        return [ZERO] * len(bs)
+    (lo_a, ca, sa, A), splits = _split(a), [_split(b) for b in bs]
+    s = math.gcd(sa, *(sb for _, _, sb, _ in splits)) or 1
+    A, norm_a = _restep(A, sa // s), _norms(A)[0]
+    Bs = [_restep(B, sb // s) for _, _, sb, B in splits]
+    norms = [_norms(B)[0] for B in Bs]
+    w = _width(max(norm_a, *norms), max(min(len(A), len(B)) for B in Bs))
+    pa, out = _pack(enumerate(A), w), []
+    for (lo_b, cb, _, _), B, norm_b in zip(splits, Bs, norms):
+        if ca % cb:
+            raise ArithmeticError("inexact polynomial division")
+        h = packed_div_exact(pa, norm_a, _pack(enumerate(B), w), B, norm_b, w)[1]
+        out.append(_laurent(h, lo_a - lo_b, ca // cb, s))
+    return out
 
 
 def _split(lp):
-    """(lowest exponent, integer content, primitive part) of a nonzero
-    Laurent polynomial; the primitive part is dense, ascending from a
-    nonzero constant term."""
+    """(lowest exponent, integer content, step, primitive part) of a nonzero
+    Laurent polynomial.  The step s is the gcd of its exponent differences,
+    0 for a monomial, and the primitive part is dense in x = q^s, ascending
+    from a nonzero constant term."""
     d = lp.coeffs
     g = math.gcd(*d.values())
     lo = min(d)
-    return lo, g, [d.get(e, 0) // g for e in range(lo, max(d) + 1)]
+    s = math.gcd(*[e - lo for e in d])
+    return lo, g, s, [d.get(e, 0) // g for e in range(lo, max(d) + 1, s or 1)]
+
+
+def _restep(xs, r):
+    """xs(x^r) for a dense xs in x; r is 0 only for a constant xs."""
+    if r <= 1:
+        return xs
+    out = [0] * (r * (len(xs) - 1) + 1)
+    out[::r] = xs
+    return out
 
 
 # GCDHEU (Char, Geddes and Gonnet, J. Symbolic Comput. 7, 1989): evaluate at
@@ -403,37 +425,39 @@ def _split(lp):
 _HEURISTIC_TRIES = 4
 
 
-def _heuristic_gcd_cofactors(A, B):
-    """(g, A / g, B / g) as dense lists for a primitive dense polynomial A
-    and the primitive part of a `Factored` B, both of degree >= 1 with
-    nonzero constant terms, g their gcd with positive leading coefficient;
-    None when the heuristic gives up.
+def _heuristic_gcd_cofactors(A, B, r):
+    """(g, A / g, B / g) as dense lists in x for a primitive dense A in x
+    and the primitive part of a `Factored` B in x^r, both of degree >= 1
+    with nonzero constant terms, g their gcd with positive leading
+    coefficient; None when the heuristic gives up.  With x = q^s for the
+    gcd s of the two steps, gcd(N(q^s), D(q^s)) = gcd(N, D)(q^s), so the
+    lists read back with stride s are the gcd and cofactors in q.
 
     The candidate g is the primitive part of the balanced digits of
     gcd(A(x), B(x)) at x = 2^w (a positive integer, so the leading digit
     is positive too), whose value g(x) is that gcd over the digits'
     content, and the cofactors are the digits of the exact integer
     quotients A(x) / g(x) and B(x) / g(x); B keeps its cofactor per
-    (w, g(x)), since many numerators over one denominator share a gcd.
+    (w, r, g(x)), since many numerators over one denominator share a gcd.
     With every coefficient of A, B and of the products g * cofactor below
     x / 2 in absolute value, the packed identities A(x) = g(x) * (A / g)(x)
     are polynomial identities (balanced digits are unique), and since
     x >= 2 * min(|A|, |B|) + 2, a candidate dividing both is the gcd.
-    B enters only by its value at x and by B.bound >= |B|, so the width
-    serves a product of factors that is never expanded.  The first width
-    is the `_width` of the larger norm and the longer length.
+    B enters only by its value at x, `pack(w * r)`, and by B.bound >= |B|,
+    so the width serves a product of factors that is never expanded.  The
+    first width is the `_width` of the larger norm and the longer length.
     """
-    w = _width(max(_norms(A)[0], B.bound), max(len(A), B.length))
+    w = _width(max(_norms(A)[0], B.bound), max(len(A), r * (B.length - 1) + 1))
     for _ in range(_HEURISTIC_TRIES):
         pa = _pack(enumerate(A), w)
-        pg = math.gcd(pa, B.pack(w))
+        pg = math.gcd(pa, B.pack(w * r))
         g = _unpack(pg, w)
         content = math.gcd(*g)
         if content > 1:
             g = [v // content for v in g]
             pg //= content
         qa, ra = divmod(pa, pg)
-        found = B.cofactor(w, pg)
+        found = B.cofactor(w, r, pg)
         if not ra and found is not None:
             (cb, norm_cb), ca = found, _unpack(qa, w)
             bound = (1 << (w - 1)) // _norms(g)[0]
@@ -447,17 +471,20 @@ def _heuristic_gcd_cofactors(A, B):
 class Factored:
     """A nonzero Laurent polynomial kept as a product of factors, each
     split once by `_split`: q^low * content * the product of the
-    primitive dense parts, which is primitive by Gauss's lemma.
+    primitive dense parts, which is primitive by Gauss's lemma.  Each part
+    keeps its step; the product is a polynomial in x = q^step, step the gcd
+    of the parts' steps (0 with none), with length coefficients in x.
 
     A denominator shared by many fractions, such as delta * g[a] * g[b]
     in a Gram block, is never expanded for the heuristic gcd: its value
-    at 2^w is the product of the parts' values, kept per width, and the
-    parts' `_product_norms` bound the coefficients of the product.
-    The expanded primitive part is built only on demand, at most once.
+    at x = 2^w is the product of the parts' values, a part in x^r packed
+    at 2^(w * r), kept per width, and the parts' `_product_norms` bound the
+    coefficients of the product.  The expanded primitive part is built
+    only on demand, at most once.
     """
 
-    __slots__ = ("low", "content", "parts", "length", "bound", "_packs", "_dense",
-                 "_cofactors")
+    __slots__ = ("low", "content", "parts", "step", "length", "bound", "_packs",
+                 "_dense", "_cofactors")
 
     def __init__(self, *factors):
         low, content, parts = 0, 1, []
@@ -468,57 +495,64 @@ class Factored:
                 continue
             if f.is_zero():
                 raise ZeroDivisionError("zero denominator in Q(q)")
-            lo, c, P = _split(f)
+            lo, c, s, P = _split(f)
             low += lo
             if len(P) == 1:                   # a monomial: its sign joins the content
                 content *= c * P[0]
             else:
                 content *= c
-                parts.append(P)
+                parts.append((s, P))
         self.low, self.content, self.parts = low, content, parts
-        self.length = sum(map(len, parts)) - len(parts) + 1
-        self.bound = reduce(_product_norms, map(_norms, parts), (1, 1))[0]
+        self.step = math.gcd(*(s for s, _ in parts))
+        self.length = sum((len(P) - 1) * s for s, P in parts) // (self.step or 1) + 1
+        self.bound = reduce(_product_norms, (_norms(P) for _, P in parts), (1, 1))[0]
         self._packs, self._cofactors = {}, {}
-        self._dense = parts[0] if len(parts) == 1 else None
+        self._dense = parts[0][1] if len(parts) == 1 else None
 
     def pack(self, w):
-        """The primitive part's value at q = 2^w."""
+        """The primitive part's value at x = q^step = 2^w."""
         v = self._packs.get(w)
         if v is None:
-            v = self._packs[w] = math.prod(_pack(enumerate(P), w) for P in self.parts)
+            v = self._packs[w] = math.prod(_pack(enumerate(P), w * s // self.step)
+                                           for s, P in self.parts)
         return v
 
-    def cofactor(self, w, pg):
-        """(digits, largest absolute digit) of the primitive part's value at
-        q = 2^w over pg, or None when pg does not divide it; kept per (w, pg)."""
-        key = (w, pg)
+    def cofactor(self, w, r, pg):
+        """(digits at 2^w, largest absolute digit) of `pack(w * r)` over pg,
+        or None when pg does not divide it; kept per (w, r, pg)."""
+        key = (w, r, pg)
         if key not in self._cofactors:
-            q, r = divmod(self.pack(w), pg)
+            q, rem = divmod(self.pack(w * r), pg)
             cb = _unpack(q, w)
-            self._cofactors[key] = None if r else (cb, _norms(cb)[0])
+            self._cofactors[key] = None if rem else (cb, _norms(cb)[0])
         return self._cofactors[key]
 
     def dense(self):
-        """The primitive part as a dense list: read off its value at a width
-        whose digits hold every coefficient, since each is at most bound."""
+        """The primitive part as a dense list in q^step: read off its value
+        at a width whose digits hold every coefficient, since each is at
+        most bound."""
         if self._dense is None:
             w = self.bound.bit_length() + 1
             self._dense = _unpack(self.pack(w), w)
         return self._dense
 
 
-def _laurent(xs, shift, scale):
-    """q^shift * scale * xs as a LaurentPoly, xs dense and scale nonzero."""
-    return LaurentPoly({i + shift: c * scale for i, c in enumerate(xs)})
+def _laurent(xs, shift, scale, step=1):
+    """q^shift * scale * xs(q^step) as a LaurentPoly, scale nonzero."""
+    return LaurentPoly({i * step + shift: c * scale for i, c in enumerate(xs)})
 
 
-def _dense_gcd_cofactors(A, B):
-    """(g, A / g, B / g) for the split primitive part A of a numerator (see
-    `_split`) and a `Factored` B: the heuristic gcd, else the PRS gcd on
-    the expanded primitive part of B."""
+def _dense_gcd_cofactors(A, a_step, B):
+    """(s, g, A / g, B / g), the last three dense in x = q^s, for the split
+    primitive part A in q^a_step of a numerator (see `_split`) and a
+    `Factored` B, s the gcd of their steps: the heuristic gcd, else the
+    PRS gcd on the expanded primitive part of B."""
+    s = math.gcd(a_step, B.step) or 1
+    A, r = _restep(A, a_step // s), B.step // s
     if len(A) == 1 or B.length == 1:
-        return [1], A, B.dense()
-    return _heuristic_gcd_cofactors(A, B) or _prs_gcd_cofactors(A, B.dense())
+        return s, [1], A, _restep(B.dense(), r)
+    return s, *(_heuristic_gcd_cofactors(A, B, r)
+                or _prs_gcd_cofactors(A, _restep(B.dense(), r)))
 
 
 def _gcd_cofactors(a, b):
@@ -526,19 +560,19 @@ def _gcd_cofactors(a, b):
     with positive leading coefficient (the value of `_poly_gcd`).
 
     Powers of q and the integer contents are split off first; the rest is
-    reduced by the heuristic gcd on packed integers, or by the PRS gcd when
-    the heuristic gives up.
+    reduced in q^s, s the gcd of the two steps, by the heuristic gcd on
+    packed integers, or by the PRS gcd when the heuristic gives up.
     """
     if not a or not b:
         return tuple(_laurent(p, 0, 1)
                      for p in _prs_gcd_cofactors(_dense(a), _dense(b)))
-    (la, ca, A), B = _split(a), Factored(b)
+    (la, ca, sa, A), B = _split(a), Factored(b)
     if la < 0 or B.low < 0:
         raise ValueError("a polynomial in Z[q] has no negative exponents")
     low = min(la, B.low)
-    g, ga, gb = _dense_gcd_cofactors(A, B)
-    return (_laurent(g, low, 1), _laurent(ga, la - low, ca),
-            _laurent(gb, B.low - low, B.content))
+    s, g, ga, gb = _dense_gcd_cofactors(A, sa, B)
+    return (_laurent(g, low, 1, s), _laurent(ga, la - low, ca, s),
+            _laurent(gb, B.low - low, B.content, s))
 
 
 def poly_lcm(a, b):
@@ -616,19 +650,20 @@ def _normalize(num, den):
 
     q is a unit, so splitting off each side's lowest power of q and its
     integer content leaves primitive parts N and D whose cofactors by their
-    gcd are coprime and primitive.  Only the difference of the powers and
-    the two contents over their gcd go back, with the sign making the
-    denominator's leading coefficient positive.
+    gcd, taken in q^s for the gcd s of their steps, are coprime and
+    primitive.  Only the difference of the powers and the two contents over
+    their gcd go back, with the sign making the denominator's leading
+    coefficient positive.
     """
     if num.is_zero():
         return ZERO, ONE
-    (ln, cn, N), ld, cd = _split(num), den.low, den.content
-    _, N, D = _dense_gcd_cofactors(N, den)
+    (ln, cn, sn, N), ld, cd = _split(num), den.low, den.content
+    s, _, N, D = _dense_gcd_cofactors(N, sn, den)
     c = math.gcd(cn, cd)
     cn, cd = cn // c, cd // c
     if (D[-1] < 0) != (cd < 0):
         cn, cd = -cn, -cd
-    return _laurent(N, max(ln - ld, 0), cn), _laurent(D, max(ld - ln, 0), cd)
+    return _laurent(N, max(ln - ld, 0), cn, s), _laurent(D, max(ld - ln, 0), cd, s)
 
 
 RF_ZERO = RationalFn(0)

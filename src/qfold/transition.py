@@ -123,12 +123,12 @@ def gram_block(preset, gamma, basis=None, max_block=None):
 
 def _common_denominator(dens):
     """The lcm C of some denominators and the cofactor C / den of each
-    distinct one, by exact division."""
-    dens = dict.fromkeys(dens)
+    distinct one, by exact division of C, packed once, by each."""
+    dens = list(dict.fromkeys(dens))
     C = ONE
     for den in dens:
         C = poly_lcm(C, den)
-    return C, {den: laurent_div_exact(C, den) for den in dens}
+    return C, dict(zip(dens, laurent_div_exact(C, dens)))
 
 
 class _TooNarrow(Exception):

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 import qfold.laurent as qlaurent
 from qfold.laurent import (LaurentPoly, RationalFn, ONE, Q, RF_ZERO, ZERO,
                            parse_laurent, parse_rational, q_power, qfact, qint)
-from test_ldl import SETTINGS, fraction_sum, laurent
+from test_ldl import SETTINGS, fraction_sum, laurent, long_division
 
 
 def L(s):
@@ -221,7 +221,7 @@ def test_normal_form_does_not_depend_on_the_heuristic(g, a, b, k):
     num, den = (g * a).shift(k), g * b
     fast = RationalFn(num, den)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(qlaurent, "_heuristic_gcd_cofactors", lambda A, B: None)
+        mp.setattr(qlaurent, "_heuristic_gcd_cofactors", lambda A, B, r: None)
         slow = RationalFn(num, den)
     assert (fast.num, fast.den) == (slow.num, slow.den)
     assert fast.num * den == fast.den * num
@@ -291,16 +291,118 @@ def test_a_factored_denominator_gives_the_normal_form_of_its_product(fraction):
     got = _over_factors(num, factors)
     assert (got.num, got.den) == (expected.num, expected.den)
     split = qlaurent.Factored(*factors)
-    low, content, primitive = qlaurent._split(product)
-    assert qlaurent._laurent(split.dense(), split.low, split.content) == product
+    low, content, step, primitive = qlaurent._split(product)
+    assert qlaurent._laurent(split.dense(), split.low, split.content,
+                             split.step) == product
     assert (split.low, abs(split.content)) == (low, content)
-    assert split.length == len(primitive)
+    # the parts' common step may be finer than the product's, never coarser
+    assert step % split.step == 0 if split.step else step == 0
+    assert (split.length - 1) * split.step == (len(primitive) - 1) * step
     assert split.bound >= qlaurent._norms(primitive)[0]
     # with the heuristic giving up, the PRS gcd runs on the expanded product
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(qlaurent, "_heuristic_gcd_cofactors", lambda A, B: None)
+        mp.setattr(qlaurent, "_heuristic_gcd_cofactors", lambda A, B, r: None)
         slow = _over_factors(num, factors)
     assert (slow.num, slow.den) == (expected.num, expected.den)
+
+
+# -- polynomials in q^s -------------------------------------------------------
+
+STEPS = (1, 2, 3, 4, 6)
+
+
+def in_step(xs, s, k=0):
+    """q^k * xs(q^s) for a dense list xs."""
+    return LaurentPoly({k + s * i: c for i, c in enumerate(xs)})
+
+
+def normal_form_by_prs(num, den):
+    """(num, den) of num / den reduced in q by the PRS gcd and long division:
+    coprime, with coprime integer contents and den's leading coefficient
+    positive, which is the normal form of `RationalFn`."""
+    if not num:
+        return ZERO, ONE
+    lo = min(num.min_exp(), den.min_exp())
+    n, d = qlaurent._dense(num.shift(-lo)), qlaurent._dense(den.shift(-lo))
+    g = qlaurent._poly_gcd(n, d)
+    n, d = qlaurent._poly_div_exact(n, g), qlaurent._poly_div_exact(d, g)
+    c = math.gcd(*n, *d) * (1 if d[-1] > 0 else -1)
+    return poly([v // c for v in n]), poly([v // c for v in d])
+
+
+@st.composite
+def stepped(draw, steps=st.sampled_from(STEPS), low=st.integers(0, 3)):
+    """q^k * f(q^s) for a random f of up to 3 terms: a monomial when f has
+    one."""
+    xs = draw(st.lists(st.integers(-5, 5) | big, min_size=1, max_size=3)
+              .filter(lambda xs: xs[0] and xs[-1]))
+    return in_step(xs, draw(steps), draw(low))
+
+
+@st.composite
+def stepped_fractions(draw):
+    """Factors of different steps, some of the form 1 - q^s, and a
+    numerator over their product: a multiple of some of them times a
+    polynomial whose step is finer than, equal to or coarser than the
+    factors' common step, one of the form 1 - q^(t * step) over factors
+    1 - q^step, a monomial, or zero."""
+    factor = stepped(low=st.integers(-3, 3)) | st.builds(
+        lambda s: ONE - q_power(s), st.sampled_from(STEPS))
+    factors = draw(st.lists(factor, min_size=1, max_size=3))
+    step = math.gcd(*(qlaurent._split(f)[2] for f in factors))
+    kind = draw(st.sampled_from(("finer", "same", "coarser", "monomial", "zero")))
+    if kind == "monomial":
+        num = q_power(draw(st.integers(-4, 4))) * draw(st.sampled_from([1, -2, 9]))
+    elif kind == "zero":
+        num = ZERO
+    else:
+        s = {"finer": 1, "same": step or 1}.get(kind, draw(st.sampled_from((2, 3)))
+                                              * (step or 1))
+        num = draw(stepped(steps=st.just(s), low=st.integers(-3, 3)))
+        if kind == "coarser":
+            num = num * (ONE - q_power(s))
+        else:
+            num = math.prod(draw(st.lists(st.sampled_from(factors), max_size=2)),
+                            start=num)
+    return num, factors
+
+
+@SETTINGS
+@given(stepped_fractions(), stepped(), stepped(), stepped(), st.data())
+def test_polynomials_in_q_to_a_step_match_the_prs_and_long_division(
+        fraction, g, a, b, data):
+    """On polynomials in q^s for s in STEPS, of steps that differ or agree,
+    the normal form over a `Factored` denominator (with the heuristic gcd
+    and with its PRS fallback), `_gcd_cofactors` and `laurent_div_exact`
+    equal the PRS gcd and long division in q, and an inexact division
+    raises."""
+    num, factors = fraction
+    expected = normal_form_by_prs(num, math.prod(factors, start=ONE))
+    got = _over_factors(num, factors)
+    assert (got.num, got.den) == expected
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qlaurent, "_heuristic_gcd_cofactors", lambda A, B, r: None)
+        slow = _over_factors(num, factors)
+    assert (slow.num, slow.den) == expected
+
+    x, y = g * a, g * b
+    assert qlaurent._gcd_cofactors(x, y) == prs_gcd_cofactors(x, y)
+
+    divisors = [b, g * b, data.draw(stepped(low=st.integers(-3, 3)))]
+    dividend = data.draw(st.sampled_from((x * b, x, ZERO, num)))
+    for d in divisors:
+        try:
+            quotient = long_division(dividend, d)
+        except ArithmeticError:
+            with pytest.raises(ArithmeticError):
+                qlaurent.laurent_div_exact(dividend, [d])[0]
+            continue
+        assert qlaurent.laurent_div_exact(dividend, [d])[0] == quotient
+    # the lcm of the divisors over each of them, from one packed value
+    divisors = [as_polynomial(d) for d in divisors]
+    lcm = functools.reduce(qlaurent.poly_lcm, divisors, ONE)
+    assert qlaurent.laurent_div_exact(lcm, divisors) == \
+        [long_division(lcm, d) for d in divisors]
 
 
 def test_a_factored_denominator_refuses_a_zero_factor():

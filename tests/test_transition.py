@@ -218,9 +218,9 @@ def test_heuristic_gcd_serves_every_fraction_of_the_reference_blocks(monkeypatch
     served = []
     heuristic = qlaurent._heuristic_gcd_cofactors
 
-    def counted(A, B):
+    def counted(A, B, r):
         served.append(len(A))
-        return heuristic(A, B)
+        return heuristic(A, B, r)
 
     def refuse(a, b):
         raise AssertionError(f"PRS fallback on ({a}, {b})")
