@@ -228,18 +228,19 @@ def cmd_gram(args, cfg):
             "delta": str(gram.delta),
             "gamma_factors": [str(g) for g in gram.g],
         }
-        pretty.append(f"weight {gamma} ({basis}): {len(gram.index)} vectors")
-        for c, row in zip(gram.index, entry["lambda"]):
-            pretty.append(f"  {c}: " + "  |  ".join(row))
         if not preset.fd.is_trivial() and basis != "folded":
             sub_index, sub = sigma_submatrix(preset.fd, preset.seq, gram.index,
                                              entry["lambda"])
             entry["index_sigma"] = [list(c) for c in sub_index]
             entry["lambda_sigma"] = sub
-            pretty.append(f"  fixed part: {len(sub_index)} vectors")
-            for c, row in zip(sub_index, sub):
-                pretty.append(f"  {c}: " + "  |  ".join(row))
         results.append(entry)
+        if args.format == "pretty":
+            pretty.append(f"weight {gamma} ({basis}): {len(gram.index)} vectors")
+            pretty += [f"  {c}: " + "  |  ".join(row)
+                       for c, row in zip(gram.index, entry["lambda"])]
+            if "index_sigma" in entry:
+                pretty.append(f"  fixed part: {len(sub_index)} vectors")
+                pretty += [f"  {c}: " + "  |  ".join(r) for c, r in zip(sub_index, sub)]
     payload = results[0] if len(results) == 1 else {"blocks": results}
     rows = []
     for entry in results:

@@ -282,12 +282,14 @@ def _cross_sums_by_runs(source, target):
     return packed >> (width * empty), -base - empty
 
 
-def matching_sum(datum, nu, nup, layout=None, layoutp=None):
+def matching_sum(datum, nu, nup, layout=None, layoutp=None, sums=None):
     """Sum of q^(-A) over all matchings; a Laurent polynomial.
 
     layout and layoutp are the `WordLayout`s of nu and nup; a caller that
     pairs each word with many others, such as `gram_block`, builds them
-    once per word, and they are built here when not given.
+    once per word, and they are built here when not given.  sums, a dict
+    kept for one block, maps a packed sum, its top exponent and width to
+    the one `LaurentPoly` unpacked from them, which every repeat shares.
 
     The sum is symmetric in nu and nup: a matching and its inverse invert
     the same pairs of letters.  So the source, whose equal consecutive
@@ -311,7 +313,11 @@ def matching_sum(datum, nu, nup, layout=None, layoutp=None):
         return ZERO
     source, target = pair
     packed, top = _cross_sums_by_runs(source, target)
-    return _unpack_counts(packed * source.run_factor, top, source.width)
+    key = (packed * source.run_factor, top, source.width)
+    sums = {} if sums is None else sums
+    if key not in sums:
+        sums[key] = _unpack_counts(*key)
+    return sums[key]
 
 
 def delta_weight(datum, word):
@@ -360,7 +366,9 @@ def inner_shuffle(datum, word, wordp):
 
     den = math.prod((ONE - q_power(2 * datum.d(lab)) for lab in nu.labels),
                     start=nu.prefactor * nup.prefactor)
-    return RationalFn(pairing(nu.labels, nup.labels), den)
+    total = pairing(nu.labels, nup.labels)
+    del pairing                      # the closure's cell refers to itself
+    return RationalFn(total, den)
 
 
 def pbw_diag(datum, seq, c):

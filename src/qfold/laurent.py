@@ -346,8 +346,10 @@ def packed_quotient(pa, bound_a, pb, norm_b, len_b, w):
     only when |a| and min(len(h), len_b) * |h| * |b| >= |h * b| are both
     below 2^(w-1), for then h * b and a have the same value and digits in
     that range, so they are the same polynomial (the GCDHEU rule of Char,
-    Geddes and Gonnet).
+    Geddes and Gonnet).  A b whose value is 0 certifies nothing.
     """
+    if not pb:
+        return None
     q, r = divmod(pa, pb)
     if r:
         raise ArithmeticError("inexact polynomial division")

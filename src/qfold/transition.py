@@ -78,7 +78,7 @@ def gram_block(preset, gamma, basis=None, max_block=None):
 
     Everything that depends on one word or one prefactor is built once per
     block, so the loop over pairs does only the work of the pair: one
-    matching sum and one gcd.  Every word has weight gamma, so the weight
+    matching sum and at most one gcd.  Every word has weight gamma, so the weight
     factor is computed once; each word's letters, prefactor and
     `WordLayout` once per index; and each denominator delta * g[a] * g[b]
     once per pair of distinct prefactors, of which a block has far fewer
@@ -86,9 +86,13 @@ def gram_block(preset, gamma, basis=None, max_block=None):
     prefactor are split once, and the product is packed once per gcd
     width for every entry over it, never expanded unless a gcd needs it.
     The matching sum is symmetric in its two letter sequences, so it runs
-    once per unordered pair.  These caches go with the block.  When
-    max_block is given, a block of more vectors raises BlockTooLarge as
-    soon as its index is counted, before any word is built.
+    once per unordered pair.  Values repeat far more than symmetry
+    explains (A5->B3 (2,2,2,2,1): 1 275 pairs, 77 distinct sums), so each
+    is one object: equal sums are one `LaurentPoly`, a gcd runs once per
+    shared sum and denominator, and equal entries are one `RationalFn`,
+    which `ldl` and `formatter` read once.  These caches go with the
+    block.  When max_block is given, a block of more vectors raises
+    BlockTooLarge as soon as its index is counted, before any word is built.
     """
     datum, seq, word = preset.side(basis)
     index = enumerate_block(seq, gamma)
@@ -112,12 +116,18 @@ def gram_block(preset, gamma, basis=None, max_block=None):
     n = len(index)
     M = [[None] * n for _ in range(n)]
     lam = [[None] * n for _ in range(n)]
+    sums, fractions, values = {}, {}, {}
     for a in range(n):
         for b in range(a, n):
             core = matching_sum(datum, letters[a].labels, letters[b].labels,
-                                layouts[a], layouts[b])
+                                layouts[a], layouts[b], sums)
+            den = dens[kind[a]][kind[b]]
+            key = (id(core), id(den))            # both live as long as the block
+            if key not in fractions:
+                value = RationalFn(core, den)
+                fractions[key] = values.setdefault(value, value)
             M[a][b] = M[b][a] = core
-            lam[a][b] = lam[b][a] = RationalFn(core, dens[kind[a]][kind[b]])
+            lam[a][b] = lam[b][a] = fractions[key]
     return GramBlock(index, words, M, g, delta, lam)
 
 
@@ -170,38 +180,46 @@ def ldl(lam):
     base-2^w digits.  The block starts at the `_width` of A's largest
     bound and restarts at that of a row bound that does not fit; the bounds
     do not depend on w, so the restarts end.  Each H entry is one
-    `packed_div_exact`; H and the pivots are unpacked once each.
+    `packed_div_exact`; H and the pivots are unpacked once each.  Entries
+    are numbered by identity: an object that `gram_block` shares has its
+    denominator, bound and packed A computed once, equal H entries are one
+    object, and a lam that shares nothing (parsed JSON) gives the same H, D.
     """
+    entries = list({id(x): x for i, row in enumerate(lam) for x in row[:i + 1]}.values())
+    number = {id(x): k for k, x in enumerate(entries)}
+    at = [[number[id(x)] for x in row[:i + 1]] for i, row in enumerate(lam)]
     kinds = {}                      # distinct denominator -> its number
-    kind = [[kinds.setdefault(x.den, len(kinds)) for x in row[:i + 1]]
-            for i, row in enumerate(lam)]
+    kind = [kinds.setdefault(x.den, len(kinds)) for x in entries]
     C, cofactor = _common_denominator(kinds)
     cofactors = [cofactor[den] for den in kinds]
     C = Factored(C)                 # packed once per gcd width for every D[i]
     norms = [_norms(c.coeffs.values()) for c in cofactors]
-    a_bound = [max(_product_norms(_norms(x.num.coeffs.values()), norms[k])[0]
-                   for x, k in zip(row, kind_row))
-               for row, kind_row in zip(lam, kind)]   # the largest of |A[i][j]|, j <= i
+    bounds = [_product_norms(_norms(x.num.coeffs.values()), norms[k])[0]
+              for x, k in zip(entries, kind)]            # |A| of each entry
+    a_bound = [max(bounds[k] for k in row) for row in at]  # of |A[i][j]|, j <= i
     w = _width(max(a_bound, default=0))
     while True:
         try:
-            return _eliminate(lam, kind, C, cofactors, a_bound, w)
+            return _eliminate(entries, kind, at, C, cofactors, a_bound, w)
         except _TooNarrow as exc:
             (w,) = exc.args
 
 
-def _eliminate(lam, kind, C, cofactors, a_bound, w):
+def _eliminate(entries, kind, at, C, cofactors, a_bound, w):
     """`ldl` on values at q = 2^w; raises _TooNarrow with a wider width when
-    a row's bound reaches 2^(w-1).
+    a row's bound reaches 2^(w-1).  Row i of lam is entries[k] for k in
+    at[i], and kind[k] numbers the denominator of entries[k].
 
     S[e] holds the values of S[e][j], j <= e, over q^t[e], t[e] the lowest
     exponent in row e, and SB[e] bounds their coefficients.  A nonzero H
     entry is kept as (lowest exponent, value over that power of q, sum of
-    absolute coefficients).
+    absolute coefficients), built once per distinct first two.
     """
-    n = len(lam)
+    n = len(at)
     half = 1 << (w - 1)
     packed = [_pack(c.coeffs.items(), w) for c in cofactors]
+    A = [_pack(x.num.coeffs.items(), w) * packed[k] for x, k in zip(entries, kind)]
+    shared = {}                     # (lowest exponent, value) -> H entry, row tuple, norms
     H = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
     D = [None] * n
     HP = [None] * n
@@ -214,8 +232,7 @@ def _eliminate(lam, kind, C, cofactors, a_bound, w):
         # every value of row i is taken over q^base, which divides each term
         base = min([0] + [h[0] + t[e] for e, h in column])
         shift = -w * base
-        acc = [_pack(x.num.coeffs.items(), w) * packed[k] << shift
-               for x, k in zip(lam[i], kind[i])]
+        acc = [A[k] << shift for k in at[i]]
         for e, (low, value, _) in column:
             hv = value << w * (low + t[e] - base)
             acc = [a - hv * s for a, s in zip(acc, S[e])]
@@ -244,10 +261,12 @@ def _eliminate(lam, kind, C, cofactors, a_bound, w):
             # the lowest digit of H times P[0] != 0 is S's, so it is in range
             # and q's lowest set bit lies in it, long division or not
             z = _lowest_digit(q, w)
-            h_norms = _norms(digits)
-            H[i][j] = _laurent(digits, base - pl, 1)
-            row[j] = (base - pl + z, q >> w * z, h_norms[1])
-            lows.append(base - pl + z)
+            key = (base - pl + z, q >> w * z)
+            if key not in shared:
+                h_norms = _norms(digits)
+                shared[key] = _laurent(digits, base - pl, 1), key + h_norms[1:], h_norms
+            H[i][j], row[j], h_norms = shared[key]
+            lows.append(key[0])
             sb = max(sb, _product_norms(p_norms, h_norms)[0])
         t[i] = pl + min(lows)
         shift = w * (t[i] - base)

@@ -83,7 +83,8 @@ def test_gram_computes_each_matching_sum_once(monkeypatch, capsys):
 
 
 # SHA-256 of the stdout of these commands, taken before the Gram block kept
-# its denominators factored; any drift in the printed normal form fails here.
+# its denominators factored (the A5->B3 ones before it shared equal values);
+# any drift in the printed normal form fails here.
 GOLDEN_DIGESTS = {
     ("gram --preset G2 --weight 6,4", "json"):
         "9dcc60f42916ac9f76a133e241a5ca7312b938eeeccd391852709fb7358ae570",
@@ -93,6 +94,10 @@ GOLDEN_DIGESTS = {
         "0df56c7be0b30e1598acbaf2daa7aed06281af06525a35040e22475f4e3d0670",
     ("transition --fold D4->G2 --weight 2,2,2,2", "tsv"):
         "cc012cbde133a89475a3665993fbff654acc5c54ec50cd77a598f89a1cf2b3f4",
+    ("transition --fold A5->B3 --weight 2,2,2,2,1", "json"):
+        "764df3932a6cbb3f851e07a7577098ae6aee77551285983ada19aeb5146a1953",
+    ("transition --fold A5->B3 --weight 2,2,2,2,1", "tsv"):
+        "047ef042b97c8dc27daa944e37fcaf3223541e5621085d7460ae9b709a2c697a",
 }
 
 

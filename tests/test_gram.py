@@ -1,3 +1,4 @@
+import gc
 import math
 from collections import Counter
 
@@ -172,6 +173,20 @@ def test_inner_shuffle_on_long_words_equals_the_gram_block():
             for b in range(a, len(words)):
                 assert inner_shuffle(datum, words[a], words[b]) == \
                     block.lam[a][b], (name, a, b)
+
+
+def test_inner_shuffle_leaves_no_garbage_cycle():
+    """The coproduct memo is freed when inner_shuffle returns, not when the
+    cyclic garbage collector next runs."""
+    preset = qfold.get_preset("A3")
+    words = qfold.gram_block(preset, (1, 2, 1)).words
+    gc.collect()
+    gc.disable()
+    try:
+        assert inner_shuffle(preset.side()[0], words[0], words[1])
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_symmetry_of_the_pairing():

@@ -236,6 +236,24 @@ def test_ldl_equals_the_reference_on_a_folded_block():
     assert reconstruct_lam(H, D) == block.lam
 
 
+def test_ldl_on_a_lam_that_shares_nothing_gives_the_same_factors():
+    """ldl numbers lam's entries by identity; a copy with one object per
+    position, as parsed from JSON, gives the same H and D, and on the
+    shared lam equal H entries are one object."""
+    lam = gram_block(qfold.get_folding("D4->G2"), (2, 2, 2, 2)).lam
+    fresh = [[qlaurent.parse_rational(str(x)) for x in row] for row in lam]
+    n = len(lam)
+    assert len({id(x) for row in fresh for x in row}) == n * n
+    assert len({id(x) for row in lam for x in row}) < n * n // 4
+    H, D = ldl(lam)
+    assert ldl(fresh) == (H, D)
+    shared = {}
+    for i in range(n):
+        for h in H[i][:i]:
+            assert shared.setdefault(h, h) is h
+    assert len(shared) < n * (n - 1) // 8
+
+
 dense = st.lists(st.integers(-9, 9), min_size=1, max_size=5)
 with_constant = dense.filter(lambda xs: xs[0] != 0)
 

@@ -193,20 +193,28 @@ def test_mod_p_compare():
 
 
 def test_gram_entries_are_the_matching_sums_over_the_expanded_denominators():
-    """gram_block keeps each denominator delta * g[a] * g[b] as its factors;
-    every entry equals the fraction over the expanded product."""
+    """gram_block keeps each denominator delta * g[a] * g[b] as its factors
+    and builds each distinct matching sum and entry once: every entry
+    equals the fraction over the expanded product built afresh, and equal
+    values, sums or entries, are one object."""
     for preset, gamma in ((qfold.get_preset("G2"), (6, 4)),
                           (qfold.get_preset("A3"), (4, 4, 4)),
-                          (qfold.get_folding("D4->G2"), (2, 2, 2, 2))):
+                          (qfold.get_folding("D4->G2"), (2, 2, 2, 2)),
+                          (qfold.get_folding("A5->B3"), (2, 2, 2, 2, 1))):
         block = gram_block(preset, gamma)
         n = len(block.index)
         assert n > 10
+        sums, entries = {}, {}
         for a in range(n):
-            for b in range(n):
-                expected = RationalFn(block.M[a][b],
-                                      block.delta * block.g[a] * block.g[b])
-                assert (block.lam[a][b].num, block.lam[a][b].den) == \
-                    (expected.num, expected.den), (gamma, a, b)
+            for b in range(a, n):
+                core, entry = block.M[a][b], block.lam[a][b]
+                assert block.M[b][a] is core and block.lam[b][a] is entry
+                expected = RationalFn(core, block.delta * block.g[a] * block.g[b])
+                assert (entry.num, entry.den) == (expected.num, expected.den), \
+                    (gamma, a, b)
+                assert sums.setdefault(core, core) is core, (gamma, a, b)
+                assert entries.setdefault(entry, entry) is entry, (gamma, a, b)
+        assert len(entries) < n * (n + 1) // 2, gamma
 
 
 def test_heuristic_gcd_serves_every_fraction_of_the_reference_blocks(monkeypatch):
