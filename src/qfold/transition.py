@@ -12,8 +12,8 @@ norm bound certifies before each row, so that every value the elimination
 reads back has its coefficients below 2^(w-1).  The packed format is
 laurent.py's: its packer, norms, product bound, width rule and certified
 division `packed_div_exact` serve `ldl`, which keeps no packing code of
-its own.  `pq_split`, `reconstruct_lam` and `matmul_laurent` still
-multiply coefficient dicts, through `_add_products`.
+its own.  `reconstruct_lam` multiplies coefficient dicts; `pq_split` and
+`matmul_laurent` form each product of two shared objects once.
 """
 
 from __future__ import annotations
@@ -275,19 +275,27 @@ def _eliminate(entries, kind, at, C, cofactors, a_bound, w):
     return H, D
 
 
-def _add_products(acc, pairs, sign=1):
-    """Add sign * x * y into the coefficient dict acc for every Laurent pair
-    (x, y), skipping zero operands; returns acc."""
+def _add_products(acc, pairs):
+    """Add x * y into the coefficient dict acc for every Laurent pair (x, y),
+    skipping zero operands; returns acc."""
     for x, y in pairs:
         if not x or not y:
             continue
         ys = y.coeffs.items()
         for e1, c1 in x.coeffs.items():
-            c1 *= sign
             for e2, c2 in ys:
                 k = e1 + e2
                 acc[k] = acc.get(k, 0) + c1 * c2
     return acc
+
+
+def _product(products, x, y):
+    """The terms of x * y, once per pair of objects, which outlive products."""
+    key = (id(x), id(y))
+    terms = products.get(key)
+    if terms is None:
+        terms = products[key] = tuple((x * y).coeffs.items())
+    return terms
 
 
 def pq_split(H):
@@ -299,16 +307,25 @@ def pq_split(H):
     H[i][j] - sum of P[i][k] * Q[k][j] is accumulated in one coefficient
     dict acc, and P and Q are read off it: P has the coefficient
     acc[e] - acc[-e] at each e > 0, and Q is acc[0] plus acc[e] * (q^e + q^-e)
-    for each e < 0.
+    for each e < 0.  Equal P or Q values are one object (D4->G2 (2,2,2,2):
+    357 nonzero P entries below the diagonal, 23 objects), and each product
+    P[i][k] * Q[k][j] is formed once per pair of objects, for this call.
     """
     n = len(H)
     P = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
     Q = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+    values, products = {ZERO: ZERO, ONE: ONE}, {}  # value -> its one object
+    columns = [[] for _ in range(n)]  # (k, Q[k][j]) for nonzero Q[k][j], k > j
     for dist in range(1, n):
         for i in range(dist, n):
             j = i - dist
-            acc = _add_products(dict(H[i][j].coeffs),
-                                ((P[i][k], Q[k][j]) for k in range(j + 1, i)), -1)
+            row, acc = P[i], dict(H[i][j].coeffs)
+            for k, y in columns[j]:          # k < i: smaller bands only
+                if row[k] is not ZERO:
+                    for e, c in _product(products, row[k], y):
+                        acc[e] = acc.get(e, 0) - c
+            if not any(acc.values()):
+                continue                     # P[i][j] and Q[i][j] stay ZERO
             p, q = {}, {0: acc.get(0, 0)}
             for e, c in acc.items():
                 if e > 0:
@@ -316,7 +333,11 @@ def pq_split(H):
                 elif e < 0:
                     p[-e] = p.get(-e, 0) - c
                     q[e] = q[-e] = c
-            P[i][j], Q[i][j] = LaurentPoly(p), LaurentPoly(q)
+            p, q = LaurentPoly(p), LaurentPoly(q)
+            P[i][j] = values.setdefault(p, p)
+            q = Q[i][j] = values.setdefault(q, q)
+            if q is not ZERO:
+                columns[j].append((i, q))
     return P, Q
 
 
@@ -343,11 +364,20 @@ def reconstruct_lam(H, D):
 
 
 def matmul_laurent(A, B):
-    """The product AB of two square Laurent matrices."""
-    n = len(A)
-    rows = [[(k, x) for k, x in enumerate(row) if x] for row in A]
-    return [[LaurentPoly(_add_products({}, ((x, B[k][j]) for k, x in rows[i])))
-             for j in range(n)] for i in range(n)]
+    """The product AB of two square Laurent matrices, summed over the
+    nonzero entries of A and B.  Each product is formed once per pair of
+    objects: P and Q from `pq_split` share their values, so PQ has few."""
+    rows_a, rows_b = ([[(k, x) for k, x in enumerate(row) if x.coeffs] for row in M]
+                      for M in (A, B))
+    products, out = {}, []
+    for row in rows_a:
+        acc = [{} for _ in A]
+        for k, x in row:
+            for j, y in rows_b[k]:
+                for e, c in _product(products, x, y):
+                    acc[j][e] = acc[j].get(e, 0) + c
+        out.append([LaurentPoly(a) if a else ZERO for a in acc])
+    return out
 
 
 def sigma_submatrix(fd, seq, index, M):

@@ -5,7 +5,9 @@ H^t D H is built from a random unit lower triangular Laurent H and a
 diagonal D of PBW-like reciprocals; the factorization is unique, so ldl
 must give back exactly H and D.  Likewise pq_split must give back the
 unique factors of a random product PQ, and the common-denominator and
-in-place products must equal the naive entrywise sums.  ldl's packed
+in-place products must equal the naive entrywise sums.  pq_split, which
+shares equal values and forms each product once per pair of objects,
+must equal the split with neither, `pq_split_reference`.  ldl's packed
 elimination must also equal the same elimination on coefficient dicts,
 `ldl_reference`, at every width it takes, and its packed division must
 never accept a quotient that is not exact.
@@ -123,6 +125,31 @@ def ldl_reference(lam):
                 except ArithmeticError:
                     raise NotIntegral(f"H[{i}][{j}]") from None
     return H, D
+
+
+def pq_split_reference(H):
+    """The split of `pq_split` without shared values: every entry built
+    afresh, every product P[i][k] * Q[k][j] a double loop over terms."""
+    n = len(H)
+    P = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+    Q = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+    for dist in range(1, n):
+        for i in range(dist, n):
+            j = i - dist
+            acc = dict(H[i][j].coeffs)
+            for k in range(j + 1, i):
+                for e1, c1 in P[i][k].coeffs.items():
+                    for e2, c2 in Q[k][j].coeffs.items():
+                        acc[e1 + e2] = acc.get(e1 + e2, 0) - c1 * c2
+            p, q = {}, {0: acc.get(0, 0)}
+            for e, c in acc.items():
+                if e > 0:
+                    p[e] = p.get(e, 0) + c
+                elif e < 0:
+                    p[-e] = p.get(-e, 0) - c
+                    q[e] = q[-e] = c
+            P[i][j], Q[i][j] = LaurentPoly(p), LaurentPoly(q)
+    return P, Q
 
 
 def widths_taken(lam, slack=None):
@@ -339,19 +366,46 @@ def test_reconstruct_lam_matches_the_rational_sum(hd, data):
     assert reconstruct_lam(H, D) == gram(H, D)
 
 
+def pool(data, values):
+    """Draws of one of at most three objects, so that entries repeat."""
+    return st.sampled_from(data.draw(st.lists(values, min_size=1, max_size=3)))
+
+
 @SETTINGS
 @given(st.integers(1, 6), st.data())
 def test_pq_split_recovers_random_factors(n, data):
-    P = unitriangular(data.draw, n, positive)
-    Q = unitriangular(data.draw, n, bar_invariant)
+    P = unitriangular(data.draw, n, pool(data, positive))
+    Q = unitriangular(data.draw, n, pool(data, bar_invariant))
     assert pq_split(matmul_laurent(P, Q)) == (P, Q)
 
 
 @SETTINGS
 @given(st.integers(1, 5), st.data())
 def test_matmul_laurent_matches_the_entrywise_sum(n, data):
-    A, B = ([[data.draw(laurent) for _ in range(n)] for _ in range(n)]
+    """Entries repeat, and each product of a pair of objects is formed
+    once."""
+    A, B = ([[data.draw(pool(data, laurent)) for _ in range(n)] for _ in range(n)]
             for _ in range(2))
-    assert matmul_laurent(A, B) == [
-        [sum((A[i][k] * B[k][j] for k in range(n)), LaurentPoly(0))
-         for j in range(n)] for i in range(n)]
+    expected = [[sum((A[i][k] * B[k][j] for k in range(n)), LaurentPoly(0))
+                 for j in range(n)] for i in range(n)]
+    formed, mul = [], LaurentPoly.__mul__
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(LaurentPoly, "__mul__", lambda x, y: formed.append(1) or mul(x, y))
+        assert matmul_laurent(A, B) == expected
+    assert len(formed) == len({(id(A[i][k]), id(B[k][j])) for i in range(n)
+                               for k in range(n) for j in range(n) if A[i][k] and B[k][j]})
+
+
+@pytest.mark.parametrize("spec, gamma", [
+    ("D4->G2", (2, 2, 2, 2)), ("A5->B3", (2, 2, 2, 2, 1)), ("A3", (4, 3, 4))])
+def test_pq_split_equals_the_reference_on_reference_blocks(spec, gamma):
+    """On H from `ldl`, whose equal entries are one object, and on a copy
+    of it with one object per position, as parsed from JSON."""
+    preset = qfold.get_folding(spec) if "->" in spec else qfold.get_preset(spec)
+    H, _D = ldl(gram_block(preset, gamma).lam)
+    fresh = [[LaurentPoly(x.coeffs) for x in row] for row in H]
+    n = len(H)
+    assert len({id(x) for row in fresh for x in row}) == n * n
+    expected = pq_split_reference(H)
+    assert pq_split(H) == expected
+    assert pq_split(fresh) == expected

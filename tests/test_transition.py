@@ -132,6 +132,18 @@ def test_pq_split_is_idempotent():
     assert P2 == block.P and Q2 == block.Q
 
 
+def test_pq_split_shares_equal_values():
+    """Equal P or Q values are one object: on D4->G2 (2,2,2,2) the 357
+    nonzero P positions below the diagonal hold 23 objects, and the 88
+    nonzero Q positions 2."""
+    block = pipeline(qfold.get_folding("D4->G2"), (2, 2, 2, 2))
+    assert len(block.index) == 37
+    for M, positions, objects in ((block.P, 357, 23), (block.Q, 88, 2)):
+        below = [x for i, row in enumerate(M) for x in row[:i] if x]
+        assert len(below) == positions
+        assert len({id(x) for x in below}) == len(set(below)) == objects
+
+
 def test_pq_split_mixed_entry():
     # one entry mixing the three exponent-sign parts
     H = [[ONE, LaurentPoly(0)], [L("q^3 + 2 + 5q^-2"), ONE]]
