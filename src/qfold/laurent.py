@@ -12,18 +12,19 @@ from a Laurent numerator over a denominator, and then only compared, hashed
 or printed.  Building it reduces one fraction by a polynomial gcd: the
 heuristic gcd GCDHEU on Kronecker-packed integers (Char, Geddes and Gonnet,
 J. Symbolic Comput. 7, 1989), which CPython's big-integer gcd and division
-carry, with the primitive-PRS gcd as its fallback.  Both, and exact division,
-run in x = q^s, s the gcd of the steps of the exponents, since
-gcd(N(q^s), D(q^s)) = gcd(N, D)(q^s) and likewise for quotients: a Gram
-entry, q^k times a polynomial in q^2, packs to half the digits.  The
-denominator is a Laurent polynomial or a `Factored` product of them, which
-many fractions can share: it is split and packed once per width for all of
-them and expanded at most once.  The packed format, which `transition.ldl`
-uses too, lives here alone: one packer, one width rule, and one certified
-division, `packed_div_exact`, which takes the digits of an integer quotient
-when `packed_quotient` proves them the polynomial quotient, else divides
-long.  The memo of `qfact`, one entry per (n, d), is this module's only one;
-a `Factored` keeps its packed values, and the cofactor of each gcd it has
+carry, with the primitive-PRS gcd as its fallback.  Both run in x = q^s,
+s the gcd of the steps of the exponents, since gcd(N(q^s), D(q^s)) =
+gcd(N, D)(q^s): a Gram entry, q^k times a polynomial in q^2, packs to half
+the digits.  The denominator is a Laurent polynomial or a `Factored`
+product of them, which many fractions can share: it is split and packed
+once per width for all of them and expanded at most once.  The gcd's
+cofactors are exact quotients: `transition` reads its common denominators
+off them.  The packed format, which `transition.ldl` uses too, lives here
+alone: one packer, one width rule, and one certified division,
+`packed_div_exact`, which takes the digits of an integer quotient when
+`packed_quotient` proves them the polynomial quotient, else divides long.
+The memo of `qfact`, one entry per (n, d), is this module's only one; a
+`Factored` keeps its packed values, and the cofactor of each gcd it has
 met, for as long as its owner keeps it.
 """
 
@@ -50,6 +51,9 @@ class LaurentPoly:
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
+
+    def __reduce__(self):                   # copy and pickle rebuild by __init__
+        return LaurentPoly, (self.coeffs,)
 
     # -- queries ----------------------------------------------------------
 
@@ -193,16 +197,6 @@ def qfact(n, d=1):
 
 
 # -- ordinary-polynomial helpers (dense integer lists, ascending) ----------
-
-
-def _dense(lp):
-    d = lp.coeffs
-    if not d:
-        return []
-    n = max(d)
-    if min(d) < 0:
-        raise ValueError("a polynomial in Z[q] has no negative exponents")
-    return [d.get(i, 0) for i in range(n + 1)]
 
 
 def _strip(xs):
@@ -374,32 +368,6 @@ def packed_div_exact(pa, bound_a, pb, B, norm_b, w):
     return found
 
 
-def laurent_div_exact(a, bs):
-    """The exact quotient a / b in Z[q, q^-1] for each b of bs; raises
-    ArithmeticError at the first that is not Laurent.  By Gauss's lemma, b
-    divides a when b's content divides a's and b's primitive part, with a
-    nonzero constant term, divides a's, in x = q^s for the gcd s of all the
-    steps.  a is packed once, at the largest of the quotients' `_width`s,
-    and `packed_div_exact` divides its value by each b's."""
-    if not all(bs):
-        raise ZeroDivisionError("polynomial division by zero")
-    if not a or not bs:
-        return [ZERO] * len(bs)
-    (lo_a, ca, sa, A), splits = _split(a), [_split(b) for b in bs]
-    s = math.gcd(sa, *(sb for _, _, sb, _ in splits)) or 1
-    A, norm_a = _restep(A, sa // s), _norms(A)[0]
-    Bs = [_restep(B, sb // s) for _, _, sb, B in splits]
-    norms = [_norms(B)[0] for B in Bs]
-    w = _width(max(norm_a, *norms), max(min(len(A), len(B)) for B in Bs))
-    pa, out = _pack(enumerate(A), w), []
-    for (lo_b, cb, _, _), B, norm_b in zip(splits, Bs, norms):
-        if ca % cb:
-            raise ArithmeticError("inexact polynomial division")
-        h = packed_div_exact(pa, norm_a, _pack(enumerate(B), w), B, norm_b, w)[1]
-        out.append(_laurent(h, lo_a - lo_b, ca // cb, s))
-    return out
-
-
 def _split(lp):
     """(lowest exponent, integer content, step, primitive part) of a nonzero
     Laurent polynomial.  The step s is the gcd of its exponent differences,
@@ -558,16 +526,13 @@ def _dense_gcd_cofactors(A, a_step, B):
 
 
 def _gcd_cofactors(a, b):
-    """(g, a / g, b / g) for polynomials a, b in Z[q], g their primitive gcd
+    """(g, a / g, b / g) for nonzero a, b in Z[q], g their primitive gcd
     with positive leading coefficient (the value of `_poly_gcd`).
 
     Powers of q and the integer contents are split off first; the rest is
     reduced in q^s, s the gcd of the two steps, by the heuristic gcd on
     packed integers, or by the PRS gcd when the heuristic gives up.
     """
-    if not a or not b:
-        return tuple(_laurent(p, 0, 1)
-                     for p in _prs_gcd_cofactors(_dense(a), _dense(b)))
     (la, ca, sa, A), B = _split(a), Factored(b)
     if la < 0 or B.low < 0:
         raise ValueError("a polynomial in Z[q] has no negative exponents")
@@ -575,11 +540,6 @@ def _gcd_cofactors(a, b):
     s, g, ga, gb = _dense_gcd_cofactors(A, sa, B)
     return (_laurent(g, low, 1, s), _laurent(ga, la - low, ca, s),
             _laurent(gb, B.low - low, B.content, s))
-
-
-def poly_lcm(a, b):
-    """A common multiple a * b / gcd(a, b) of two polynomials in Z[q]."""
-    return a * _gcd_cofactors(a, b)[2]
 
 
 class RationalFn:
@@ -616,6 +576,9 @@ class RationalFn:
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalFn is immutable")
+
+    def __reduce__(self):                   # copy and pickle rebuild by __init__
+        return RationalFn, (self.num, self.den)
 
     def is_zero(self):
         return self.num.is_zero()

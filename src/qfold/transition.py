@@ -23,10 +23,9 @@ from typing import NamedTuple
 
 from .folding import sigma_on_exponents
 from .gram import WordLayout, delta_weight, expand_word, matching_sum
-from .laurent import (ONE, ZERO, Factored, LaurentPoly, RationalFn, _laurent,
-                      _lowest_digit, _norms, _pack, _product_norms, _unpack, _width,
-                      laurent_div_exact, packed_div_exact, parse_laurent,
-                      parse_rational, poly_lcm)
+from .laurent import (ONE, ZERO, Factored, LaurentPoly, RationalFn, _gcd_cofactors,
+                      _laurent, _lowest_digit, _norms, _pack, _product_norms, _unpack,
+                      _width, packed_div_exact, parse_laurent, parse_rational)
 from .rootsys import enumerate_block
 
 
@@ -133,12 +132,18 @@ def gram_block(preset, gamma, basis=None, max_block=None):
 
 def _common_denominator(dens):
     """The lcm C of some denominators and the cofactor C / den of each
-    distinct one, by exact division of C, packed once, by each."""
-    dens = list(dict.fromkeys(dens))
-    C = ONE
+    distinct one, read off one gcd per den: with g = gcd(C, den), C grows
+    to C * (den / g), which multiplies every earlier cofactor, and den's
+    is C / g."""
+    C, cofactor = ONE, {}
     for den in dens:
-        C = poly_lcm(C, den)
-    return C, dict(zip(dens, laurent_div_exact(C, dens)))
+        if den not in cofactor:
+            _, c, d = _gcd_cofactors(C, den)
+            if d != ONE:
+                C = C * d
+                cofactor = {k: v * d for k, v in cofactor.items()}
+            cofactor[den] = c
+    return C, cofactor
 
 
 class _TooNarrow(Exception):

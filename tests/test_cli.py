@@ -262,6 +262,13 @@ def test_config_errors_exit_two(capsys):
     assert run(["transition", "--preset", "A4", "--weight", "1,1"], capsys)[0] == 2
     assert run(["gram", "--preset", "B2", "--weight", "2,1",
                 "--basis", "symmetric"], capsys)[0] == 2
+    for argv, message in [
+        (["gram", "--preset", "A3", "--weight", "1,x,1"], "bad weight"),
+        (["roots"], "custom datum is required"),
+        (["roots", "--preset", "A5", "--fold", "A3->B2"], "does not match fold"),
+    ]:
+        code, _, err = run(argv, capsys)
+        assert code == 2 and message in err, (argv, err)
 
 
 def test_bad_config_values_exit_two_naming_the_key(tmp_path, capsys):
@@ -273,6 +280,8 @@ def test_bad_config_values_exit_two_naming_the_key(tmp_path, capsys):
         ("parts", ["roots"], "labels = 1 2\nform = 2 -1; -1 2\nparts = 1 2\n"),
         ("sigma", ["roots"], "labels = 1 1' 2\nform = 2 0 -1; 0 2 -1; -1 -1 2\n"
                              "sigma = 1 1'\nparts = 1 1'; 2\n"),
+        ("bad config line", ["roots"], "preset B2\n"),
+        ("word", ["roots"], "labels = 1 2\nform = 2 -1; -1 2\n"),
     ]
     for key, argv, text in cases:
         cfg = tmp_path / "run.cfg"

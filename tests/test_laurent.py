@@ -8,7 +8,9 @@ from hypothesis import given, strategies as st
 import qfold.laurent as qlaurent
 from qfold.laurent import (LaurentPoly, RationalFn, ONE, Q, RF_ZERO, ZERO,
                            parse_laurent, parse_rational, q_power, qfact, qint)
-from test_ldl import SETTINGS, fraction_sum, laurent, long_division
+from qfold.transition import _common_denominator
+from test_ldl import (SETTINGS, coefficients, fraction_sum, laurent, long_division,
+                      prs_gcd_cofactors, prs_lcm)
 
 
 def L(s):
@@ -131,6 +133,21 @@ def test_display_round_trip():
         assert str(parse_laurent(s)) == str(L(s))
     r = parse_rational("(1 + q^2)/((1 - q^2)^5(1 + q^2)^2)")
     assert parse_rational(str(r)) == r
+    assert parse_laurent("2*q^2") == parse_laurent("2q^2") == q_power(2) * 2
+
+
+@pytest.mark.parametrize("text, fault", [
+    ("q^x", "bad character"),
+    ("(1+q", "unbalanced parenthesis"),
+    ("(1+q)^-1", "negative power of a non-monomial"),
+    ("", "unexpected end"),
+    ("q)", "trailing input"),
+    ("2 q^", "expected integer exponent"),
+    ("^2", "unexpected token"),
+])
+def test_parse_refuses_malformed_input(text, fault):
+    with pytest.raises(ValueError, match=fault):
+        parse_laurent(text)
 
 
 # -- the gcd behind every normal form ----------------------------------------
@@ -193,12 +210,6 @@ def test_product_norms_bound_the_expanded_product(factors):
     bound = functools.reduce(qlaurent._product_norms, map(qlaurent._norms, factors))
     norms = qlaurent._norms(product.coeffs.values())
     assert bound[0] >= norms[0] and bound[1] >= norms[1]
-
-
-def prs_gcd_cofactors(x, y):
-    """`_prs_gcd_cofactors` on polynomials in Z[q] as Laurent polynomials."""
-    return tuple(qlaurent._laurent(p, 0, 1) for p in qlaurent._prs_gcd_cofactors(
-        qlaurent._dense(x), qlaurent._dense(y)))
 
 
 @SETTINGS
@@ -323,7 +334,7 @@ def normal_form_by_prs(num, den):
     if not num:
         return ZERO, ONE
     lo = min(num.min_exp(), den.min_exp())
-    n, d = qlaurent._dense(num.shift(-lo)), qlaurent._dense(den.shift(-lo))
+    n, d = coefficients(num.shift(-lo)), coefficients(den.shift(-lo))
     g = qlaurent._poly_gcd(n, d)
     n, d = qlaurent._poly_div_exact(n, g), qlaurent._poly_div_exact(d, g)
     c = math.gcd(*n, *d) * (1 if d[-1] > 0 else -1)
@@ -373,9 +384,8 @@ def test_polynomials_in_q_to_a_step_match_the_prs_and_long_division(
         fraction, g, a, b, data):
     """On polynomials in q^s for s in STEPS, of steps that differ or agree,
     the normal form over a `Factored` denominator (with the heuristic gcd
-    and with its PRS fallback), `_gcd_cofactors` and `laurent_div_exact`
-    equal the PRS gcd and long division in q, and an inexact division
-    raises."""
+    and with its PRS fallback), `_gcd_cofactors` and `_common_denominator`
+    equal the PRS gcd and long division in q."""
     num, factors = fraction
     expected = normal_form_by_prs(num, math.prod(factors, start=ONE))
     got = _over_factors(num, factors)
@@ -388,21 +398,11 @@ def test_polynomials_in_q_to_a_step_match_the_prs_and_long_division(
     x, y = g * a, g * b
     assert qlaurent._gcd_cofactors(x, y) == prs_gcd_cofactors(x, y)
 
-    divisors = [b, g * b, data.draw(stepped(low=st.integers(-3, 3)))]
-    dividend = data.draw(st.sampled_from((x * b, x, ZERO, num)))
-    for d in divisors:
-        try:
-            quotient = long_division(dividend, d)
-        except ArithmeticError:
-            with pytest.raises(ArithmeticError):
-                qlaurent.laurent_div_exact(dividend, [d])[0]
-            continue
-        assert qlaurent.laurent_div_exact(dividend, [d])[0] == quotient
-    # the lcm of the divisors over each of them, from one packed value
-    divisors = [as_polynomial(d) for d in divisors]
-    lcm = functools.reduce(qlaurent.poly_lcm, divisors, ONE)
-    assert qlaurent.laurent_div_exact(lcm, divisors) == \
-        [long_division(lcm, d) for d in divisors]
+    # the lcm of some divisors and its cofactor over each of them
+    divisors = [as_polynomial(d) for d in (b, g * b, x, data.draw(stepped()))]
+    C, cofactor = _common_denominator(divisors)
+    assert C == prs_lcm(dict.fromkeys(divisors))
+    assert cofactor == {d: long_division(C, d) for d in divisors}
 
 
 def test_a_factored_denominator_refuses_a_zero_factor():
@@ -420,13 +420,8 @@ def test_gcd_cofactors_of_known_pairs():
         (Q ** 2, Q, ONE + Q ** 3)
     assert qlaurent._gcd_cofactors(poly([6]), poly([4, 2])) == \
         (ONE, poly([6]), poly([4, 2]))
-    assert qlaurent._gcd_cofactors(ZERO, poly([2, -4])) == \
-        (poly([-1, 2]), ZERO, LaurentPoly(-2))
 
 
 def test_polynomial_helpers_refuse_negative_exponents():
-    for call in (lambda: qlaurent._dense(q_power(-1)),
-                 lambda: qlaurent._gcd_cofactors(ZERO, q_power(-1)),
-                 lambda: qlaurent._gcd_cofactors(Q, q_power(-2) + ONE)):
-        with pytest.raises(ValueError, match="negative exponents"):
-            call()
+    with pytest.raises(ValueError, match="negative exponents"):
+        qlaurent._gcd_cofactors(Q, q_power(-2) + ONE)

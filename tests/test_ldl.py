@@ -10,10 +10,15 @@ shares equal values and forms each product once per pair of objects,
 must equal the split with neither, `pq_split_reference`.  ldl's packed
 elimination must also equal the same elimination on coefficient dicts,
 `ldl_reference`, at every width it takes, and its packed division must
-never accept a quotient that is not exact.
+never accept a quotient that is not exact.  The common denominator and
+its cofactors must equal the lcm by the PRS gcd and its long division by
+each denominator.
 """
 
+import copy
+import functools
 import math
+import pickle
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -22,11 +27,11 @@ import qfold
 import qfold.laurent as qlaurent
 import qfold.transition as qtransition
 from qfold.gram import pbw_diag
-from qfold.laurent import (ONE, ZERO, LaurentPoly, RationalFn, _dense, _laurent, _norms,
-                           _pack, _poly_div_exact, _unpack, laurent_div_exact,
-                           packed_quotient, poly_lcm, q_power)
-from qfold.transition import (NotIntegral, SingularPivot, gram_block, ldl,
-                              matmul_laurent, pq_split, reconstruct_lam)
+from qfold.laurent import (ONE, ZERO, LaurentPoly, RationalFn, _laurent, _norms, _pack,
+                           _poly_div_exact, _prs_gcd_cofactors, _unpack, packed_quotient,
+                           q_power)
+from qfold.transition import (NotIntegral, SingularPivot, _common_denominator, gram_block,
+                              ldl, matmul_laurent, pq_split, reconstruct_lam)
 
 SETTINGS = settings(max_examples=60, deadline=None, database=None)
 
@@ -82,23 +87,38 @@ def gram(H, D):
              for b in range(n)] for a in range(n)]
 
 
+def coefficients(a):
+    """The coefficients of a polynomial in Z[q], ascending from q^0."""
+    return [a.coeffs.get(i, 0) for i in range(max(a.coeffs, default=-1) + 1)]
+
+
 def long_division(a, b):
     """a / b in Z[q, q^-1] by the long division `_poly_div_exact` alone."""
     lo_a, lo_b = a.min_exp(), b.min_exp()
-    return _laurent(_poly_div_exact(_dense(a.shift(-lo_a)), _dense(b.shift(-lo_b))),
-                    lo_a - lo_b, 1)
+    quotient = _poly_div_exact(coefficients(a.shift(-lo_a)), coefficients(b.shift(-lo_b)))
+    return _laurent(quotient, lo_a - lo_b, 1)
+
+
+def prs_gcd_cofactors(x, y):
+    """`_prs_gcd_cofactors` on polynomials in Z[q] as Laurent polynomials."""
+    return tuple(_laurent(p, 0, 1)
+                 for p in _prs_gcd_cofactors(coefficients(x), coefficients(y)))
+
+
+def prs_lcm(dens):
+    """The lcm of polynomials in Z[q], folded as C * (den / gcd(C, den))
+    from ONE by the PRS gcd: the reference for `_common_denominator`."""
+    return functools.reduce(lambda C, den: C * prs_gcd_cofactors(C, den)[2], dens, ONE)
 
 
 def ldl_reference(lam):
     """The elimination of `ldl` on coefficient dicts: the same recurrence
-    over the same common denominator, every update a double loop over
-    the terms of H[e][i] and S[e][j], and every division, the cofactors'
-    included, the long division."""
+    over the same common denominator, the lcm by the PRS gcd, every update
+    a double loop over the terms of H[e][i] and S[e][j], and every
+    division, the cofactors' included, the long division."""
     n = len(lam)
     dens = dict.fromkeys(lam[i][j].den for i in range(n) for j in range(i + 1))
-    C = ONE
-    for den in dens:
-        C = poly_lcm(C, den)
+    C = prs_lcm(dens)
     cofactor = {den: long_division(C, den) for den in dens}
     H = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
     S = [[None] * n for _ in range(n)]      # coefficient items of S[e][j], j <= e
@@ -236,9 +256,8 @@ def test_a_row_bound_above_the_width_restarts_the_block():
 @SETTINGS
 @given(factors(min_n=2))
 def test_uncertified_quotients_take_the_long_division(hd):
-    """With no packed quotient certified, every H entry and every cofactor
-    of the common denominator comes from the long division, and the
-    factors do not change."""
+    """With no packed quotient certified, every nonzero H entry comes from
+    the long division, and the factors do not change."""
     H, D = hd
     lam = gram(H, D)
     divisions = []
@@ -252,7 +271,7 @@ def test_uncertified_quotients_take_the_long_division(hd):
         mp.setattr(qlaurent, "packed_quotient", lambda *args: None)
         mp.setattr(qlaurent, "_poly_div_exact", counted)
         assert ldl(lam) == (H, D)
-    assert len(divisions) > sum(1 for i, row in enumerate(H) for x in row[:i] if x)
+    assert len(divisions) >= sum(1 for i, row in enumerate(H) for x in row[:i] if x)
 
 
 def test_ldl_equals_the_reference_on_a_folded_block():
@@ -279,6 +298,22 @@ def test_ldl_on_a_lam_that_shares_nothing_gives_the_same_factors():
         for h in H[i][:i]:
             assert shared.setdefault(h, h) is h
     assert len(shared) < n * (n - 1) // 8
+
+
+def test_a_block_survives_pickle_and_copy():
+    """H, D and lam round-trip through pickle equal, with the objects they
+    share still shared, and copy and deepcopy give equal values."""
+    lam = gram_block(qfold.get_folding("D4->G2"), (2, 2, 2, 2)).lam
+    H, D = ldl(lam)
+    matrices = (H, [D], lam)
+    back = pickle.loads(pickle.dumps(matrices))
+    assert back == matrices
+
+    def objects(ms):
+        return len({id(x) for M in ms for row in M for x in row})
+    assert objects(back) == objects(matrices) < len(lam) ** 2
+    for x in (H[5][2], D[3], lam[4][1]):
+        assert copy.copy(x) == x and copy.deepcopy(x) == x
 
 
 dense = st.lists(st.integers(-9, 9), min_size=1, max_size=5)
@@ -335,17 +370,33 @@ def test_an_integer_quotient_of_indivisible_polynomials_is_refused(w, a, b):
     assert packed_quotient(pa, _norms(a)[0], pb, _norms(b)[0], len(b), w) is None
 
 
+polynomial = st.dictionaries(st.integers(0, 3), st.integers(-3, 3), min_size=1,
+                             max_size=3).map(LaurentPoly).filter(bool)
+
+
 @SETTINGS
-@given(laurent, laurent.filter(bool), st.booleans())
-def test_laurent_div_exact_equals_the_long_division(x, b, multiple):
-    a = x * b if multiple else x
-    try:
-        expected = long_division(a, b)
-    except ArithmeticError:
-        with pytest.raises(ArithmeticError):
-            laurent_div_exact(a, [b])
-        return
-    assert laurent_div_exact(a, [b]) == [expected]
+@given(st.lists(polynomial, min_size=1, max_size=4), st.lists(
+    st.lists(st.integers(0, 3), min_size=1, max_size=3), max_size=6))
+def test_common_denominator_equals_the_prs_lcm(pool, picks):
+    """Over products of a few shared factors, repeats included, C is the
+    lcm folded by the PRS gcd and each cofactor times its den is C."""
+    dens = [math.prod((pool[k % len(pool)] for k in ks), start=ONE) for ks in picks]
+    C, cofactor = _common_denominator(dens)
+    assert C == prs_lcm(dict.fromkeys(dens))
+    assert list(cofactor) == list(dict.fromkeys(dens))
+    assert all(cofactor[den] * den == C for den in dens)
+
+
+@pytest.mark.parametrize("fold, weight", [("D4->G2", (2, 2, 2, 2)),
+                                          ("A5->B3", (2, 2, 2, 2, 1))])
+def test_common_denominator_equals_the_lcm_and_long_division(fold, weight):
+    """On the denominators of a block's lam and of its D, C and every
+    cofactor are the lcm and its long division by each den."""
+    lam = gram_block(qfold.get_folding(fold), weight).lam
+    for dens in ([x.den for row in lam for x in row], [d.den for d in ldl(lam)[1]]):
+        C, cofactor = _common_denominator(dens)
+        assert C == prs_lcm(dict.fromkeys(dens))
+        assert cofactor == {den: long_division(C, den) for den in dens}
 
 
 def test_ldl_a3_block_matches_pbw_diagonal():
