@@ -50,17 +50,18 @@ class CheckResult:
         return "\n".join(lines)
 
 
-def _grams(preset, max_height, basis=None):
-    """(gamma, its Gram block) for every nonempty block up to max_height."""
+def _grams(preset, max_height, basis=None, max_block=None):
+    """(gamma, its Gram block) for every nonempty block up to max_height;
+    a block of more than max_block vectors raises BlockTooLarge."""
     datum, _seq, _word = preset.side(basis)
     for gamma in weights_up_to(datum, max_height):
-        gram = gram_block(preset, gamma, basis)
+        gram = gram_block(preset, gamma, basis, max_block)
         if gram.index:
             yield gamma, gram
 
 
 def check_oracle(presets=("A3", "B2", "D4", "G2"), max_height=6,
-                 random_pairs=500, seed=20260809):
+                 random_pairs=500, seed=20260809, max_block=None):
     """Every Gram entry, as the gram and transition commands compute it,
     equals the coproduct-recursion route; so does the matching-sum route
     on random word pairs."""
@@ -69,7 +70,7 @@ def check_oracle(presets=("A3", "B2", "D4", "G2"), max_height=6,
     for name in presets:
         preset = built[name]
         datum, _seq, _word = preset.side()
-        for gamma, gram in _grams(preset, max_height):
+        for gamma, gram in _grams(preset, max_height, max_block=max_block):
             index, words = gram.index, gram.words
             for a in range(len(words)):
                 for b in range(a, len(words)):
@@ -121,7 +122,8 @@ def _regroup(rng, letters):
     return MonomialWord(tuple(out))
 
 
-def check_factorization(presets=("A3", "B2", "D4", "G2"), max_height=8):
+def check_factorization(presets=("A3", "B2", "D4", "G2"), max_height=8,
+                        max_block=None):
     """Reconstruction, shape and sign invariants of every transition block.
 
     Off the diagonal P has no negative coefficient on a symmetric preset:
@@ -138,7 +140,7 @@ def check_factorization(presets=("A3", "B2", "D4", "G2"), max_height=8):
         datum, seq, _word = preset.side()
         if preset.is_quotient and result.ungated_negatives is None:
             result.ungated_negatives = 0
-        for gamma, gram in _grams(preset, max_height):
+        for gamma, gram in _grams(preset, max_height, max_block=max_block):
             block = factor_gram(gram, gamma)
             result.instances += 1
             tag = f"{name} {gamma}"
@@ -185,7 +187,8 @@ def check_delta(presets=("A3", "A5", "D4", "D5", "E6"), max_height=10):
     return result
 
 
-def check_restriction(folds=("A3->B2", "D4->G2"), max_height=6):
+def check_restriction(folds=("A3->B2", "D4->G2"), max_height=6,
+                      max_block=None):
     """Quotient matching sums survive unfolding with the statistic intact,
     and each restricted sum equals the quotient matching sum M[a][b] of the
     quotient Gram block, so it rebuilds the quotient Gram entry over the
@@ -193,7 +196,7 @@ def check_restriction(folds=("A3->B2", "D4->G2"), max_height=6):
     result = CheckResult(f"restricted matching sums (quotient height <= {max_height})")
     for spec in folds:
         preset = get_folding(spec)
-        for gamma, gram in _grams(preset, max_height, "folded"):
+        for gamma, gram in _grams(preset, max_height, "folded", max_block):
             index, words = gram.index, gram.words
             for a in range(len(words)):
                 for b in range(a, len(words)):
@@ -211,7 +214,8 @@ def check_restriction(folds=("A3->B2", "D4->G2"), max_height=6):
     return result
 
 
-def check_congruence(folds=("A3->B2", "D4->G2"), max_height=6):
+def check_congruence(folds=("A3->B2", "D4->G2"), max_height=6,
+                     max_block=None):
     """P restricted to fixed rows/columns is congruent mod p to quotient P,
     and so are the raw matching sums M.
 
@@ -226,11 +230,11 @@ def check_congruence(folds=("A3->B2", "D4->G2"), max_height=6):
         preset = get_folding(spec)
         fd = preset.fd
         p = fd.p
-        for ulgamma, ul_gram in _grams(preset, max_height, "folded"):
+        for ulgamma, ul_gram in _grams(preset, max_height, "folded", max_block):
             result.instances += 1
             ul_block = factor_gram(ul_gram, ulgamma)
             gamma = fd.expand_weight(ulgamma)
-            gram = gram_block(preset, gamma, "modified")
+            gram = gram_block(preset, gamma, "modified", max_block)
             block = factor_gram(gram, gamma)
             sub_index, P_sigma = sigma_submatrix(fd, preset.seq, block.index, block.P)
             expected = [fold_exponent(fd, preset.ulseq, c) for c in ul_gram.index]

@@ -29,7 +29,7 @@ MAX_BLOCK = 256
 _DATUM_KEYS = ("preset", "fold", "labels", "form", "sigma", "word", "parts")
 _BLOCK_KEYS = _DATUM_KEYS + ("basis", "weight", "max-height", "max-block")
 CONFIG_KEYS = {"roots": _DATUM_KEYS, "gram": _BLOCK_KEYS, "transition": _BLOCK_KEYS,
-               "check": _DATUM_KEYS + ("max-height",)}
+               "check": _DATUM_KEYS + ("max-height", "max-block")}
 
 
 class ConfigError(ValueError):
@@ -284,6 +284,8 @@ def cmd_transition(args, cfg):
 # the one selector each suite takes: a preset name or a folding
 _SELECTOR = {"oracle": "preset", "factorization": "preset", "delta": "preset",
              "restriction": "fold", "congruence": "fold", "equivariance": "fold"}
+# the suites that build Gram blocks, and so take a max_block
+_BLOCK_SUITES = ("oracle", "factorization", "restriction", "congruence")
 
 
 def cmd_check(args, cfg):
@@ -300,11 +302,14 @@ def cmd_check(args, cfg):
             raise ConfigError(f"suite {args.suite} takes --{takes}, not --{other}")
     suite_names = [args.suite] if args.suite != "all" else list(SUITES)
     height = _max_height(args, cfg)
+    max_block = _max_block(args, cfg)
     overall_ok = True
     for name in suite_names:
         kwargs = {}
         if height is not None:
             kwargs["max_height"] = height
+        if name in _BLOCK_SUITES:
+            kwargs["max_block"] = max_block
         takes = _SELECTOR[name]
         if chosen[takes]:
             kwargs[takes + "s"] = [chosen[takes]]
@@ -321,6 +326,10 @@ def build_parser():
                     "canonical bases, with foldings.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def max_block(p):
+        p.add_argument("--max-block", type=int, dest="max_block",
+                       help=f"largest block size n computed (default {MAX_BLOCK})")
+
     def common(p, weights=True):
         p.add_argument("--config", help="key=value file mirroring the flags")
         p.add_argument("--preset")
@@ -332,8 +341,7 @@ def build_parser():
         if weights:
             p.add_argument("--weight")
             p.add_argument("--max-height", type=int, dest="max_height")
-            p.add_argument("--max-block", type=int, dest="max_block",
-                           help=f"largest block size n computed (default {MAX_BLOCK})")
+            max_block(p)
 
     common(sub.add_parser("roots", help="reduced word, root order, orbit parts"),
            weights=False)
@@ -346,6 +354,7 @@ def build_parser():
     p_check.add_argument("--preset")
     p_check.add_argument("--fold")
     p_check.add_argument("--max-height", type=int, dest="max_height")
+    max_block(p_check)
     return parser
 
 

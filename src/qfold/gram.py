@@ -12,14 +12,18 @@ each word with many others builds once per word.  The sum is carried
 packed into one integer at q^-1 = 2^w, w the bit length of the number of
 matchings; every coefficient is a nonnegative count of matchings, so no
 slot can overflow, and the run factor multiplies in packed before one
-unpacking.  `matchings` and `inversion_stat` enumerate the sum term by
-term and are the reference the DP is tested against.  The oracle route,
-`inner_shuffle`, recurses through the coproduct, peeling the first letter
-of one word against each equal letter of the other at a q-twist; it
-shares only `expand_word` with `gram_block`.  Both routes sum Laurent
-numerators and build one RationalFn per value, so nothing here combines
-Q(q) values; the coproduct memo lives for one call, so this module keeps
-no memo that grows with use.
+unpacking.  A Gram entry M / (delta * g * g') is reduced from that packed
+sum by `gram_entry`: the prefactor g of either word divides M, since its
+run factor contains g, so one integer division cancels g, and the
+quotient's coefficients, nonnegative and no larger than M's, are read off
+its slots for the gcd against delta * g'.  `matchings` and
+`inversion_stat` enumerate the sum term by term and are the reference the
+DP is tested against.  The oracle route, `inner_shuffle`, recurses
+through the coproduct, peeling the first letter of one word against each
+equal letter of the other at a q-twist; it shares only `expand_word` with
+`gram_block`.  Both routes sum Laurent numerators and build one
+RationalFn per value, so nothing here combines Q(q) values; the coproduct
+memo lives for one call, so this module keeps no memo that grows with use.
 """
 
 from __future__ import annotations
@@ -29,8 +33,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .laurent import (ONE, ZERO, LaurentPoly, RationalFn, RF_ZERO, _lowest_digit,
-                      q_power, qfact)
+from .laurent import (ONE, ZERO, Factored, LaurentPoly, RationalFn, RF_ZERO,
+                      _lowest_digit, _pack, q_power, qfact)
 
 
 class MismatchError(ArithmeticError):
@@ -212,18 +216,33 @@ def _orient(layout, layoutp):
     return layout, layoutp
 
 
+def _slots(packed, width):
+    """The slots of packed, lowest first: its unsigned base-2^width digits."""
+    mask = (1 << width) - 1
+    out = []
+    while packed:
+        out.append(packed & mask)
+        packed >>= width
+    return out
+
+
 def _unpack_counts(packed, top, width):
     """The Laurent polynomial whose coefficient of q^(top - k) is slot k of
     packed, a sum of nonnegative counts below 2^width at q^-1 = 2^width."""
-    slot = (1 << width) - 1
-    coeffs = {}
-    e = top
-    while packed:
-        if packed & slot:
-            coeffs[e] = packed & slot
-        packed >>= width
-        e -= 1
-    return LaurentPoly(coeffs)
+    return LaurentPoly({top - k: c for k, c in enumerate(_slots(packed, width))})
+
+
+def _split_counts(packed, top, width):
+    """`laurent._split` of `_unpack_counts(packed, top, width)` for a packed
+    whose slot 0 is nonzero, read off the slots: slot k is the coefficient
+    of q^(top - k), so the primitive part, ascending in q, is the slots
+    from the last down, and the step is the gcd of the nonzero slots'
+    indices (their differences from the last one have the same gcd)."""
+    slots = _slots(packed, width)
+    content = math.gcd(*slots)
+    step = math.gcd(*(k for k, c in enumerate(slots) if c))
+    return (top - len(slots) + 1, content, step,
+            [c // content for c in slots[::-(step or 1)]])
 
 
 # The DP serves every pair, short words too.  Timed against a recursion
@@ -289,7 +308,9 @@ def matching_sum(datum, nu, nup, layout=None, layoutp=None, sums=None):
     pairs each word with many others, such as `gram_block`, builds them
     once per word, and they are built here when not given.  sums, a dict
     kept for one block, maps a packed sum, its top exponent and width to
-    the one `LaurentPoly` unpacked from them, which every repeat shares.
+    the one `LaurentPoly` unpacked from them, which every repeat shares;
+    the caller reads each sum's key back from it, the packed form that
+    `gram_entry` reduces.
 
     The sum is symmetric in nu and nup: a matching and its inverse invert
     the same pairs of letters.  So the source, whose equal consecutive
@@ -320,6 +341,40 @@ def matching_sum(datum, nu, nup, layout=None, layoutp=None, sums=None):
     return sums[key]
 
 
+def packed_prefactor(g, width):
+    """(g at q^-1 = 2^width over q^hi, hi) for a nonzero Laurent
+    polynomial g, hi its top exponent: the packing of `matching_sum`'s
+    sums."""
+    hi = max(g.coeffs)
+    return _pack(((hi - e, c) for e, c in g.coeffs.items()), width), hi
+
+
+def gram_entry(key, cancelled, kept):
+    """The Gram entry M / (g * kept) for a matching sum M given by its key
+    in `matching_sum`'s sums, the `packed_prefactor` of one word's
+    prefactor g at the key's width, and kept, the weight factor times the
+    other word's prefactor as a `Factored`.
+
+    g divides M.  Take g's word as the source: M is its run factor times
+    the cross sums, and the run factor is the product of [r]! over its
+    runs, up to a power of q, each a q-multinomial multiple of the
+    factorials [e]! of the divided powers the run spans, whose product
+    over the runs is g.  So the quotient M / g, the cross sums times those
+    q-multinomials, has nonnegative coefficients, as g has with a lowest
+    one of 1: no coefficient of M / g exceeds M's, which lie below
+    2^width.  The exact integer quotient of the packed values is therefore
+    M / g packed, with its coefficients as unsigned slots, and
+    `_split_counts` reads them off.  A nonzero remainder proves that g does
+    not divide M, which would break the argument: an ArithmeticError.
+    """
+    packed, top, width = key
+    pg, hi = cancelled
+    quotient, rem = divmod(packed, pg)
+    if rem:
+        raise ArithmeticError("a prefactor does not divide its matching sum")
+    return RationalFn.reduced(_split_counts(quotient, top - hi, width), kept)
+
+
 def delta_weight(datum, word):
     """Product over letters of (1 - q_i^2)^exponent; depends only on the weight."""
     out = ONE
@@ -334,9 +389,11 @@ def inner_mackey(datum, word, wordp):
         return RF_ZERO
     nu = expand_word(word, datum)
     nup = expand_word(wordp, datum)
-    total = matching_sum(datum, nu.labels, nup.labels)
-    return RationalFn(total,
-                      delta_weight(datum, word) * nu.prefactor * nup.prefactor)
+    sums = {}
+    matching_sum(datum, nu.labels, nup.labels, None, None, sums)
+    (key,) = sums
+    return gram_entry(key, packed_prefactor(nup.prefactor, key[2]),
+                      Factored(delta_weight(datum, word), nu.prefactor))
 
 
 def inner_shuffle(datum, word, wordp):

@@ -8,16 +8,18 @@ arithmetic of its own: the pipeline computes on Laurent numerators.
 
 Both types are immutable, hashable, and in canonical normal form, so equality
 of values is equality of representations.  Each RationalFn is built once,
-from a Laurent numerator over a denominator, and then only compared, hashed
-or printed.  Building it reduces one fraction by a polynomial gcd: the
-heuristic gcd GCDHEU on Kronecker-packed integers (Char, Geddes and Gonnet,
-J. Symbolic Comput. 7, 1989), which CPython's big-integer gcd and division
-carry, with the primitive-PRS gcd as its fallback.  Both run in x = q^s,
-s the gcd of the steps of the exponents, since gcd(N(q^s), D(q^s)) =
-gcd(N, D)(q^s): a Gram entry, q^k times a polynomial in q^2, packs to half
-the digits.  The denominator is a Laurent polynomial or a `Factored`
-product of them, which many fractions can share: it is split and packed
-once per width for all of them and expanded at most once.  The gcd's
+from a Laurent numerator over a denominator, or from the numerator's split
+(`RationalFn.reduced`, which `gram` reads off a packed matching sum), and
+then only compared, hashed or printed.  Building it reduces one fraction
+by a polynomial gcd: the heuristic gcd GCDHEU on Kronecker-packed integers
+(Char, Geddes and Gonnet, J. Symbolic Comput. 7, 1989), which CPython's
+big-integer gcd and division carry, with the primitive-PRS gcd as its
+fallback.  Both run in x = q^s, s the gcd of the steps of the exponents,
+since gcd(N(q^s), D(q^s)) = gcd(N, D)(q^s): a Gram entry, q^k times a
+polynomial in q^2, packs to half the digits.  The denominator is a
+Laurent polynomial or a `Factored` product of them, which many fractions
+can share: it is split and packed once per width for all of them and
+expanded at most once.  The gcd's
 cofactors are exact quotients: `transition` reads its common denominators
 off them.  The packed format, which `transition.ldl` uses too, lives here
 alone: one packer, one width rule, and one certified division,
@@ -570,9 +572,20 @@ class RationalFn:
                 den = Factored(den)
         if num is NotImplemented or den is NotImplemented:
             raise TypeError("RationalFn takes integers or Laurent polynomials")
-        n, d = _normalize(num, den)
-        object.__setattr__(self, "num", n)
-        object.__setattr__(self, "den", d)
+        self._store(*((ZERO, ONE) if num.is_zero() else _normalize(_split(num), den)))
+
+    @classmethod
+    def reduced(cls, split, den):
+        """num / den for a nonzero num given by its `_split` and a
+        `Factored` den: the value `RationalFn(num, den)` builds, for a
+        caller that reads the split off a packed numerator."""
+        self = cls.__new__(cls)
+        self._store(*_normalize(split, den))
+        return self
+
+    def _store(self, num, den):
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalFn is immutable")
@@ -609,9 +622,9 @@ class RationalFn:
         return f"RationalFn({self})"
 
 
-def _normalize(num, den):
-    """The normal form of num / den for a Laurent polynomial num and a
-    `Factored` den.
+def _normalize(split, den):
+    """The normal form (num, den) of a fraction with a nonzero numerator
+    given by its `_split` and a `Factored` denominator.
 
     q is a unit, so splitting off each side's lowest power of q and its
     integer content leaves primitive parts N and D whose cofactors by their
@@ -620,9 +633,7 @@ def _normalize(num, den):
     their gcd go back, with the sign making the denominator's leading
     coefficient positive.
     """
-    if num.is_zero():
-        return ZERO, ONE
-    (ln, cn, sn, N), ld, cd = _split(num), den.low, den.content
+    (ln, cn, sn, N), ld, cd = split, den.low, den.content
     s, _, N, D = _dense_gcd_cofactors(N, sn, den)
     c = math.gcd(cn, cd)
     cn, cd = cn // c, cd // c

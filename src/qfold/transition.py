@@ -6,6 +6,11 @@ Matrix convention: columns hold basis expansions, rows and columns are
 sorted ascending in the lex order on exponent vectors, so the factor
 accumulation runs from the bottom-right corner upward.
 
+`gram_block` reduces each distinct Gram entry once, by `gram.gram_entry`:
+from its packed matching sum with one word's prefactor cancelled, over
+the weight factor times the other's, one `Factored` denominator per
+distinct prefactor.
+
 `ldl` eliminates on Kronecker-packed integers: each Laurent numerator is
 its value at q = 2^w over a power of q, at one width per block, which a
 norm bound certifies before each row, so that every value the elimination
@@ -22,7 +27,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .folding import sigma_on_exponents
-from .gram import WordLayout, delta_weight, expand_word, matching_sum
+from .gram import (WordLayout, delta_weight, expand_word, gram_entry, matching_sum,
+                   packed_prefactor)
 from .laurent import (ONE, ZERO, Factored, LaurentPoly, RationalFn, _gcd_cofactors,
                       _laurent, _lowest_digit, _norms, _pack, _product_norms, _unpack,
                       _width, packed_div_exact, parse_laurent, parse_rational)
@@ -77,21 +83,29 @@ def gram_block(preset, gamma, basis=None, max_block=None):
 
     Everything that depends on one word or one prefactor is built once per
     block, so the loop over pairs does only the work of the pair: one
-    matching sum and at most one gcd.  Every word has weight gamma, so the weight
-    factor is computed once; each word's letters, prefactor and
-    `WordLayout` once per index; and each denominator delta * g[a] * g[b]
-    once per pair of distinct prefactors, of which a block has far fewer
-    than pairs of words.  A denominator is kept `Factored`: delta and each
-    prefactor are split once, and the product is packed once per gcd
-    width for every entry over it, never expanded unless a gcd needs it.
-    The matching sum is symmetric in its two letter sequences, so it runs
-    once per unordered pair.  Values repeat far more than symmetry
+    matching sum and at most one gcd.  Every word has weight gamma, so the
+    weight factor is computed once; each word's letters, prefactor and
+    `WordLayout` once per index; and, per distinct prefactor g, of which a
+    block has far fewer than words, its `packed_prefactor` and the
+    denominator delta * g, kept `Factored`: delta and g are split once,
+    and the product is packed once per gcd width for every entry over it,
+    never expanded unless a gcd needs it.  The matching sum is symmetric
+    in its two letter sequences, so it runs once per unordered pair.
+
+    An entry M / (delta * g[a] * g[b]) is reduced by `gram_entry`, which
+    cancels one prefactor first.  Each of g[a] and g[b] divides M, since
+    the run factor of its word contains it, and the quotient, one integer
+    division of M's key in the block's sums, has nonnegative coefficients
+    no larger than M's, so the sums' width holds them as unsigned slots.
+    The gcd then runs on M over the pair's prefactor of larger degree
+    against delta times the other.  Values repeat far more than symmetry
     explains (A5->B3 (2,2,2,2,1): 1 275 pairs, 77 distinct sums), so each
     is one object: equal sums are one `LaurentPoly`, a gcd runs once per
-    shared sum and denominator, and equal entries are one `RationalFn`,
-    which `ldl` and `formatter` read once.  These caches go with the
-    block.  When max_block is given, a block of more vectors raises
-    BlockTooLarge as soon as its index is counted, before any word is built.
+    shared sum and pair of prefactors, and equal entries are one
+    `RationalFn`, which `ldl` and `formatter` read once.  These caches go
+    with the block.  When max_block is given, a block of more vectors
+    raises BlockTooLarge as soon as its index is counted, before any word
+    is built.
     """
     datum, seq, word = preset.side(basis)
     index = enumerate_block(seq, gamma)
@@ -104,29 +118,35 @@ def gram_block(preset, gamma, basis=None, max_block=None):
     layouts = [WordLayout(datum, lt.labels) for lt in letters]
     g = [lt.prefactor for lt in letters]
     delta = delta_weight(datum, words[0]) if words else ONE
-    kinds = {}                       # distinct prefactor -> its number
-    kind = [kinds.setdefault(p, len(kinds)) for p in g]
-    split_delta = Factored(delta)
-    prefactors = [Factored(p) for p in kinds]
-    dens = [[None] * len(kinds) for _ in kinds]
-    for i, p in enumerate(prefactors):
-        for j in range(i, len(kinds)):
-            dens[i][j] = dens[j][i] = Factored(split_delta, p, prefactors[j])
     n = len(index)
     M = [[None] * n for _ in range(n)]
-    lam = [[None] * n for _ in range(n)]
-    sums, fractions, values = {}, {}, {}
+    sums = {}
     for a in range(n):
         for b in range(a, n):
-            core = matching_sum(datum, letters[a].labels, letters[b].labels,
-                                layouts[a], layouts[b], sums)
-            den = dens[kind[a]][kind[b]]
-            key = (id(core), id(den))            # both live as long as the block
-            if key not in fractions:
-                value = RationalFn(core, den)
-                fractions[key] = values.setdefault(value, value)
-            M[a][b] = M[b][a] = core
-            lam[a][b] = lam[b][a] = fractions[key]
+            M[a][b] = M[b][a] = matching_sum(
+                datum, letters[a].labels, letters[b].labels, layouts[a], layouts[b], sums)
+    key = {id(core): k for k, core in sums.items()}
+    # the distinct prefactors, numbered by degree: a pair cancels its larger one
+    kinds = {p: k for k, p in enumerate(sorted(
+        dict.fromkeys(g), key=lambda p: max(p.coeffs) - min(p.coeffs)))}
+    kind = [kinds[p] for p in g]
+    # every word has gamma's letters, so one width packs every sum
+    cancel = [packed_prefactor(p, layouts[0].width) for p in kinds]
+    split_delta = Factored(delta)
+    kept = [Factored(split_delta, p) for p in kinds]
+    lam = [[None] * n for _ in range(n)]
+    fractions, values = {}, {}
+    for a in range(n):
+        for b in range(a, n):
+            core = M[a][b]
+            i, j = kind[a], kind[b]
+            if i > j:
+                i, j = j, i
+            pair = (id(core), i, j)              # the sum lives as long as the block
+            if pair not in fractions:
+                value = gram_entry(key[id(core)], cancel[j], kept[i])
+                fractions[pair] = values.setdefault(value, value)
+            lam[a][b] = lam[b][a] = fractions[pair]
     return GramBlock(index, words, M, g, delta, lam)
 
 

@@ -14,8 +14,8 @@ def _plus_one(v):
 
 
 def test_oracle_gates_the_gram_entries_the_commands_print(monkeypatch):
-    def tampered(preset, gamma, basis=None):
-        gram = gram_block(preset, gamma, basis)
+    def tampered(preset, gamma, basis=None, max_block=None):
+        gram = gram_block(preset, gamma, basis, max_block)
         lam = [row[:] for row in gram.lam]
         lam[-1][-1] = _plus_one(lam[-1][-1])
         return gram._replace(lam=lam)
@@ -53,11 +53,11 @@ def test_factorization_gates_a_tampered_block(tamper, message, monkeypatch):
     assert any(message in f for f in result.failures), result.failures
 
 
-def _lam_with_a_negative_P_entry(preset, gamma, basis=None):
+def _lam_with_a_negative_P_entry(preset, gamma, basis=None, max_block=None):
     # the Gram matrix rebuilt from P'Q and D, P' being P with a negative
     # coefficient added to its last row: H = P'Q, D, P' and Q factor the new
     # matrix exactly, so only the sign of P can show the change
-    gram = gram_block(preset, gamma, basis)
+    gram = gram_block(preset, gamma, basis, max_block)
     block = factor_gram(gram, gamma)
     if len(block.P) < 2:
         return gram
@@ -131,11 +131,11 @@ def _quotient_P_plus_q(gram, gamma):
     return block
 
 
-def _modified_M_plus_one(preset, gamma, basis=None):
+def _modified_M_plus_one(preset, gamma, basis=None, max_block=None):
     # on A3->B2 up to height 3 the last vector of every modified block is
     # sigma-fixed, so the tampered sum is one the new gate compares; lam is
     # left as it was, so P and the other gates do not move
-    gram = gram_block(preset, gamma, basis)
+    gram = gram_block(preset, gamma, basis, max_block)
     if basis == "modified":
         M = [row[:] for row in gram.M]
         M[-1][-1] = M[-1][-1] + ONE

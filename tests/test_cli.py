@@ -84,9 +84,12 @@ def test_gram_computes_each_matching_sum_once(monkeypatch, capsys):
 
 # SHA-256 of the stdout of these commands, taken before the Gram block kept
 # its denominators factored (the A5->B3 (2,2,2,2,1) ones before it shared
-# equal values, A5->B3 (2,2,2,2,2), n = 125, before P and Q shared theirs);
-# any drift in the printed normal form fails here.
+# equal values, A5->B3 (2,2,2,2,2), n = 125, before P and Q shared theirs,
+# A3 (4,4,4) before each Gram entry cancelled a prefactor from its packed
+# matching sum); any drift in the printed normal form fails here.
 GOLDEN_DIGESTS = {
+    ("gram --preset A3 --weight 4,4,4", "json"):
+        "05e156dbbec16806ae237ff4878e25180bafbb83b57623846841f258339fff1c",
     ("gram --preset G2 --weight 6,4", "json"):
         "9dcc60f42916ac9f76a133e241a5ca7312b938eeeccd391852709fb7358ae570",
     ("gram --preset G2 --weight 6,4", "tsv"):
@@ -276,6 +279,7 @@ def test_bad_config_values_exit_two_naming_the_key(tmp_path, capsys):
         ("basis", ["gram"], "preset = B2\nweight = 2,1\nbasis = foo\n"),
         ("max-height", ["transition"], "preset = B2\nmax-height = x\n"),
         ("max-height", ["check"], "preset = A3\nmax-height = x\n"),
+        ("max-block", ["check"], "preset = A3\nmax-block = x\n"),
         ("form", ["roots"], "labels = 1 2\nform = 2 -1; -1 two\nparts = 1; 2\n"),
         ("parts", ["roots"], "labels = 1 2\nform = 2 -1; -1 2\nparts = 1 2\n"),
         ("sigma", ["roots"], "labels = 1 1' 2\nform = 2 0 -1; 0 2 -1; -1 -1 2\n"
@@ -430,6 +434,18 @@ def test_arithmetic_errors_exit_three(monkeypatch, capsys):
     assert "internal invariant breach" in err
 
 
+def test_a_prefactor_that_does_not_divide_its_sum_exits_three(monkeypatch, capsys):
+    from qfold.gram import packed_prefactor
+
+    def tampered(g, width):
+        return packed_prefactor(g * parse_laurent("q + 3 + q^-1"), width)
+
+    monkeypatch.setattr("qfold.transition.packed_prefactor", tampered)
+    code, out, err = run(["gram", "--preset", "G2", "--weight", "6,4"], capsys)
+    assert code == 3 and not out
+    assert "prefactor does not divide its matching sum" in err
+
+
 def test_max_block_refuses_a_larger_block_naming_n(tmp_path, capsys):
     # A7 at (2,...,2) has n = 1625, above the default bound
     code, out, err = run(["gram", "--preset", "A7", "--weight",
@@ -449,10 +465,24 @@ def test_max_block_refuses_a_larger_block_naming_n(tmp_path, capsys):
         assert code == 0 and len(json.loads(out)["index"]) == 13
 
 
+def test_check_max_block_refuses_a_larger_block_naming_n(tmp_path, capsys):
+    # D4's largest block to height 6 has n = 20
+    argv = ["check", "--suite", "factorization", "--preset", "D4", "--max-height", "6"]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("max-block = 10\n")
+    for extra in (["--max-block", "10"], ["--config", str(cfg)]):
+        code, out, err = run(argv + extra, capsys)
+        assert code == 2 and "n = " in err and "max-block 10" in err, extra
+        assert not out
+    code, out, _ = run(argv + ["--config", str(cfg), "--max-block", "20"], capsys)
+    assert code == 0 and out.startswith("pass")
+
+
 def test_bad_max_block_exits_two(tmp_path, capsys):
     for argv in (["gram", "--preset", "B2", "--weight", "2,1", "--max-block", "0"],
                  ["transition", "--preset", "B2", "--max-height", "2",
-                  "--max-block", "-3"]):
+                  "--max-block", "-3"],
+                 ["check", "--max-block", "0"]):
         code, out, err = run(argv, capsys)
         assert code == 2 and "max-block" in err and not out, argv
     cfg = tmp_path / "run.cfg"

@@ -1,19 +1,22 @@
 import gc
 import math
+import random
 from collections import Counter
 
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 import qfold
 from qfold import gram
-from qfold.gram import (delta_weight, expand_word, inner_mackey,
+from qfold.checks import _regroup
+from qfold.gram import (delta_weight, expand_word, gram_entry, inner_mackey,
                         inner_mackey_restricted, inner_shuffle,
-                        inversion_stat, matching_sum, matchings, pbw_diag)
-from qfold.laurent import (ONE, ZERO, parse_laurent,
-                           parse_rational, q_power, qfact)
+                        inversion_stat, matching_sum, matchings, packed_prefactor,
+                        pbw_diag)
+from qfold.laurent import (ONE, ZERO, Factored, RationalFn, _poly_div_exact,
+                           parse_laurent, parse_rational, q_power, qfact)
 from qfold.monomial import MonomialWord, word_folded, word_modified
 from qfold.rootsys import enumerate_block, weights_up_to
-from test_ldl import SETTINGS
+from test_ldl import SETTINGS, coefficients
 
 def cross_sums_by_recursion(datum, source, target):
     """The reference for `gram._cross_sums_by_runs`: one leaf per assignment
@@ -370,3 +373,81 @@ def test_precomputed_layouts_give_the_same_sums():
                             gram.WordLayout(a3, nup)) == matching_sum(a3, nu, nup)
     assert matching_sum(a3, (), ()) == ONE
     assert matching_sum(a3, ("1", "2"), ("1", "1")) == ZERO
+
+
+def test_either_prefactor_divides_its_matching_sum():
+    """`gram_entry` rests on this: both words' prefactors divide their
+    matching sum, and the quotient has nonnegative coefficients, none
+    larger than the sum's (the prefactors' lowest coefficient is 1), so the
+    sums' width holds them.  Every pair of every block of A3, B2, D4 and
+    G2 to height 6, and of the modified and folded bases of A3->B2 and
+    D4->G2 to quotient height 4.  No two adjacent divided powers of these
+    words share a label, so each run of equal letters is one divided
+    power; `regrouped_pairs` covers the runs that span several."""
+    def blocks():
+        for name in ("A3", "B2", "D4", "G2"):
+            preset = qfold.get_preset(name)
+            for gamma in weights_up_to(preset.side()[0], 6):
+                yield preset, gamma, None
+        for spec in ("A3->B2", "D4->G2"):
+            preset = qfold.get_folding(spec)
+            for ulgamma in weights_up_to(preset.side("folded")[0], 4):
+                yield preset, ulgamma, "folded"
+                yield preset, preset.fd.expand_weight(ulgamma), "modified"
+
+    pairs = 0
+    for preset, gamma, basis in blocks():
+        block = qfold.gram_block(preset, gamma, basis)
+        n = len(block.index)
+        for a in range(n):
+            for b in range(a, n):
+                M = block.M[a][b]
+                M = coefficients(M.shift(-M.min_exp()))
+                for g in (block.g[a], block.g[b]):
+                    g = coefficients(g.shift(-g.min_exp()))
+                    assert g[0] == 1
+                    quotient = _poly_div_exact(M, g)
+                    assert all(0 <= h <= m for h, m in zip(quotient, M)), \
+                        (preset.name, gamma, basis, a, b)
+                pairs += 1
+    assert pairs > 4000
+
+
+@st.composite
+def regrouped_pairs(draw):
+    """Two words of one weight, each a letter sequence cut into divided
+    powers as `check_oracle` cuts its random pairs (`checks._regroup`), the
+    second a rearrangement of the first.  Two labels make runs of equal
+    letters long, so a run often spans several divided powers: there the
+    run factor over the prefactor is a q-multinomial, not a power of q."""
+    name = draw(st.sampled_from(("A3", "B2", "D4", "G2", "A5", "E6")))
+    datum = qfold.get_preset(name).side()[0]
+    labels = draw(st.lists(st.sampled_from(datum.labels), min_size=2, max_size=2,
+                           unique=True))
+    nu = draw(st.lists(st.sampled_from(labels), min_size=1, max_size=8))
+    nup = draw(st.permutations(nu))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return datum, _regroup(rng, nu), _regroup(rng, nup)
+
+
+A3 = qfold.get_preset("A3").side()[0]
+
+
+@SETTINGS
+@given(regrouped_pairs())
+@example((A3, W(("1", 2), ("1", 1), ("2", 1)), W(("2", 1), ("1", 1), ("1", 2))))
+@example((A3, W(("1", 3), ("2", 2)), W(("2", 1), ("1", 2), ("2", 1), ("1", 1))))
+def test_a_gram_entry_is_the_same_whichever_prefactor_is_cancelled(pair):
+    datum, word, wordp = pair
+    nu, nup = expand_word(word, datum), expand_word(wordp, datum)
+    delta = delta_weight(datum, word)
+    sums = {}
+    core = matching_sum(datum, nu.labels, nup.labels, None, None, sums)
+    (key,) = sums
+    expected = RationalFn(core, delta * nu.prefactor * nup.prefactor)
+    for cancelled, kept in ((nu.prefactor, nup.prefactor),
+                            (nup.prefactor, nu.prefactor)):
+        value = gram_entry(key, packed_prefactor(cancelled, key[2]),
+                           Factored(delta, kept))
+        assert (value.num, value.den) == (expected.num, expected.den)
+    assert inner_mackey(datum, word, wordp) == expected
