@@ -303,7 +303,7 @@ def cmd_check(args, cfg):
     suite_names = [args.suite] if args.suite != "all" else list(SUITES)
     height = _max_height(args, cfg)
     max_block = _max_block(args, cfg)
-    overall_ok = True
+    results = []
     for name in suite_names:
         kwargs = {}
         if height is not None:
@@ -313,10 +313,12 @@ def cmd_check(args, cfg):
         takes = _SELECTOR[name]
         if chosen[takes]:
             kwargs[takes + "s"] = [chosen[takes]]
-        result = SUITES[name](**kwargs)
+        results.append(SUITES[name](**kwargs))
+    # printed only once every suite has run, so a sweep that a later
+    # suite refuses (exit 2 or 3) leaves stdout empty
+    for result in results:
         print(result)
-        overall_ok = overall_ok and result.ok
-    return 0 if overall_ok else 1
+    return 0 if all(result.ok for result in results) else 1
 
 
 def build_parser():

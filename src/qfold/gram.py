@@ -58,7 +58,8 @@ def expand_word(word, datum):
     prefactor = ONE
     for lab, e in word.letters:
         labels.extend([lab] * e)
-        prefactor = prefactor * qfact(e, datum.d(lab))
+        if e > 1:    # [0]! = [1]! = 1
+            prefactor = prefactor * qfact(e, datum.d(lab))
     return LetterSequence(tuple(labels), prefactor)
 
 

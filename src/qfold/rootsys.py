@@ -226,28 +226,58 @@ def weight_of(seq, c):
 
 
 def enumerate_block(seq, gamma):
-    """All exponent vectors of weight gamma, ascending in lex order."""
+    """All exponent vectors of weight gamma, ascending in lex order.
+
+    Root-lattice vectors are packed into one int, a lane per simple root
+    wide enough for gamma_i plus any beta coefficient, topped by a guard
+    bit, so ``v <= gamma`` in every lane iff subtracting v from packed
+    gamma with its guard bits set keeps every guard bit.  ``reach[k]``
+    holds the packed sums <= gamma that positions k..N-1 can spend; the
+    walk from gamma takes c_k only when the remainder lies in
+    ``reach[k + 1]``, so every prefix it visits completes.
+    """
     gamma = tuple(gamma)
     if len(gamma) != seq.datum.rank:
         raise WrongLength("weight has the wrong number of coordinates")
     if any(g < 0 for g in gamma):
         return []
-    out = []
-    betas = seq.betas
-    n = seq.N
+    bits = (max(gamma) + max(max(b) for b in seq.betas)).bit_length()
 
-    def rec(k, remaining, prefix):
-        if k == n:
-            if not any(remaining):
-                out.append(tuple(prefix))
+    def pack(v):
+        return sum(x << (i * (bits + 1)) for i, x in enumerate(v))
+
+    guards = pack([1 << bits] * len(gamma))
+    top = pack(gamma) | guards
+    betas = [pack(b) for b in seq.betas]
+    n = len(betas)
+    reach = [None] * n + [{0}]
+    for k in range(n - 1, 0, -1):
+        beta, spent = betas[k], set()
+        for s in reach[k + 1]:
+            while (top - s) & guards == guards:
+                spent.add(s)
+                s += beta
+        reach[k] = spent
+    out, prefix = [], [0] * n
+
+    def walk(k, rest):
+        if not rest:
+            out.append(tuple(prefix))
             return
-        beta = betas[k]
-        cap = min(remaining[i] // beta[i] for i in range(len(beta)) if beta[i])
-        for ck in range(cap + 1):
-            rest = tuple(r - ck * b for r, b in zip(remaining, beta))
-            rec(k + 1, rest, prefix + [ck])
+        beta, later = betas[k], reach[k + 1]
+        c = 0
+        while True:
+            if rest in later:
+                prefix[k] = c
+                walk(k + 1, rest)
+            rest = (rest | guards) - beta
+            if rest & guards != guards:
+                break
+            rest ^= guards
+            c += 1
+        prefix[k] = 0
 
-    rec(0, gamma, [])
+    walk(0, top ^ guards)
     return out
 
 

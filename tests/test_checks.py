@@ -1,3 +1,5 @@
+import inspect
+
 import pytest
 
 import qfold.checks
@@ -9,13 +11,18 @@ from qfold.laurent import ONE, RationalFn, q_power
 from qfold.transition import factor_gram, gram_block, matmul_laurent, reconstruct_lam
 
 
+def _argument(name, args, kwargs):
+    """The value a call's arguments give gram_block's parameter ``name``."""
+    return inspect.signature(gram_block).bind(*args, **kwargs).arguments.get(name)
+
+
 def _plus_one(v):
     return RationalFn(v.num + v.den, v.den)
 
 
 def test_oracle_gates_the_gram_entries_the_commands_print(monkeypatch):
-    def tampered(preset, gamma, basis=None, max_block=None):
-        gram = gram_block(preset, gamma, basis, max_block)
+    def tampered(*args, **kwargs):
+        gram = gram_block(*args, **kwargs)
         lam = [row[:] for row in gram.lam]
         lam[-1][-1] = _plus_one(lam[-1][-1])
         return gram._replace(lam=lam)
@@ -53,12 +60,12 @@ def test_factorization_gates_a_tampered_block(tamper, message, monkeypatch):
     assert any(message in f for f in result.failures), result.failures
 
 
-def _lam_with_a_negative_P_entry(preset, gamma, basis=None, max_block=None):
+def _lam_with_a_negative_P_entry(*args, **kwargs):
     # the Gram matrix rebuilt from P'Q and D, P' being P with a negative
     # coefficient added to its last row: H = P'Q, D, P' and Q factor the new
     # matrix exactly, so only the sign of P can show the change
-    gram = gram_block(preset, gamma, basis, max_block)
-    block = factor_gram(gram, gamma)
+    gram = gram_block(*args, **kwargs)
+    block = factor_gram(gram, _argument("gamma", args, kwargs))
     if len(block.P) < 2:
         return gram
     P = [row[:] for row in block.P]
@@ -131,12 +138,12 @@ def _quotient_P_plus_q(gram, gamma):
     return block
 
 
-def _modified_M_plus_one(preset, gamma, basis=None, max_block=None):
+def _modified_M_plus_one(*args, **kwargs):
     # on A3->B2 up to height 3 the last vector of every modified block is
     # sigma-fixed, so the tampered sum is one the new gate compares; lam is
     # left as it was, so P and the other gates do not move
-    gram = gram_block(preset, gamma, basis, max_block)
-    if basis == "modified":
+    gram = gram_block(*args, **kwargs)
+    if _argument("basis", args, kwargs) == "modified":
         M = [row[:] for row in gram.M]
         M[-1][-1] = M[-1][-1] + ONE
         gram = gram._replace(M=M)

@@ -478,6 +478,19 @@ def test_check_max_block_refuses_a_larger_block_naming_n(tmp_path, capsys):
     assert code == 0 and out.startswith("pass")
 
 
+def test_check_refused_by_a_later_suite_prints_no_results(capsys):
+    # B2's blocks to height 3 have n <= 3, so oracle, factorization and
+    # delta pass; restriction then meets A3->B2's n = 4 block at 1,1,1
+    argv = ["check", "--suite", "all", "--preset", "B2", "--fold", "A3->B2",
+            "--max-height", "3", "--max-block"]
+    code, out, err = run(argv + ["3"], capsys)
+    assert code == 2 and "n = 4" in err and not out
+    code, out, _ = run(argv + ["4"], capsys)
+    assert code == 2 and not out
+    code, out, _ = run(argv + ["5"], capsys)
+    assert code == 0 and out.count("pass") == 6
+
+
 def test_bad_max_block_exits_two(tmp_path, capsys):
     for argv in (["gram", "--preset", "B2", "--weight", "2,1", "--max-block", "0"],
                  ["transition", "--preset", "B2", "--max-height", "2",

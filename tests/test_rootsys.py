@@ -142,11 +142,17 @@ def test_weights_up_to_lists_every_weight_in_lex_order(name, height):
     assert weights_up_to(datum, height) == expected
 
 
-@pytest.mark.parametrize("spec", ["A3->B2", "D4->G2", "A5->B3"])
+# G2 and F4 roots have coefficients up to 3 and 4, so the foldings onto
+# them also test that enumerate_block's packed lanes never carry
+WALK_HEIGHTS = {"A3->B2": 6, "D4->G2": 6, "A5->B3": 6, "D5->C4": 6, "E6->F4": 5}
+
+
+@pytest.mark.parametrize("spec", WALK_HEIGHTS)
 def test_vectors_up_to_root_heights_walks_every_block(spec):
+    height = WALK_HEIGHTS[spec]
     preset = qfold.get_folding(spec)
     for seq in (preset.seq, preset.ulseq):
-        walked = vectors_up_to([sum(beta) for beta in seq.betas], 6)
-        blocks = [c for gamma in weights_up_to(seq.datum, 6)
+        walked = vectors_up_to([sum(beta) for beta in seq.betas], height)
+        blocks = [c for gamma in weights_up_to(seq.datum, height)
                   for c in enumerate_block(seq, gamma)]
         assert walked == sorted(blocks)
