@@ -144,7 +144,7 @@ def check_factorization(presets=("A3", "B2", "D4", "G2"), max_height=8,
             block = factor_gram(gram, gamma)
             result.instances += 1
             tag = f"{name} {gamma}"
-            if reconstruct_lam(block.H, block.D) != block.lam:
+            if not reconstruct_lam(block.H, block.D, block.lam):
                 result.fail(f"{tag}: H^t D H does not reconstruct the Gram matrix")
             if matmul_laurent(block.P, block.Q) != block.H:
                 result.fail(f"{tag}: PQ != H")

@@ -75,15 +75,10 @@ def _custom_preset(cfg):
     except ValueError:
         raise ConfigError(f"form needs integer entries, got {cfg['form']!r}") from None
     sigma = _parse_sigma_cycles(cfg["sigma"]) if "sigma" in cfg else None
-    word = parts = None
-    if "word" in cfg:
-        word = tuple(cfg["word"].split())
-    elif "parts" in cfg:
-        parts = [p.split() for p in cfg["parts"].split(";")]
-        if len(parts) != 2:
-            raise ConfigError(f"parts needs the form I0;I1, got {cfg['parts']!r}")
-    else:
-        raise ConfigError("custom data need either word=... or parts=I0;I1")
+    word = tuple(cfg["word"].split()) if "word" in cfg else None
+    parts = [p.split() for p in cfg["parts"].split(";")] if "parts" in cfg else None
+    if parts is not None and len(parts) != 2:
+        raise ConfigError(f"parts needs the form I0;I1, got {cfg['parts']!r}")
     return custom_preset(cfg["labels"].split(), form, sigma, word, parts)
 
 
@@ -117,39 +112,27 @@ def _parse_weight(text, datum):
     return gamma
 
 
-def _max_height(args, cfg):
-    """The flag, else the config value; None when neither is given (0 is a
-    height like any other, a negative one is refused)."""
-    height = args.max_height
-    if height is None:
-        height = cfg.get("max-height")
-        if height is None:
+def _setting(args, cfg, key, floor, default=None):
+    """The flag, else the config value, else default (None when all three
+    are missing): an integer at or above floor, 0 for a height and 1 for a
+    block size."""
+    value = getattr(args, key.replace("-", "_"))
+    if value is None:
+        value = cfg.get(key, default)
+        if value is None:
             return None
         try:
-            height = int(height)
+            value = int(value)
         except ValueError:
-            raise ConfigError(f"max-height must be an integer, got {height!r}") from None
-    if height < 0:
-        raise ConfigError(f"max-height must be nonnegative, got {height}")
-    return height
-
-
-def _max_block(args, cfg):
-    """The flag, else the config value, else MAX_BLOCK; a positive integer."""
-    bound = args.max_block
-    if bound is None:
-        bound = cfg.get("max-block", MAX_BLOCK)
-        try:
-            bound = int(bound)
-        except ValueError:
-            raise ConfigError(f"max-block must be an integer, got {bound!r}") from None
-    if bound < 1:
-        raise ConfigError(f"max-block must be positive, got {bound}")
-    return bound
+            raise ConfigError(f"{key} must be an integer, got {value!r}") from None
+    if value < floor:
+        kind = "nonnegative" if floor == 0 else "positive"
+        raise ConfigError(f"{key} must be {kind}, got {value}")
+    return value
 
 
 def _weights(args, cfg, datum):
-    height = _max_height(args, cfg)
+    height = _setting(args, cfg, "max-height", 0)
     weight = args.weight or cfg.get("weight")
     if weight:
         return [_parse_weight(weight, datum)]
@@ -212,7 +195,7 @@ def cmd_gram(args, cfg):
     preset = _resolve(args, cfg)
     basis = args.basis or cfg.get("basis") or preset.default_basis
     datum, _seq, _word = preset.side(basis)
-    max_block = _max_block(args, cfg)
+    max_block = _setting(args, cfg, "max-block", 1, MAX_BLOCK)
     results, pretty = [], []
     for gamma in _weights(args, cfg, datum):
         gram = gram_block(preset, gamma, basis, max_block)
@@ -255,7 +238,7 @@ def cmd_transition(args, cfg):
     preset = _resolve(args, cfg)
     basis = args.basis or cfg.get("basis") or preset.default_basis
     datum, _seq, _word = preset.side(basis)
-    max_block = _max_block(args, cfg)
+    max_block = _setting(args, cfg, "max-block", 1, MAX_BLOCK)
     results, pretty, tsv_parts = [], [], []
     for gamma in _weights(args, cfg, datum):
         block = pipeline(preset, gamma, basis, max_block)
@@ -301,8 +284,8 @@ def cmd_check(args, cfg):
         if chosen[other] and not chosen[takes]:
             raise ConfigError(f"suite {args.suite} takes --{takes}, not --{other}")
     suite_names = [args.suite] if args.suite != "all" else list(SUITES)
-    height = _max_height(args, cfg)
-    max_block = _max_block(args, cfg)
+    height = _setting(args, cfg, "max-height", 0)
+    max_block = _setting(args, cfg, "max-block", 1, MAX_BLOCK)
     results = []
     for name in suite_names:
         kwargs = {}

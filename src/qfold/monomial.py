@@ -119,7 +119,7 @@ def sigma_word(fd, word):
     return MonomialWord(tuple((fd.sigma_label(lab), e) for lab, e in word.letters))
 
 
-def canonical_word(fd, word, datum=None):
+def canonical_word(fd, word):
     """Normal form modulo commuting-letter rearrangement.
 
     Two letters commute when they carry the same generator or orthogonal
@@ -129,7 +129,7 @@ def canonical_word(fd, word, datum=None):
     take the least letter, by (orbit index, label position, exponent),
     among those that commute with every letter before them.
     """
-    datum = datum or fd.base
+    datum = fd.base
     form = datum.form
     rest = [(fd.orbit_index(lab), datum.index(lab), e) for lab, e in word.letters]
     out = []

@@ -114,7 +114,11 @@ def custom_preset(labels, form, sigma=None, word=None, parts=None):
     """A preset on user data: a Cartan datum by labels and form, an
     automorphism as a label map (the identity when None), and the base word,
     as is or as the bipartite word of parts = (I0, I1), in a label order that
-    suits them (`_orientation`).  No orientation is attached."""
+    suits them (`_orientation`); exactly one of word and parts is given.
+    No orientation is attached."""
+    if (word is None) == (parts is None):
+        both = ", not both" if word is not None else ""
+        raise RootSystemError(f"custom data need either word=... or parts=I0;I1{both}")
     datum = cartan_datum(labels, form)
     fd = validate_admissible(datum, sigma or {})
     if word is None:

@@ -17,8 +17,12 @@ norm bound certifies before each row, so that every value the elimination
 reads back has its coefficients below 2^(w-1).  The packed format is
 laurent.py's: its packer, norms, product bound, width rule and certified
 division `packed_div_exact` serve `ldl`, which keeps no packing code of
-its own.  `reconstruct_lam` multiplies coefficient dicts; `pq_split` and
-`matmul_laurent` form each product of two shared objects once.
+its own.  `pq_split` and `matmul_laurent` form each product of two shared
+objects once.
+
+`reconstruct_lam` checks lam = H^t D H as one identity of numerators over
+the common denominator C of D and lam, on coefficient dicts: no fraction
+is reduced, and no entry of H^t D H is built as a fraction.
 """
 
 from __future__ import annotations
@@ -300,20 +304,6 @@ def _eliminate(entries, kind, at, C, cofactors, a_bound, w):
     return H, D
 
 
-def _add_products(acc, pairs):
-    """Add x * y into the coefficient dict acc for every Laurent pair (x, y),
-    skipping zero operands; returns acc."""
-    for x, y in pairs:
-        if not x or not y:
-            continue
-        ys = y.coeffs.items()
-        for e1, c1 in x.coeffs.items():
-            for e2, c2 in ys:
-                k = e1 + e2
-                acc[k] = acc.get(k, 0) + c1 * c2
-    return acc
-
-
 def _product(products, x, y):
     """The terms of x * y, once per pair of objects, which outlive products."""
     key = (id(x), id(y))
@@ -366,26 +356,43 @@ def pq_split(H):
     return P, Q
 
 
-def reconstruct_lam(H, D):
-    """H^t D H for unit lower triangular Laurent H and diagonal D over Q(q).
+def reconstruct_lam(H, D, lam):
+    """Whether H^t D H = lam, for unit lower triangular Laurent H and
+    diagonal D and lam over Q(q), with no fraction reduced.
 
-    The sum runs over one common denominator: C is the lcm of the
-    denominators of D, so CD[e] = C * D[e] is Laurent and the numerator
-    N[a][b] = sum over e >= max(a, b) of H[e][a] * H[e][b] * CD[e] is
-    accumulated in one coefficient dict.  Each entry N[a][b] / C is
-    normalised once.
+    C is the lcm of the denominators of D and of lam's distinct entries,
+    one gcd per distinct denominator, so that CD[e] = C * D[e] and
+    A[a][b] = C * lam[a][b] are Laurent, by their cofactors C / den.  The
+    identity holds iff, for every a <= b, the numerator
+
+        sum over e >= b of H[e][a] * H[e][b] * CD[e]
+
+    accumulated in one coefficient dict, has A[a][b]'s and A[b][a]'s
+    coefficients.  Entries are numbered by identity, so a lam that
+    `gram_block` shares has each target C * lam[a][b] built once.
     """
     n = len(H)
-    C, cofactor = _common_denominator(d.den for d in D)
+    entries = {id(x): x for row in lam for x in row}.values()
+    _, cofactor = _common_denominator([d.den for d in D] + [x.den for x in entries])
+    target = {id(x): (x.num * cofactor[x.den]).coeffs for x in entries}
     CD = [d.num * cofactor[d.den] for d in D]
-    C = Factored(C)                 # packed once per gcd width for every entry
-    HCD = [[H[e][b] * CD[e] for b in range(e + 1)] for e in range(n)]
-    out = [[None] * n for _ in range(n)]
+    HCD = [[(H[e][b] * CD[e]).coeffs.items() for b in range(e + 1)] for e in range(n)]
     for a in range(n):
+        column = [(e, H[e][a].coeffs.items()) for e in range(a, n) if H[e][a].coeffs]
         for b in range(a, n):
-            acc = _add_products({}, ((H[e][a], HCD[e][b]) for e in range(b, n)))
-            out[a][b] = out[b][a] = RationalFn(LaurentPoly(acc), C)
-    return out
+            acc = {}
+            for e, xs in column:
+                if e < b:
+                    continue
+                ys = HCD[e][b]
+                for e1, c1 in xs:
+                    for e2, c2 in ys:
+                        k = e1 + e2
+                        acc[k] = acc.get(k, 0) + c1 * c2
+            num = {k: c for k, c in acc.items() if c}
+            if num != target[id(lam[a][b])] or num != target[id(lam[b][a])]:
+                return False
+    return True
 
 
 def matmul_laurent(A, B):

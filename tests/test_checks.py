@@ -7,8 +7,9 @@ from qfold.checks import (SUITES, check_congruence, check_delta, check_equivaria
                           check_factorization, check_oracle, check_restriction)
 from qfold.cli import main
 from qfold.gram import MismatchError, inner_mackey_restricted
-from qfold.laurent import ONE, RationalFn, q_power
-from qfold.transition import factor_gram, gram_block, matmul_laurent, reconstruct_lam
+from qfold.laurent import ONE, LaurentPoly, RationalFn, q_power
+from qfold.transition import factor_gram, gram_block, matmul_laurent
+from test_ldl import gram as fraction_gram
 
 
 def _argument(name, args, kwargs):
@@ -33,25 +34,38 @@ def test_oracle_gates_the_gram_entries_the_commands_print(monkeypatch):
 
 
 def _tamper_D(block):
-    D = block.D[:]
-    D[-1] = _plus_one(D[-1])
-    return D, block.P
+    block.D = block.D[:]
+    block.D[-1] = _plus_one(block.D[-1])
 
 
 def _tamper_P(block):
-    P = [row[:] for row in block.P]
-    P[-1][0] = P[-1][0] + ONE
-    return block.D, P
+    block.P = [row[:] for row in block.P]
+    block.P[-1][0] = block.P[-1][0] + ONE
+
+
+def _tamper_H(block):
+    block.H = [row[:] for row in block.H]
+    block.H[-1][0] = block.H[-1][0] + ONE
+
+
+def _tamper_lam(block):
+    # 2 + q divides no product of cyclotomic polynomials, so this entry's
+    # denominator does not divide the lcm of D's denominators
+    block.lam = [row[:] for row in block.lam]
+    x = block.lam[-1][-1]
+    block.lam[-1][-1] = RationalFn(x.num, x.den * LaurentPoly({0: 2, 1: 1}))
 
 
 @pytest.mark.parametrize("tamper, message", [
     (_tamper_D, "does not reconstruct"),
     (_tamper_P, "PQ != H"),
+    (_tamper_H, "does not reconstruct"),
+    (_tamper_lam, "does not reconstruct"),
 ])
 def test_factorization_gates_a_tampered_block(tamper, message, monkeypatch):
     def tampered(gram, gamma):
         block = factor_gram(gram, gamma)
-        block.D, block.P = tamper(block)
+        tamper(block)
         return block
 
     monkeypatch.setattr(qfold.checks, "factor_gram", tampered)
@@ -61,16 +75,17 @@ def test_factorization_gates_a_tampered_block(tamper, message, monkeypatch):
 
 
 def _lam_with_a_negative_P_entry(*args, **kwargs):
-    # the Gram matrix rebuilt from P'Q and D, P' being P with a negative
-    # coefficient added to its last row: H = P'Q, D, P' and Q factor the new
-    # matrix exactly, so only the sign of P can show the change
+    # the Gram matrix rebuilt from P'Q and D by a fraction sum, P' being P
+    # with a negative coefficient added to its last row: H = P'Q, D, P' and
+    # Q factor the new matrix exactly, so only the sign of P can show the
+    # change
     gram = gram_block(*args, **kwargs)
     block = factor_gram(gram, _argument("gamma", args, kwargs))
     if len(block.P) < 2:
         return gram
     P = [row[:] for row in block.P]
     P[-1][0] = P[-1][0] - q_power(max(P[-1][0].coeffs, default=0) + 1)
-    return gram._replace(lam=reconstruct_lam(matmul_laurent(P, block.Q), block.D))
+    return gram._replace(lam=fraction_gram(matmul_laurent(P, block.Q), block.D))
 
 
 def test_factorization_gates_negative_P_on_symmetric_presets_only(monkeypatch):

@@ -286,6 +286,10 @@ def test_bad_config_values_exit_two_naming_the_key(tmp_path, capsys):
                              "sigma = 1 1'\nparts = 1 1'; 2\n"),
         ("bad config line", ["roots"], "preset B2\n"),
         ("word", ["roots"], "labels = 1 2\nform = 2 -1; -1 2\n"),
+        # this label order does not suit these parts, which a word must not hide
+        ("word=... or parts=I0;I1, not both", ["roots"],
+         "labels = 1 1' 2\nform = 2 0 -1; 0 2 -1; -1 -1 2\n"
+         "word = 1 1' 2 1 1' 2\nparts = 2; 1 1'\n"),
     ]
     for key, argv, text in cases:
         cfg = tmp_path / "run.cfg"

@@ -4,8 +4,9 @@ H = PQ, and the products that check them.
 H^t D H is built from a random unit lower triangular Laurent H and a
 diagonal D of PBW-like reciprocals; the factorization is unique, so ldl
 must give back exactly H and D.  Likewise pq_split must give back the
-unique factors of a random product PQ, and the common-denominator and
-in-place products must equal the naive entrywise sums.  pq_split, which
+unique factors of a random product PQ, and matmul_laurent must equal the
+naive entrywise sums.  reconstruct_lam must accept the fraction sum
+H^t D H and refuse it once one entry moves.  pq_split, which
 shares equal values and forms each product once per pair of objects,
 must equal the split with neither, `pq_split_reference`.  ldl's packed
 elimination must also equal the same elimination on coefficient dicts,
@@ -279,7 +280,7 @@ def test_ldl_equals_the_reference_on_a_folded_block():
     assert len(block.index) == 37
     H, D = ldl(block.lam)
     assert (H, D) == ldl_reference(block.lam)
-    assert reconstruct_lam(H, D) == block.lam
+    assert reconstruct_lam(H, D, block.lam)
 
 
 def test_ldl_on_a_lam_that_shares_nothing_gives_the_same_factors():
@@ -405,16 +406,24 @@ def test_ldl_a3_block_matches_pbw_diagonal():
     block = gram_block(p, (3, 3, 2))
     H, D = ldl(block.lam)
     assert D == [pbw_diag(datum, seq, c) for c in block.index]
-    assert reconstruct_lam(H, D) == block.lam
+    assert reconstruct_lam(H, D, block.lam)
 
 
 @SETTINGS
 @given(factors(min_n=2), st.data())
 def test_reconstruct_lam_matches_the_rational_sum(hd, data):
+    """The check holds on the fraction sum H^t D H and fails once one of its
+    entries, and the symmetric one, moves by a nonzero fraction."""
     H, D = hd
     D = [RationalFn(d.num * data.draw(laurent), d.den) for d in D]
     assume(len({d.den for d in D}) > 1)
-    assert reconstruct_lam(H, D) == gram(H, D)
+    lam = gram(H, D)
+    assert reconstruct_lam(H, D, lam)
+    n = len(lam)
+    a, b = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    moved = fraction_sum([(lam[a][b],), (data.draw(rational.filter(bool)),)])
+    lam[a][b] = lam[b][a] = moved
+    assert not reconstruct_lam(H, D, lam)
 
 
 def pool(data, values):

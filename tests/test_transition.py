@@ -76,7 +76,7 @@ def test_ldl_golden_a3():
                  R("1/((1 - q^2)^3 (1 - q^4))"),
                  R("1/((1 - q^2)^3 (1 - q^4))"),
                  R("1/((1 - q^2)^3 (1 - q^4)^2)")]
-    assert reconstruct_lam(H, D) == lam
+    assert reconstruct_lam(H, D, lam)
 
 
 def test_ldl_golden_b2():
@@ -230,9 +230,9 @@ def test_gram_entries_are_the_matching_sums_over_the_expanded_denominators():
 
 
 def test_heuristic_gcd_serves_every_fraction_of_the_reference_blocks(monkeypatch):
-    """Every Q(q) fraction of these blocks (Gram entries, the lcm of their
-    denominators, D, the reconstruction) is reduced by the heuristic gcd;
-    a slide back to the PRS gcd fails here."""
+    """Every gcd these blocks take (Gram entries, the lcm of their
+    denominators, D, and the common denominator of the reconstruction
+    check) is the heuristic gcd; a slide back to the PRS gcd fails here."""
     import qfold.laurent as qlaurent
 
     served = []
@@ -251,7 +251,7 @@ def test_heuristic_gcd_serves_every_fraction_of_the_reference_blocks(monkeypatch
                           (qfold.get_preset("G2"), (6, 4)),
                           (qfold.get_folding("D4->G2"), (2, 2, 2, 2))):
         block = pipeline(preset, gamma)
-        assert reconstruct_lam(block.H, block.D) == block.lam
+        assert reconstruct_lam(block.H, block.D, block.lam)
     assert len(served) > 1000
 
 
