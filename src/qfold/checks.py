@@ -15,7 +15,7 @@ from .folding import fold_exponent, sigma_on_exponents, unfold_exponent
 from .gram import (MismatchError, expand_word, inner_mackey,
                    inner_mackey_restricted, inner_shuffle, pbw_diag)
 from .monomial import (MonomialWord, canonical_word, collapse_orbit_runs,
-                       delta_codim, sigma_word, word_folded, word_modified)
+                       delta_codim, word_folded, word_modified)
 from .presets import get_folding, get_preset, preset_with_folding
 from .rootsys import vectors_up_to, weights_up_to
 from .transition import (factor_gram, gram_block, matmul_laurent, mod_p_compare,
@@ -261,13 +261,14 @@ def check_equivariance(folds=("A3->B2", "D4->G2"), max_height=8):
     for spec in folds:
         preset = get_folding(spec)
         fd, seq, ulseq = preset.fd, preset.seq, preset.ulseq
+        sigma = dict(zip(fd.base.labels, fd.sigma))
         for c in vectors_up_to([sum(beta) for beta in seq.betas], max_height):
             result.instances += 1
             word = word_modified(fd, seq, c)
             sc = sigma_on_exponents(fd, seq, c)
             image = word if sc == c else word_modified(fd, seq, sc)
-            lhs = canonical_word(fd, image)
-            rhs = canonical_word(fd, sigma_word(fd, word))
+            lhs = canonical_word(fd.base, image)
+            rhs = canonical_word(fd.base, word, sigma)
             tag = f"{spec} {c}"
             if lhs != rhs:
                 result.fail(f"{tag}: permutation law fails: {lhs} vs {rhs}")

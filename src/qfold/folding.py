@@ -51,9 +51,6 @@ class FoldingDatum:
     def is_trivial(self):
         return self.p == 1
 
-    def sigma_label(self, label):
-        return self.sigma[self.base.index(label)]
-
     def sigma_root(self, v):
         """Sigma acting on a base root-lattice vector."""
         out = [0] * self.base.rank

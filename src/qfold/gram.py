@@ -24,6 +24,15 @@ equal letter of the other at a q-twist; it shares only `expand_word` with
 `gram_block`.  Both routes sum Laurent numerators and build one
 RationalFn per value, so nothing here combines Q(q) values; the coproduct
 memo lives for one call, so this module keeps no memo that grows with use.
+
+Two moves leave a matching sum unchanged, and `gram_block` runs one sum
+per orbit of word pairs under them:
+- one label permutation t with form[t i][t j] = form[i][j] applied to both
+  sequences: it carries each matching to one of the images with the same
+  inverted pairs, each weighted by the same form entry;
+- a swap of two adjacent letters with orthogonal labels in one sequence:
+  composing with that transposition is a bijection of the matchings that
+  changes only whether that pair is inverted, which adds form[i][j] = 0.
 """
 
 from __future__ import annotations

@@ -114,32 +114,30 @@ def delta_codim(seq, orientation, c):
     return total
 
 
-def sigma_word(fd, word):
-    """Apply the automorphism letterwise."""
-    return MonomialWord(tuple((fd.sigma_label(lab), e) for lab, e in word.letters))
-
-
-def canonical_word(fd, word):
-    """Normal form modulo commuting-letter rearrangement.
+def canonical_word(datum, word, relabel=None):
+    """Normal form modulo commuting-letter rearrangement of the word over
+    datum, each letter's label first sent to its image under relabel, a
+    dict (the identity when None): so canonical_word(datum, word, sigma)
+    is the normal form of sigma applied letterwise.
 
     Two letters commute when they carry the same generator or orthogonal
     simple roots, so words up to such swaps form a trace monoid, and the
     lexicographic normal form of traces is a normal form for them
     (Anisimov and Knuth, Int. J. Comput. Inf. Sci., 1979): repeatedly
-    take the least letter, by (orbit index, label position, exponent),
-    among those that commute with every letter before them.
+    take the least letter, by (label position, exponent), among those that
+    commute with every letter before them.
     """
-    datum = fd.base
-    form = datum.form
-    rest = [(fd.orbit_index(lab), datum.index(lab), e) for lab, e in word.letters]
+    neighbours = datum.neighbours     # the letters a letter does not commute with
+    rest = [(datum.index(lab if relabel is None else relabel[lab]), e)
+            for lab, e in word.letters]
     out = []
     while rest:
-        least = None
-        for k, (_, i, _) in enumerate(rest):
-            if ((least is None or rest[k] < rest[least])
-                    and all(i == j or form[i][j] == 0 for _, j, _ in rest[:k])):
+        least, blocked = None, 0
+        for k, (i, _) in enumerate(rest):
+            if not blocked >> i & 1 and (least is None or rest[k] < rest[least]):
                 least = k
-        _, i, e = rest.pop(least)
+            blocked |= neighbours[i]
+        i, e = rest.pop(least)
         out.append((datum.labels[i], e))
     return MonomialWord(tuple(out))
 

@@ -40,6 +40,8 @@ class CartanDatum:
     ``form[i][j]`` is the pairing of the i-th and j-th simple roots in
     label order.  Diagonal entries are positive even integers and
     2*form[i][j]/form[i][i] is a nonpositive integer off the diagonal.
+    ``neighbours[i]`` is the bit mask of the positions j != i with
+    form[i][j] != 0, the Dynkin neighbours of position i.
     """
 
     labels: tuple
@@ -66,9 +68,12 @@ class CartanDatum:
                 if twice > 0 or twice % self.form[i][i]:
                     raise RootSystemError(
                         f"Cartan condition fails at ({self.labels[i]}, {self.labels[j]})")
-        # not a field: equality and hashing stay on labels and form
+        # not fields: equality and hashing stay on labels and form
         object.__setattr__(self, "_positions",
                            {lab: i for i, lab in enumerate(self.labels)})
+        object.__setattr__(self, "neighbours", tuple(
+            sum(1 << j for j, f in enumerate(row) if f and j != i)
+            for i, row in enumerate(self.form)))
 
     @property
     def rank(self):
@@ -113,6 +118,39 @@ class CartanDatum:
 
 def cartan_datum(labels, form):
     return CartanDatum(tuple(labels), tuple(tuple(row) for row in form))
+
+
+def automorphisms(datum, weight):
+    """Every permutation t of the label positions that preserves the form
+    and fixes the weight, form[t[i]][t[j]] = form[i][j] and weight[t[i]] =
+    weight[i], as a tuple; the identity first.  The zero weight gives the
+    whole automorphism group of the form.
+
+    A backtracking search over the positions in label order: position i
+    takes an unused image only if the weight and the form agree on i and
+    every position mapped before it, so a partial map that no such
+    automorphism extends dies as soon as it breaks one of them, and no
+    permutation of all the labels is ever listed.
+    """
+    form, rank = datum.form, datum.rank
+    found, image = [], []
+
+    def extend():
+        i = len(image)
+        if i == rank:
+            found.append(tuple(image))
+            return
+        row = form[i]
+        for t in range(rank):
+            if (t not in image and weight[t] == weight[i] and form[t][t] == row[i]
+                    and all(form[t][image[j]] == row[j] for j in range(i))):
+                image.append(t)
+                extend()
+                image.pop()
+
+    extend()
+    del extend                       # the closure's cell refers to itself
+    return found
 
 
 def reflect(datum, label, v):

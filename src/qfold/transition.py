@@ -21,8 +21,9 @@ its own.  `pq_split` and `matmul_laurent` form each product of two shared
 objects once.
 
 `reconstruct_lam` checks lam = H^t D H as one identity of numerators over
-the common denominator C of D and lam, on coefficient dicts: no fraction
-is reduced, and no entry of H^t D H is built as a fraction.
+the common denominator C of lam, which every denominator of D must divide,
+on coefficient dicts: no fraction is reduced, and no entry of H^t D H is
+built as a fraction.
 """
 
 from __future__ import annotations
@@ -34,9 +35,11 @@ from .folding import sigma_on_exponents
 from .gram import (WordLayout, delta_weight, expand_word, gram_entry, matching_sum,
                    packed_prefactor)
 from .laurent import (ONE, ZERO, Factored, LaurentPoly, RationalFn, _gcd_cofactors,
-                      _laurent, _lowest_digit, _norms, _pack, _product_norms, _unpack,
-                      _width, packed_div_exact, parse_laurent, parse_rational)
-from .rootsys import enumerate_block
+                      _laurent, _lowest_digit, _norms, _pack, _poly_div_exact,
+                      _product_norms, _unpack, _width, packed_div_exact, parse_laurent,
+                      parse_rational)
+from .monomial import canonical_word
+from .rootsys import automorphisms, enumerate_block
 
 
 class SingularPivot(ArithmeticError):
@@ -86,15 +89,27 @@ def gram_block(preset, gamma, basis=None, max_block=None):
     on the preset's default basis unless one is named.
 
     Everything that depends on one word or one prefactor is built once per
-    block, so the loop over pairs does only the work of the pair: one
-    matching sum and at most one gcd.  Every word has weight gamma, so the
-    weight factor is computed once; each word's letters, prefactor and
+    block, so the loop over pairs does only the work of the pair: at most
+    one matching sum and at most one gcd.  Every word has weight gamma, so
+    the weight factor is computed once; each word's letters, prefactor and
     `WordLayout` once per index; and, per distinct prefactor g, of which a
     block has far fewer than words, its `packed_prefactor` and the
     denominator delta * g, kept `Factored`: delta and g are split once,
     and the product is packed once per gcd width for every entry over it,
-    never expanded unless a gcd needs it.  The matching sum is symmetric
-    in its two letter sequences, so it runs once per unordered pair.
+    never expanded unless a gcd needs it.
+
+    The matching sum is symmetric in its two letter sequences, and it is
+    unchanged by an automorphism t of the form applied to both and by
+    swaps of adjacent commuting letters (the gram module's docstring
+    proves both), so M[a][b] = M[pa][pb] whenever words pa and pb have the
+    normal forms (`canonical_word`) of t applied to words a and b.  For
+    each t that fixes gamma, `_block_permutations` maps each word to that
+    image, or to None when the image is no block word, as happens on an
+    identity folding, whose per-position factors do not commute letter by
+    letter.  So the sum runs once per orbit of unordered pairs, not once
+    per pair, and each result is written to every image pair that exists
+    (D4->G2 (2,2,2,2): 172 sums for 703 pairs).  A gamma that no t but the
+    identity fixes has no permutations and one sum per unordered pair.
 
     An entry M / (delta * g[a] * g[b]) is reduced by `gram_entry`, which
     cancels one prefactor first.  Each of g[a] and g[b] divides M, since
@@ -123,12 +138,19 @@ def gram_block(preset, gamma, basis=None, max_block=None):
     g = [lt.prefactor for lt in letters]
     delta = delta_weight(datum, words[0]) if words else ONE
     n = len(index)
+    perms = _block_permutations(datum, gamma, words)
     M = [[None] * n for _ in range(n)]
     sums = {}
     for a in range(n):
         for b in range(a, n):
-            M[a][b] = M[b][a] = matching_sum(
-                datum, letters[a].labels, letters[b].labels, layouts[a], layouts[b], sums)
+            if M[a][b] is None:
+                m = M[a][b] = M[b][a] = matching_sum(
+                    datum, letters[a].labels, letters[b].labels, layouts[a], layouts[b],
+                    sums)
+                for perm in perms:
+                    pa, pb = perm[a], perm[b]
+                    if pa is not None and pb is not None:
+                        M[pa][pb] = M[pb][pa] = m
     key = {id(core): k for k, core in sums.items()}
     # the distinct prefactors, numbered by degree: a pair cancels its larger one
     kinds = {p: k for k, p in enumerate(sorted(
@@ -152,6 +174,21 @@ def gram_block(preset, gamma, basis=None, max_block=None):
                 fractions[pair] = values.setdefault(value, value)
             lam[a][b] = lam[b][a] = fractions[pair]
     return GramBlock(index, words, M, g, delta, lam)
+
+
+def _block_permutations(datum, gamma, words):
+    """For each automorphism t of datum's form other than the identity that
+    fixes gamma, the list whose entry a is the index of the block word with
+    the normal form of t applied to words[a] (`canonical_word`), or None
+    when that image is no block word."""
+    labels = datum.labels
+    fixing = automorphisms(datum, gamma)[1:]     # the identity comes first
+    if not fixing:
+        return []
+    where = {canonical_word(datum, w): a for a, w in enumerate(words)}
+    return [[where.get(canonical_word(datum, w, relabel)) for w in words]
+            for relabel in ({lab: labels[k] for lab, k in zip(labels, t)}
+                            for t in fixing)]
 
 
 def _common_denominator(dens):
@@ -356,14 +393,33 @@ def pq_split(H):
     return P, Q
 
 
+def _exact_quotient(a, b):
+    """a / b for nonzero a, b in Z[q], or None when it is not in Z[q, 1/q]:
+    with the powers of q split off, b's constant term is nonzero, so b
+    divides a in the Laurent ring iff it does in Z[q]."""
+    def dense(p):
+        low = min(p.coeffs)
+        return low, [p.coeffs.get(e, 0) for e in range(low, max(p.coeffs) + 1)]
+
+    (la, xa), (lb, xb) = dense(a), dense(b)
+    try:
+        return _laurent(_poly_div_exact(xa, xb), la - lb, 1)
+    except ArithmeticError:
+        return None
+
+
 def reconstruct_lam(H, D, lam):
     """Whether H^t D H = lam, for unit lower triangular Laurent H and
     diagonal D and lam over Q(q), with no fraction reduced.
 
-    C is the lcm of the denominators of D and of lam's distinct entries,
-    one gcd per distinct denominator, so that CD[e] = C * D[e] and
-    A[a][b] = C * lam[a][b] are Laurent, by their cofactors C / den.  The
-    identity holds iff, for every a <= b, the numerator
+    C is the lcm of the denominators of lam's distinct entries, one gcd
+    per distinct denominator, so that A[a][b] = C * lam[a][b] is Laurent
+    by its cofactor C / den.  If the identity holds, D = H^-t lam H^-1
+    with H^-1 Laurent, so C * D is Laurent too: each distinct denominator
+    of D divides C, and one exact division gives its cofactor.  One that
+    does not divide C therefore decides the check, False.  Otherwise
+    CD[e] = C * D[e], and the identity holds iff, for every a <= b, the
+    numerator
 
         sum over e >= b of H[e][a] * H[e][b] * CD[e]
 
@@ -373,7 +429,12 @@ def reconstruct_lam(H, D, lam):
     """
     n = len(H)
     entries = {id(x): x for row in lam for x in row}.values()
-    _, cofactor = _common_denominator([d.den for d in D] + [x.den for x in entries])
+    C, cofactor = _common_denominator(x.den for x in entries)
+    for d in D:
+        if d.den not in cofactor:
+            cofactor[d.den] = _exact_quotient(C, d.den)
+            if cofactor[d.den] is None:
+                return False
     target = {id(x): (x.num * cofactor[x.den]).coeffs for x in entries}
     CD = [d.num * cofactor[d.den] for d in D]
     HCD = [[(H[e][b] * CD[e]).coeffs.items() for b in range(e + 1)] for e in range(n)]

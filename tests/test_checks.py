@@ -56,22 +56,45 @@ def _tamper_lam(block):
     block.lam[-1][-1] = RationalFn(x.num, x.den * LaurentPoly({0: 2, 1: 1}))
 
 
+def _tamper_D_den(block):
+    # 2 + q divides no product of cyclotomic polynomials, so this entry's
+    # denominator does not divide the lcm of lam's denominators
+    block.D = block.D[:]
+    x = block.D[-1]
+    block.D[-1] = RationalFn(x.num, x.den * LaurentPoly({0: 2, 1: 1}))
+
+
+def _tampering(tamper):
+    def tampered(gram, gamma):
+        block = factor_gram(gram, gamma)
+        tamper(block)
+        return block
+    return tampered
+
+
 @pytest.mark.parametrize("tamper, message", [
     (_tamper_D, "does not reconstruct"),
+    (_tamper_D_den, "does not reconstruct"),
     (_tamper_P, "PQ != H"),
     (_tamper_H, "does not reconstruct"),
     (_tamper_lam, "does not reconstruct"),
 ])
 def test_factorization_gates_a_tampered_block(tamper, message, monkeypatch):
-    def tampered(gram, gamma):
-        block = factor_gram(gram, gamma)
-        tamper(block)
-        return block
-
-    monkeypatch.setattr(qfold.checks, "factor_gram", tampered)
+    monkeypatch.setattr(qfold.checks, "factor_gram", _tampering(tamper))
     result = check_factorization(presets=("B2",), max_height=4)
     assert not result.ok
     assert any(message in f for f in result.failures), result.failures
+
+
+def test_a_D_denominator_off_the_common_denominator_exits_one(monkeypatch, capsys):
+    # the check decides the verdict by an exact division that fails; it
+    # raises nothing, so the CLI reports a failed check, not a breach
+    monkeypatch.setattr(qfold.checks, "factor_gram", _tampering(_tamper_D_den))
+    code = main(["check", "--suite", "factorization", "--preset", "B2",
+                 "--max-height", "4"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "does not reconstruct" in out
 
 
 def _lam_with_a_negative_P_entry(*args, **kwargs):

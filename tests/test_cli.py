@@ -62,7 +62,8 @@ def test_gram_emits_lambda_and_fixed_part(capsys):
             [f"({b})^2", f"q^-1({b})^2", f"q^-1({b})^2", f"q^-2({b})^2"]]]
 
 
-def test_gram_computes_each_matching_sum_once(monkeypatch, capsys):
+def _count_matching_sums(monkeypatch):
+    """The list of calls of matching_sum that qfold makes from now on."""
     from qfold.gram import matching_sum
 
     calls = []
@@ -75,11 +76,69 @@ def test_gram_computes_each_matching_sum_once(monkeypatch, capsys):
         if name.startswith("qfold") and \
                 getattr(module, "matching_sum", None) is matching_sum:
             monkeypatch.setattr(module, "matching_sum", counted)
+    return calls
+
+
+def test_gram_computes_each_matching_sum_once(monkeypatch, capsys):
+    calls = _count_matching_sums(monkeypatch)
     code, out, _ = run(["gram", "--preset", "G2", "--weight", "6,4"], capsys)
     assert code == 0
     n = len(json.loads(out)["index"])
     assert n == 13
     assert len(calls) == n * (n + 1) // 2
+
+
+@pytest.mark.parametrize("flag, spec, weight, n, sums", [
+    # every automorphism of D4 fixes (2,2,2,2); a transposition of two outer
+    # nodes fixes each of its sigma-images (2,3,2,2), (3,2,2,2), (2,2,3,2)
+    ("--fold", "D4->G2", "2,2,2,2", 37, 172),
+    ("--fold", "D4->G2", "2,3,2,2", 37, 403),
+    ("--fold", "D4->G2", "3,2,2,2", 37, 403),
+    ("--fold", "D4->G2", "2,2,3,2", 37, 403),
+    ("--preset", "A3", "4,4,4", 35, 480),
+    # no automorphism but the identity fixes (2,2,2,2,1)
+    ("--fold", "A5->B3", "2,2,2,2,1", 50, 50 * 51 // 2),
+])
+def test_gram_computes_one_matching_sum_per_orbit_of_pairs(flag, spec, weight, n,
+                                                           sums, monkeypatch, capsys):
+    calls = _count_matching_sums(monkeypatch)
+    code, out, _ = run(["gram", flag, spec, "--weight", weight], capsys)
+    assert code == 0
+    assert len(json.loads(out)["index"]) == n
+    assert len(calls) == sums
+
+
+@pytest.mark.parametrize("weight, n, sums", [("2,2,1", 4, 7), ("3,3,3", 20, 119)])
+def test_custom_datum_shares_sums_without_changing_output(weight, n, sums, tmp_path,
+                                                          monkeypatch, capsys):
+    """A3 on config data, its labels in the order 1 1' 2: the flip of 1 and
+    1' fixes each weight, and gram and transition print the same bytes
+    with the identity as the only automorphism."""
+    import qfold.transition
+
+    cfg = tmp_path / "custom.cfg"
+    cfg.write_text("labels = 1 1' 2\n"
+                   "form = 2 0 -1; 0 2 -1; -1 -1 2\n"
+                   "sigma = (1 1')(2)\n"
+                   "parts = 1 1'; 2\n")
+    calls = _count_matching_sums(monkeypatch)
+
+    def outputs():
+        printed = []
+        for command in ("gram", "transition"):
+            code, out, _ = run([command, "--config", str(cfg), "--weight", weight],
+                               capsys)
+            assert code == 0
+            printed.append(out)
+        return printed
+
+    printed = outputs()
+    assert len(json.loads(printed[0])["index"]) == n
+    assert len(calls) == 2 * sums
+    monkeypatch.setattr(qfold.transition, "automorphisms",
+                        lambda datum, weight: [tuple(range(datum.rank))])
+    assert outputs() == printed
+    assert len(calls) == 2 * sums + n * (n + 1)
 
 
 # SHA-256 of the stdout of these commands, taken before the Gram block kept

@@ -2,8 +2,8 @@ import pytest
 
 import qfold
 from qfold.monomial import (MonomialWord, canonical_word, collapse_orbit_runs,
-                            delta_codim, dvec, sigma_word, word_folded,
-                            word_modified, word_sym)
+                            delta_codim, dvec, word_folded, word_modified,
+                            word_sym)
 from qfold.rootsys import RootSystemError, enumerate_block, weight_of
 
 
@@ -34,8 +34,8 @@ def test_word_sym():
     assert word.letters == (("1", 1), ("1'", 1), ("2", 1), ("1'", 1), ("1", 1))
     # sigma-fixed vector: same element as the orbit-aware construction
     fd = qfold.get_folding("A3->B2").fd
-    assert canonical_word(fd, word) == \
-        canonical_word(fd, word_modified(fd, a3.seq, (1, 1, 1, 0, 0, 0)))
+    assert canonical_word(fd.base, word) == \
+        canonical_word(fd.base, word_modified(fd, a3.seq, (1, 1, 1, 0, 0, 0)))
 
 
 def test_word_modified_a3():
@@ -119,10 +119,10 @@ def test_canonical_word_sorts_commuting_runs():
     # f_1 and f_1' commute; order inside the run is normalized
     w1 = MonomialWord((("1", 1), ("1'", 1), ("2", 1)))
     w2 = MonomialWord((("1'", 1), ("1", 1), ("2", 1)))
-    assert canonical_word(fd, w1) == canonical_word(fd, w2)
+    assert canonical_word(fd.base, w1) == canonical_word(fd.base, w2)
     w3 = MonomialWord((("2", 1), ("1", 1)))
-    assert canonical_word(fd, w3) != canonical_word(
-        fd, MonomialWord((("1", 1), ("2", 1))))
+    assert canonical_word(fd.base, w3) != canonical_word(
+        fd.base, MonomialWord((("1", 1), ("2", 1))))
 
 
 def test_canonical_word_is_a_normal_form_of_traces():
@@ -131,25 +131,28 @@ def test_canonical_word_is_a_normal_form_of_traces():
     letter = dict(zip(labels, ((lab, 1) for lab in labels)))
     for a, b in fd.base.edges():
         # adjacent labels: swapping them changes the monomial
-        assert canonical_word(fd, MonomialWord((letter[a], letter[b]))) != \
-            canonical_word(fd, MonomialWord((letter[b], letter[a])))
+        assert canonical_word(fd.base, MonomialWord((letter[a], letter[b]))) != \
+            canonical_word(fd.base, MonomialWord((letter[b], letter[a])))
     # a letter moves past the orthogonal ones before it, never past a neighbour:
     # f[1] f[2'] f[2] and f[1] f[2] f[2'] are one monomial
     w1 = MonomialWord((("1", 1), ("2'", 1), ("2", 1)))
     w2 = MonomialWord((("1", 1), ("2", 1), ("2'", 1)))
-    assert canonical_word(fd, w1) == canonical_word(fd, w2)
+    assert canonical_word(fd.base, w1) == canonical_word(fd.base, w2)
     # powers of one generator commute, whatever their exponents
     w1 = MonomialWord((("2", 1), ("1", 1), ("1", 2)))
     w2 = MonomialWord((("2", 1), ("1", 2), ("1", 1)))
-    assert canonical_word(fd, w1) == canonical_word(fd, w2)
+    assert canonical_word(fd.base, w1) == canonical_word(fd.base, w2)
 
 
 def test_sigma_word_and_collapse():
     p = qfold.get_folding("A3->B2")
     fd = p.fd
     word = word_modified(fd, p.seq, (1, 2, 0, 0, 1, 0))
-    image = sigma_word(fd, word)
-    assert image.letters == (("1", 2), ("1'", 1), ("2", 1), ("1'", 1))
+    # sigma applied letterwise, up to commuting letters
+    sigma = dict(zip(fd.base.labels, fd.sigma))
+    image = MonomialWord((("1", 2), ("1'", 1), ("2", 1), ("1'", 1)))
+    assert canonical_word(fd.base, word, sigma) == canonical_word(fd.base, image)
+    assert canonical_word(fd.base, word) != canonical_word(fd.base, image)
     fixed = word_modified(fd, p.seq, (1, 1, 2, 3, 3, 4))
     collapsed = collapse_orbit_runs(fd, fixed)
     assert collapsed == word_folded(fd, p.ulseq, (1, 2, 3, 4))

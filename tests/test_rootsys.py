@@ -4,7 +4,8 @@ import pytest
 
 import qfold
 from qfold.rootsys import (InvalidColoring, NotReduced, RootSystemError, WrongLength,
-                           betas_from_sequence, bipartite_w0, enumerate_block,
+                           automorphisms, betas_from_sequence, bipartite_w0,
+                           cartan_datum, enumerate_block,
                            positive_roots, reflect, vectors_up_to, weight_of,
                            weights_up_to)
 
@@ -156,3 +157,43 @@ def test_vectors_up_to_root_heights_walks_every_block(spec):
         blocks = [c for gamma in weights_up_to(seq.datum, height)
                   for c in enumerate_block(seq, gamma)]
         assert walked == sorted(blocks)
+
+
+def _preserves_the_form(datum, t):
+    form = datum.form
+    return all(form[t[i]][t[j]] == form[i][j]
+               for i in range(datum.rank) for j in range(datum.rank))
+
+
+@pytest.mark.parametrize("name, order", [
+    ("A3", 2), ("A5", 2), ("D5", 2), ("E6", 2), ("D4", 6),
+    ("B2", 1), ("B3", 1), ("C3", 1), ("F4", 1), ("G2", 1)])
+def test_automorphisms_of_the_built_in_forms(name, order):
+    datum = qfold.get_preset(name).side()[0]
+    found = automorphisms(datum, (0,) * datum.rank)
+    assert len(found) == len(set(found)) == order
+    assert found[0] == tuple(range(datum.rank))
+    assert all(sorted(t) == list(range(datum.rank)) and _preserves_the_form(datum, t)
+               for t in found)
+
+
+def test_automorphisms_of_a_rank_8_chain_in_bipartite_label_order():
+    labels = [str(k) for k in (1, 3, 5, 7, 2, 4, 6, 8)]
+    form = [[2 if a == b else -1 if abs(int(a) - int(b)) == 1 else 0 for b in labels]
+            for a in labels]
+    datum = cartan_datum(labels, form)
+    flip = tuple(labels.index(str(9 - int(lab))) for lab in labels)
+    assert automorphisms(datum, (0,) * 8) == [tuple(range(8)), flip]
+    assert automorphisms(datum, (1, 1, 2, 2, 2, 2, 1, 1)) == [tuple(range(8)), flip]
+    assert automorphisms(datum, (1, 1, 2, 2, 2, 2, 1, 2)) == [tuple(range(8))]
+
+
+@pytest.mark.parametrize("weight, fixing", [
+    ((2, 2, 2, 2), 6), ((2, 3, 2, 2), 2), ((3, 3, 2, 2), 2), ((1, 2, 3, 4), 1)])
+def test_automorphisms_fixing_a_weight_of_d4(weight, fixing):
+    # labels 1 1' 1'' 2: the permutations of the outer nodes that fix the weight
+    datum = qfold.get_preset("D4").side()[0]
+    found = automorphisms(datum, weight)
+    assert len(found) == fixing
+    assert all(t[3] == 3 and all(weight[k] == weight[i] for i, k in enumerate(t))
+               for t in found)

@@ -4,6 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import qfold
+import qfold.cli
+import qfold.transition
+from qfold.cli import main
 from qfold.laurent import ONE, LaurentPoly, RationalFn, parse_laurent, parse_rational
 from qfold.transition import (NotIntegral, SingularPivot, TransitionBlock,
                               block_from_json, block_to_json, factor_gram,
@@ -322,3 +325,52 @@ def test_h_column_of_single_position_vector_is_q_to_delta():
                     cp = block.index[row]
                     assert block.H[row][col] == \
                         q_power(delta_codim(seq, p.orientation, cp))
+
+
+def _identity_alone(datum, weight):
+    return [tuple(range(datum.rank))]
+
+
+@pytest.mark.parametrize("flag, spec, gamma", [
+    ("--fold", "A3->B2", (2, 2, 1)), ("--fold", "A3->B2", (3, 3, 3)),
+    ("--fold", "A5->B3", (2, 2, 2, 1, 1)), ("--fold", "A5->B3", (2, 2, 1, 2, 2)),
+    ("--fold", "D4->G2", (2, 2, 2, 2)), ("--fold", "D4->G2", (2, 3, 2, 2)),
+    ("--fold", "D4->G2", (3, 3, 3, 3)),
+    # identity foldings, where some images of a word are no block word
+    ("--preset", "A3", (4, 4, 4)), ("--preset", "D4", (2, 2, 2, 2)),
+])
+def test_orbit_reuse_changes_no_sum_and_no_output(flag, spec, gamma, monkeypatch,
+                                                   capsys):
+    """The Gram block and the printed gram and transition records are the
+    same whether each orbit of word pairs under the automorphisms fixing
+    gamma shares one matching sum or, with the identity as the only
+    automorphism, every pair gets its own."""
+    argv = [flag, spec, "--weight", ",".join(map(str, gamma))]
+    sums, blocks = [], []
+
+    def counted(*args):
+        sums.append(args)
+        return matching_sum(*args)
+
+    def recorded(*args):
+        blocks.append(gram_block(*args))
+        return blocks[-1]
+
+    def outputs():             # gram and transition each build the block once
+        sums.clear()
+        printed = []
+        for command in ("gram", "transition"):
+            assert main([command, *argv]) == 0
+            printed.append(capsys.readouterr().out)
+        return blocks[-1], len(sums) // 2, printed
+
+    matching_sum = qfold.transition.matching_sum
+    monkeypatch.setattr(qfold.transition, "matching_sum", counted)
+    monkeypatch.setattr(qfold.cli, "gram_block", recorded)
+    reused, reused_calls, printed = outputs()
+    monkeypatch.setattr(qfold.transition, "automorphisms", _identity_alone)
+    full, full_calls, full_printed = outputs()
+    n = len(full.index)
+    assert full_calls == n * (n + 1) // 2 > reused_calls
+    assert reused.M == full.M and reused.lam == full.lam
+    assert printed == full_printed
