@@ -216,14 +216,30 @@ def check_restriction(folds=("A3->B2", "D4->G2"), max_height=6,
 
 def check_congruence(folds=("A3->B2", "D4->G2"), max_height=6,
                      max_block=None):
-    """P restricted to fixed rows/columns is congruent mod p to quotient P,
-    and so are the raw matching sums M.
+    """H, P and Q restricted to fixed rows/columns are congruent mod p to
+    the quotient's H, P and Q, and so are the raw matching sums M.
 
     The sums' congruence follows from the folding: sigma acts on the
     matchings of two sigma-fixed words and keeps their inversion statistic,
     its orbits off the fixed matchings have the prime size p, and the fixed
     matchings are the blockwise ones, whose sum the restriction suite
     equates with the quotient matching sum.
+
+    The same orbit argument ties the three factors together.  sigma
+    permutes the block, and P and Q are invariant under it (`ldl` and
+    `pq_split` prove it).  For fixed i and j, the terms P[i][k] * Q[k][j]
+    of H[i][j] at the k of one sigma-orbit are equal, so an orbit of k off
+    the fixed set, of size p, adds a multiple of p: writing X^sigma for the
+    fixed part of X, H^sigma = P^sigma Q^sigma mod p.  Over F_p the split
+    of a unitriangular matrix into P with entries in qF_p[q] off the
+    diagonal times a bar-invariant Q is unique, by `pq_split`'s argument,
+    and the quotient has ul H = ul P ul Q, so H^sigma = ul H mod p holds
+    iff both P^sigma = ul P and Q^sigma = ul Q do.  Each of the three is
+    gated on its own, so that a fault in one factor shows where it is.
+    The symmetric side's factors are computed with the block permutations
+    that `gram_block` records, and the quotient block is computed on its
+    own, so these gates check the rows that `ldl` and `pq_split` copy
+    against an independent computation.
     """
     result = CheckResult(f"mod-p congruence of P (quotient height <= {max_height})")
     for spec in folds:
@@ -236,15 +252,18 @@ def check_congruence(folds=("A3->B2", "D4->G2"), max_height=6,
             gamma = fd.expand_weight(ulgamma)
             gram = gram_block(preset, gamma, "modified", max_block)
             block = factor_gram(gram, gamma)
-            sub_index, P_sigma = sigma_submatrix(fd, preset.seq, block.index, block.P)
+            sub_index = sigma_submatrix(fd, preset.seq, block.index, block.P)[0]
             expected = [fold_exponent(fd, preset.ulseq, c) for c in ul_gram.index]
             tag = f"{spec} {ulgamma}"
             if sub_index != expected:
                 result.fail(f"{tag}: fixed index set does not match the quotient block")
                 continue
-            report = mod_p_compare(P_sigma, ul_block.P, p)
-            if not report.equal:
-                result.fail(f"{tag}: {report}")
+            for name in ("H", "P", "Q"):
+                _, X_sigma = sigma_submatrix(fd, preset.seq, block.index,
+                                             getattr(block, name))
+                report = mod_p_compare(X_sigma, getattr(ul_block, name), p)
+                if not report.equal:
+                    result.fail(f"{tag}: {name} {report}")
             _, M_sigma = sigma_submatrix(fd, preset.seq, gram.index, gram.M)
             diffs = mod_p_compare(M_sigma, ul_gram.M, p).diffs
             if diffs:

@@ -176,6 +176,16 @@ def _quotient_P_plus_q(gram, gamma):
     return block
 
 
+def _quotient_Q_plus_one(gram, gamma):
+    # 1 is bar-invariant and not divisible by 2, and H, P and M keep their
+    # values, so only the gate on Q sees the change
+    block = factor_gram(gram, gamma)
+    if len(gamma) == 2 and len(block.Q) > 1:   # a B2 block, the quotient side
+        block.Q = [row[:] for row in block.Q]
+        block.Q[-1][0] = block.Q[-1][0] + ONE
+    return block
+
+
 def _modified_M_plus_one(*args, **kwargs):
     # on A3->B2 up to height 3 the last vector of every modified block is
     # sigma-fixed, so the tampered sum is one the new gate compares; lam is
@@ -196,7 +206,9 @@ def _modified_M_plus_one(*args, **kwargs):
     (check_restriction, {"folds": ("A3->B2",), "max_height": 4},
      "inner_mackey_restricted", _wrong_sum, "restricted sum differs"),
     (check_congruence, {"folds": ("A3->B2",), "max_height": 3},
-     "factor_gram", _quotient_P_plus_q, "NOT congruent mod 2"),
+     "factor_gram", _quotient_P_plus_q, "P NOT congruent mod 2"),
+    (check_congruence, {"folds": ("A3->B2",), "max_height": 3},
+     "factor_gram", _quotient_Q_plus_one, "Q NOT congruent mod 2"),
     (check_congruence, {"folds": ("A3->B2",), "max_height": 3},
      "gram_block", _modified_M_plus_one, "matching sums differ mod 2"),
     (check_equivariance, {"folds": ("A3->B2",), "max_height": 4},
@@ -204,7 +216,7 @@ def _modified_M_plus_one(*args, **kwargs):
     (check_equivariance, {"folds": ("A3->B2",), "max_height": 4},
      "word_folded", lambda fd, ulseq, ulc: None, "does not collapse"),
 ], ids=["delta", "restriction", "restriction-sum", "congruence",
-        "congruence-sums", "equivariance", "equivariance-collapse"])
+        "congruence-Q", "congruence-sums", "equivariance", "equivariance-collapse"])
 def test_suite_gates_a_tampered_step(suite, kwargs, name, tamper, message,
                                      monkeypatch):
     monkeypatch.setattr(qfold.checks, name, tamper)

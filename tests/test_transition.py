@@ -235,19 +235,27 @@ def test_gram_entries_are_the_matching_sums_over_the_expanded_denominators():
 def test_heuristic_gcd_serves_every_fraction_of_the_reference_blocks(monkeypatch):
     """Every gcd these blocks take (Gram entries, the lcm of their
     denominators, D, and the common denominator of the reconstruction
-    check) is the heuristic gcd; a slide back to the PRS gcd fails here."""
+    check) is the heuristic gcd: each gcd of two parts of degree >= 1
+    reaches it, and a slide back to the PRS gcd fails here."""
     import qfold.laurent as qlaurent
 
-    served = []
+    reached, served = [], []
+    dense = qlaurent._dense_gcd_cofactors
     heuristic = qlaurent._heuristic_gcd_cofactors
 
+    def dense_counted(A, a_step, B):
+        if len(A) > 1 and B.length > 1:     # the constant cases need no gcd
+            reached.append(B)
+        return dense(A, a_step, B)
+
     def counted(A, B, r):
-        served.append(len(A))
+        served.append(B)
         return heuristic(A, B, r)
 
     def refuse(a, b):
         raise AssertionError(f"PRS fallback on ({a}, {b})")
 
+    monkeypatch.setattr(qlaurent, "_dense_gcd_cofactors", dense_counted)
     monkeypatch.setattr(qlaurent, "_heuristic_gcd_cofactors", counted)
     monkeypatch.setattr(qlaurent, "_prs_gcd_cofactors", refuse)
     for preset, gamma in ((qfold.get_preset("A3"), (4, 4, 4)),
@@ -255,7 +263,8 @@ def test_heuristic_gcd_serves_every_fraction_of_the_reference_blocks(monkeypatch
                           (qfold.get_folding("D4->G2"), (2, 2, 2, 2))):
         block = pipeline(preset, gamma)
         assert reconstruct_lam(block.H, block.D, block.lam)
-    assert len(served) > 1000
+    assert len(served) == len(reached) > 0
+    assert all(b is c for b, c in zip(served, reached))
 
 
 def test_pipeline_trivial_weight():
@@ -331,6 +340,17 @@ def _identity_alone(datum, weight):
     return [tuple(range(datum.rank))]
 
 
+# rows ldl eliminates with the block permutations gram_block records; it
+# copies the others.  On the identity foldings no permutation is total,
+# so every row is eliminated.
+ROWS_ELIMINATED = {
+    ("A3->B2", (2, 2, 1)): 3, ("A3->B2", (3, 3, 3)): 13,
+    ("A5->B3", (2, 2, 2, 1, 1)): 13, ("A5->B3", (2, 2, 1, 2, 2)): 28,
+    ("D4->G2", (2, 2, 2, 2)): 14, ("D4->G2", (2, 3, 2, 2)): 25,
+    ("D4->G2", (3, 3, 3, 3)): 40,
+}
+
+
 @pytest.mark.parametrize("flag, spec, gamma", [
     ("--fold", "A3->B2", (2, 2, 1)), ("--fold", "A3->B2", (3, 3, 3)),
     ("--fold", "A5->B3", (2, 2, 2, 1, 1)), ("--fold", "A5->B3", (2, 2, 1, 2, 2)),
@@ -341,12 +361,15 @@ def _identity_alone(datum, weight):
 ])
 def test_orbit_reuse_changes_no_sum_and_no_output(flag, spec, gamma, monkeypatch,
                                                    capsys):
-    """The Gram block and the printed gram and transition records are the
-    same whether each orbit of word pairs under the automorphisms fixing
-    gamma shares one matching sum or, with the identity as the only
-    automorphism, every pair gets its own."""
+    """The Gram block, the transition block and the printed gram and
+    transition records are the same whether each orbit of word pairs under
+    the automorphisms fixing gamma shares one matching sum and ldl and
+    pq_split copy rows, or, with the identity as the only automorphism,
+    every pair, row and entry is computed.  An eliminated row builds its
+    own D object and a copied row shares its representative's, so the
+    distinct D objects count the rows eliminated."""
     argv = [flag, spec, "--weight", ",".join(map(str, gamma))]
-    sums, blocks = [], []
+    sums, blocks, factored = [], [], []
 
     def counted(*args):
         sums.append(args)
@@ -356,21 +379,103 @@ def test_orbit_reuse_changes_no_sum_and_no_output(flag, spec, gamma, monkeypatch
         blocks.append(gram_block(*args))
         return blocks[-1]
 
+    def factored_by(*args):
+        factored.append(pipeline(*args))
+        return factored[-1]
+
     def outputs():             # gram and transition each build the block once
         sums.clear()
         printed = []
         for command in ("gram", "transition"):
             assert main([command, *argv]) == 0
             printed.append(capsys.readouterr().out)
-        return blocks[-1], len(sums) // 2, printed
+        return blocks[-1], factored[-1], len(sums) // 2, printed
 
     matching_sum = qfold.transition.matching_sum
     monkeypatch.setattr(qfold.transition, "matching_sum", counted)
     monkeypatch.setattr(qfold.cli, "gram_block", recorded)
-    reused, reused_calls, printed = outputs()
+    monkeypatch.setattr(qfold.cli, "pipeline", factored_by)
+    reused, reused_block, reused_calls, printed = outputs()
     monkeypatch.setattr(qfold.transition, "automorphisms", _identity_alone)
-    full, full_calls, full_printed = outputs()
+    full, full_block, full_calls, full_printed = outputs()
     n = len(full.index)
     assert full_calls == n * (n + 1) // 2 > reused_calls
     assert reused.M == full.M and reused.lam == full.lam
+    assert reused_block == full_block
+    assert len({id(d) for d in full_block.D}) == n
+    assert len({id(d) for d in reused_block.D}) == ROWS_ELIMINATED.get((spec, gamma), n)
     assert printed == full_printed
+
+
+def _rho(datum, seq, index, t):
+    """The permutation of the block index that the label permutation t
+    induces through the positions of the roots t(beta_k)."""
+    position = {beta: k for k, beta in enumerate(seq.betas)}
+    moved = [position[tuple(beta[t.index(i)] for i in range(len(beta)))]
+             for beta in seq.betas]
+    where = {c: a for a, c in enumerate(index)}
+    return [where[tuple(c[moved.index(k)] for k in range(len(c)))] for c in index]
+
+
+def test_the_guard_refuses_each_unsafe_move():
+    """A move reaches ldl only with a total permutation, for an automorphism
+    fixing the reduced word up to commuting letters, equal to the
+    permutation the automorphism induces on exponent vectors; a move that
+    fails any one of these is refused."""
+    from qfold.presets import custom_preset
+    from qfold.transition import _block_permutations, _pbw_permutations
+
+    preset = qfold.get_folding("D4->G2")
+    gamma = (2, 2, 2, 2)
+    datum, seq, _ = preset.side()
+    block = gram_block(preset, gamma)
+    moves = _block_permutations(datum, gamma, block.words)
+    assert len(moves) == 5
+    for t, perm in moves:
+        assert perm == _rho(datum, seq, block.index, t)
+        assert _pbw_permutations(datum, seq, block.index, [(t, perm)]) == [perm]
+    (t, perm), (_, other) = moves[:2]
+    assert other != perm
+    partial = perm[:-1] + [None]
+    assert _pbw_permutations(datum, seq, block.index, [(t, partial)]) == []
+    assert _pbw_permutations(datum, seq, block.index, [(t, other)]) == []
+    # the flip of 1 and 1' sends the reduced word 1 2 1' 2 1 2 to
+    # 1' 2 1 2 1' 2, which no swap of commuting letters reaches
+    flip = custom_preset(["1", "1'", "2"], [[2, 0, -1], [0, 2, -1], [-1, -1, 2]],
+                         word=("1", "2", "1'", "2", "1", "2"))
+    datum, seq, _ = flip.side()
+    for gamma in ((1, 1, 1), (2, 2, 1), (3, 3, 1)):
+        index = gram_block(flip, gamma).index
+        rho = _rho(datum, seq, index, (1, 0, 2))
+        assert _pbw_permutations(datum, seq, index, [((1, 0, 2), rho)]) == []
+
+
+@pytest.mark.parametrize("weight", ["1,1,1", "2,2,1", "3,3,1"])
+def test_a_word_the_flip_does_not_fix_hands_ldl_no_permutation(weight, tmp_path,
+                                                               monkeypatch, capsys):
+    """On A3 with the reduced word 1 2 1' 2 1 2 the flip of 1 and 1' fixes
+    each weight but not the word (its permutations of these blocks are
+    partial too), so ldl and pq_split receive no permutation, and
+    transition prints the bytes it prints with the identity as the only
+    automorphism."""
+    cfg = tmp_path / "flip.cfg"
+    cfg.write_text("labels = 1 1' 2\n"
+                   "form = 2 0 -1; 0 2 -1; -1 -1 2\n"
+                   "word = 1 2 1' 2 1 2\n")
+    received = []
+
+    def recording(fn):
+        def recorded(*args):
+            received.append(args[1:])
+            return fn(*args)
+        return recorded
+
+    monkeypatch.setattr(qfold.transition, "ldl", recording(ldl))
+    monkeypatch.setattr(qfold.transition, "pq_split", recording(pq_split))
+    argv = ["transition", "--config", str(cfg), "--weight", weight]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    assert received == [([],), ([],)]
+    monkeypatch.setattr(qfold.transition, "automorphisms", _identity_alone)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == printed
