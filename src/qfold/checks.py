@@ -133,18 +133,27 @@ def check_factorization(presets=("A3", "B2", "D4", "G2"), max_height=8,
     fails the block, as an error in the Gram matrix that the factorization
     absorbs would.  On a quotient preset no such theorem is cited, so the
     suite counts the negative coefficients and does not gate on them.
+
+    lam = H^t D H is decided by `reconstruct_lam` over the common
+    denominator that `factor_gram` computed for `ldl` (the block's
+    `common`), which it certifies with one product per denominator of lam.
+    D is compared with `pbw_diag`, a product over the positions k with
+    c_k > 0 that depends only on the multiset of (d_k, c_k); each such
+    multiset's value is computed once per call.
     """
     result = CheckResult(f"factorization invariants (height <= {max_height})")
+    diags = {}                      # multiset of (d_k, c_k), c_k > 0 -> pbw_diag
     for name in presets:
         preset = get_preset(name)
         datum, seq, _word = preset.side()
+        ds = [datum.d(lab) for lab in seq.indices]
         if preset.is_quotient and result.ungated_negatives is None:
             result.ungated_negatives = 0
         for gamma, gram in _grams(preset, max_height, max_block=max_block):
             block = factor_gram(gram, gamma)
             result.instances += 1
             tag = f"{name} {gamma}"
-            if not reconstruct_lam(block.H, block.D, block.lam):
+            if not reconstruct_lam(block.H, block.D, block.lam, block.common):
                 result.fail(f"{tag}: H^t D H does not reconstruct the Gram matrix")
             if matmul_laurent(block.P, block.Q) != block.H:
                 result.fail(f"{tag}: PQ != H")
@@ -164,7 +173,10 @@ def check_factorization(presets=("A3", "B2", "D4", "G2"), max_height=8,
                     if not block.Q[i][j].is_bar_invariant():
                         result.fail(f"{tag}: Q[{i}][{j}] not bar-invariant")
             for i, c in enumerate(block.index):
-                if block.D[i] != pbw_diag(datum, seq, c):
+                key = tuple(sorted((d, ck) for d, ck in zip(ds, c) if ck))
+                if key not in diags:
+                    diags[key] = pbw_diag(datum, seq, c)
+                if block.D[i] != diags[key]:
                     result.fail(f"{tag}: D[{i}] differs from the orthogonal diagonal")
     return result
 

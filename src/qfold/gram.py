@@ -115,6 +115,20 @@ def inversion_stat(datum, nu, w):
     return total
 
 
+def _weighted_pairs(datum, nu):
+    """(k, l, (a_{nu_k}, a_{nu_l})) for the positions k < l of nu whose
+    labels are not orthogonal: the pairs that `inversion_stat` can weigh,
+    listed once and read for every matching out of nu."""
+    idx = [datum.index(lab) for lab in nu]
+    return [(k, l, a) for k in range(len(nu)) for l in range(k + 1, len(nu))
+            if (a := datum.form[idx[k]][idx[l]])]
+
+
+def _inversions(pairs, w):
+    """inversion_stat of the matching w, from its source's `_weighted_pairs`."""
+    return sum(a for k, l, a in pairs if w[k] > w[l])
+
+
 def _runs(labels):
     """The maximal runs of equal consecutive labels, as (label, length)."""
     return [(lab, len(list(group))) for lab, group in itertools.groupby(labels)]
@@ -410,7 +424,11 @@ def inner_shuffle(datum, word, wordp):
     """Inner product via the coproduct recursion; agrees with inner_mackey.
 
     Each peeled letter's self-pairing 1/(1 - q_l^2) is the same on every
-    branch, so the recursion sums numerators over one denominator.
+    branch, so the recursion sums numerators over one denominator: the
+    prefactors times, for each distinct d among the letters' q_l = q^d,
+    (1 - q^(2d))^m, m the number of such letters, expanded by the binomial
+    theorem (`_binomial_power`), one polynomial per d, not one factor per
+    letter.
     """
     if word.weight(datum) != wordp.weight(datum):
         return RF_ZERO
@@ -431,11 +449,17 @@ def inner_shuffle(datum, word, wordp):
             memo[key] = total
         return memo[key]
 
-    den = math.prod((ONE - q_power(2 * datum.d(lab)) for lab in nu.labels),
-                    start=nu.prefactor * nup.prefactor)
+    den = nu.prefactor * nup.prefactor
+    for d, m in Counter(datum.d(lab) for lab in nu.labels).items():
+        den = den * _binomial_power(d, m)
     total = pairing(nu.labels, nup.labels)
     del pairing                      # the closure's cell refers to itself
     return RationalFn(total, den)
+
+
+def _binomial_power(d, m):
+    """(1 - q^(2d))^m, each coefficient a signed binomial coefficient."""
+    return LaurentPoly({2 * d * k: (-1) ** k * math.comb(m, k) for k in range(m + 1)})
 
 
 def pbw_diag(datum, seq, c):
@@ -454,7 +478,10 @@ def inner_mackey_restricted(fd, ulword, ulwordp):
     Each quotient matching expands blockwise to a base matching (identity
     on every orbit block) whose inversion statistic must equal the quotient
     one, so the restricted sum equals the quotient matching sum term by
-    term.  Returns the sum, whose coefficients count the matchings.
+    term.  Each statistic is `inversion_stat`'s, summed over the source's
+    `_weighted_pairs`, which are listed once per word pair, so a matching
+    costs one pass over the pairs with a nonzero form value on each side.
+    Returns the sum, whose coefficients count the matchings.
     """
     quotient, base = fd.quotient, fd.base
     ulnu = expand_word(ulword, quotient).labels
@@ -468,16 +495,18 @@ def inner_mackey_restricted(fd, ulword, ulwordp):
         return tuple(out), starts
 
     nu, starts = expanded(ulnu)
-    nup, startsp = expanded(ulnup)
+    _, startsp = expanded(ulnup)
+    blocks = [(s, starts[s], len(fd.orbits[quotient.index(lab)]))
+              for s, lab in enumerate(ulnu)]
+    ulpairs, pairs = _weighted_pairs(quotient, ulnu), _weighted_pairs(base, nu)
     counts = {}                      # -a_base -> matchings with that statistic
     for w in matchings(ulnu, ulnup):
-        a_quot = inversion_stat(quotient, ulnu, w)
+        a_quot = _inversions(ulpairs, w)
         wp = [None] * len(nu)
-        for s, lab in enumerate(ulnu):
-            size = len(fd.orbits[quotient.index(lab)])
+        for s, start, size in blocks:
             for i in range(size):
-                wp[starts[s] + i] = startsp[w[s]] + i
-        a_base = inversion_stat(base, nu, wp)
+                wp[start + i] = startsp[w[s]] + i
+        a_base = _inversions(pairs, wp)
         if a_base != a_quot:
             raise MismatchError(
                 f"inversion statistic changed under unfolding: {a_quot} -> {a_base}")

@@ -29,10 +29,12 @@ permutation (`ldl` proves it).  The Gram record lists those permutations;
 `ldl` then eliminates one row per orbit and copies the rest, and
 `pq_split` solves one entry per orbit of pairs.
 
-`reconstruct_lam` checks lam = H^t D H as one identity of numerators over
-the common denominator C of lam, which every denominator of D must divide,
-on coefficient dicts: no fraction is reduced, and no entry of H^t D H is
-built as a fraction.
+`factor_gram` computes the common denominator C of lam once per block and
+hands it to `ldl` and, as the block's `common`, to `reconstruct_lam`, which
+certifies it with one product per denominator of lam and checks
+lam = H^t D H as one identity of numerators over C, which every
+denominator of D must divide, on coefficient dicts: no fraction is
+reduced, and no entry of H^t D H is built as a fraction.
 """
 
 from __future__ import annotations
@@ -69,6 +71,11 @@ class BlockTooLarge(ValueError):
 
 @dataclass
 class TransitionBlock:
+    """The factors of one weight block.  `factor_gram` also sets common,
+    the (C, cofactor) that `ldl` eliminated over, for `reconstruct_lam`;
+    it is no dataclass field, so equality, repr and the JSON record do
+    not see it, and a block built otherwise has None."""
+
     weight: tuple
     index: list
     lam: list
@@ -76,6 +83,7 @@ class TransitionBlock:
     D: list
     P: list
     Q: list
+    common = None
 
 
 class GramBlock(NamedTuple):
@@ -197,7 +205,10 @@ def _block_permutations(datum, gamma, words):
     """For each automorphism t of datum's form other than the identity that
     fixes gamma, the pair (t, perm): perm[a] is the index of the block word
     with the normal form of t applied to words[a] (`canonical_word`), or
-    None when that image is no block word."""
+    None when that image is no block word.  A block of fewer than two
+    words has none: it takes no automorphism search."""
+    if len(words) < 2:               # no pair to share, no row to copy
+        return []
     fixing = automorphisms(datum, gamma)[1:]     # the identity comes first
     if not fixing:
         return []
@@ -248,6 +259,13 @@ def _pbw_permutations(datum, seq, index, moves):
     return safe
 
 
+def _denominators(lam):
+    """The distinct denominators of lam's entries on and below the
+    diagonal, entries numbered by identity, in the order `ldl` meets them."""
+    entries = {id(x): x for i, row in enumerate(lam) for x in row[:i + 1]}
+    return dict.fromkeys(x.den for x in entries.values())
+
+
 def _common_denominator(dens):
     """The lcm C of some denominators and the cofactor C / den of each
     distinct one, read off one gcd per den: with g = gcd(C, den), C grows
@@ -269,13 +287,16 @@ class _TooNarrow(Exception):
     argument is the width to restart at."""
 
 
-def ldl(lam, perms=()):
+def ldl(lam, perms=(), common=None):
     """Solve lam = H^t D H for unit lower triangular H and diagonal D.
 
     The elimination runs over one common denominator instead of in Q(q).
-    C is the lcm of the denominators of lam, so A = C * lam is a Laurent
-    matrix, and row i computes the numerators S[i][j] = C * D[i] * H[i][j]
-    (so S[i][i] = C * D[i]) for j <= i:
+    common is (C, cofactor), C a common multiple of the denominators of
+    lam and cofactor[den] = C / den for each of them, as
+    `_common_denominator` gives them for `_denominators(lam)`; `factor_gram`
+    computes it once per block, and ldl computes it when it is not given.
+    So A = C * lam is a Laurent matrix, and row i computes the numerators
+    S[i][j] = C * D[i] * H[i][j] (so S[i][i] = C * D[i]) for j <= i:
 
         S[i][j] = A[i][j] - sum over e > i of H[e][i] * S[e][j].
 
@@ -342,7 +363,7 @@ def ldl(lam, perms=()):
     at = [[number[id(x)] for x in row[:i + 1]] for i, row in enumerate(lam)]
     kinds = {}                      # distinct denominator -> its number
     kind = [kinds.setdefault(x.den, len(kinds)) for x in entries]
-    C, cofactor = _common_denominator(kinds)
+    C, cofactor = common or _common_denominator(kinds)
     cofactors = [cofactor[den] for den in kinds]
     C = Factored(C)                 # packed once per gcd width for every D[i]
     norms = [_norms(c.coeffs.values()) for c in cofactors]
@@ -543,18 +564,23 @@ def _exact_quotient(a, b):
         return None
 
 
-def reconstruct_lam(H, D, lam):
+def reconstruct_lam(H, D, lam, common=None):
     """Whether H^t D H = lam, for unit lower triangular Laurent H and
     diagonal D and lam over Q(q), with no fraction reduced.
 
-    C is the lcm of the denominators of lam's distinct entries, one gcd
-    per distinct denominator, so that A[a][b] = C * lam[a][b] is Laurent
-    by its cofactor C / den.  If the identity holds, D = H^-t lam H^-1
-    with H^-1 Laurent, so C * D is Laurent too: each distinct denominator
-    of D divides C, and one exact division gives its cofactor.  One that
-    does not divide C therefore decides the check, False.  Otherwise
-    CD[e] = C * D[e], and the identity holds iff, for every a <= b, the
-    numerator
+    common is (C, cofactor) as `ldl` takes it: `factor_gram` computes it
+    once per block and hands it to both, and it is computed here, by
+    `_common_denominator`, when not given.  The check does not trust it:
+    it certifies cofactor[den] * den == C, one product per distinct
+    denominator of lam, and a denominator with no cofactor or a wrong one
+    decides the check, False.  The identity needs only some common
+    multiple C, so a C that is not the lcm can only fail the block.  Then
+    A[a][b] = C * lam[a][b] is Laurent by its cofactor.  If the identity
+    holds, D = H^-t lam H^-1 with H^-1 Laurent, so C * D is Laurent too:
+    each distinct denominator of D divides C, and one exact division gives
+    its cofactor.  One that does not divide C therefore decides the check,
+    False.  Otherwise CD[e] = C * D[e], and the identity holds iff, for
+    every a <= b, the numerator
 
         sum over e >= b of H[e][a] * H[e][b] * CD[e]
 
@@ -564,7 +590,13 @@ def reconstruct_lam(H, D, lam):
     """
     n = len(H)
     entries = {id(x): x for row in lam for x in row}.values()
-    C, cofactor = _common_denominator(x.den for x in entries)
+    C, given = common or _common_denominator(x.den for x in entries)
+    cofactor = {}
+    for x in entries:
+        if x.den not in cofactor:
+            c = cofactor[x.den] = given.get(x.den)
+            if c is None or c * x.den != C:
+                return False
     for d in D:
         if d.den not in cofactor:
             cofactor[d.den] = _exact_quotient(C, d.den)
@@ -654,12 +686,22 @@ def mod_p_compare(P_sigma, ulP, p):
 
 def factor_gram(gram, gamma):
     """ldl -> pq_split on a Gram record, both given its block permutations:
-    the transition block at gamma."""
+    the transition block at gamma.
+
+    The common denominator C of lam and the cofactor C / den of each of
+    its distinct denominators are computed here, once per block, by
+    `_common_denominator`.  `ldl` eliminates over them, and the block
+    keeps them as its `common` for `reconstruct_lam`, which certifies them
+    with one product per denominator instead of computing them again.
+    """
     if not gram.index:
         return TransitionBlock(tuple(gamma), [], [], [], [], [], [])
-    H, D = ldl(gram.lam, gram.perms)
+    common = _common_denominator(_denominators(gram.lam))
+    H, D = ldl(gram.lam, gram.perms, common)
     P, Q = pq_split(H, gram.perms)
-    return TransitionBlock(tuple(gamma), gram.index, gram.lam, H, D, P, Q)
+    block = TransitionBlock(tuple(gamma), gram.index, gram.lam, H, D, P, Q)
+    block.common = common
+    return block
 
 
 def pipeline(preset, gamma, basis=None, max_block=None):

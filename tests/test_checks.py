@@ -6,9 +6,12 @@ import qfold.checks
 from qfold.checks import (SUITES, check_congruence, check_delta, check_equivariance,
                           check_factorization, check_oracle, check_restriction)
 from qfold.cli import main
-from qfold.gram import MismatchError, inner_mackey_restricted
+from qfold.gram import MismatchError, inner_mackey_restricted, pbw_diag
 from qfold.laurent import ONE, LaurentPoly, RationalFn, q_power
-from qfold.transition import factor_gram, gram_block, matmul_laurent
+from qfold.presets import get_preset
+from qfold.rootsys import weights_up_to
+from qfold.transition import (_common_denominator, _denominators, _exact_quotient,
+                              factor_gram, gram_block, matmul_laurent)
 from test_ldl import gram as fraction_gram
 
 
@@ -64,6 +67,19 @@ def _tamper_D_den(block):
     block.D[-1] = RationalFn(x.num, x.den * LaurentPoly({0: 2, 1: 1}))
 
 
+def _tamper_C(block):
+    # the lcm of lam's denominators but one, which it needs: that one does
+    # not divide the C handed to the check, though C * lam's other entries
+    # stay Laurent by their cofactors, and its own cofactor is C
+    dens = list(_denominators(block.lam))
+    for den in dens:
+        C, cofactor = _common_denominator(d for d in dens if d != den)
+        if _exact_quotient(C, den) is None:
+            block.common = C, {**cofactor, den: C}
+            return
+    raise AssertionError("no denominator of lam grows C")
+
+
 def _tampering(tamper):
     def tampered(gram, gamma):
         block = factor_gram(gram, gamma)
@@ -95,6 +111,62 @@ def test_a_D_denominator_off_the_common_denominator_exits_one(monkeypatch, capsy
     out = capsys.readouterr().out
     assert code == 1
     assert "does not reconstruct" in out
+
+
+def test_factorization_builds_one_common_denominator_per_block(monkeypatch):
+    # factor_gram builds C once and hands it to ldl and to the check
+    calls = []
+
+    def counted(dens):
+        calls.append(None)
+        return _common_denominator(dens)
+
+    monkeypatch.setattr(qfold.transition, "_common_denominator", counted)
+    result = check_factorization(presets=("B2", "G2"), max_height=5)
+    assert result.ok
+    assert len(calls) == result.instances == 40
+
+
+def test_a_C_that_a_lam_denominator_does_not_divide_exits_one(monkeypatch, capsys):
+    # the common denominator that ldl eliminated over is certified, not
+    # trusted: a C that misses a factor fails the block and raises nothing
+    monkeypatch.setattr(qfold.checks, "factor_gram", _tampering(_tamper_C))
+    code = main(["check", "--suite", "factorization", "--preset", "B2",
+                 "--max-height", "4"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "FAIL  factorization invariants (height <= 4): 14 instances" in out
+    assert out.count("does not reconstruct") == 14       # every block
+
+
+def _diag_key(datum, seq, c):
+    return tuple(sorted((datum.d(lab), ck) for lab, ck in zip(seq.indices, c) if ck))
+
+
+def test_factorization_computes_pbw_diag_once_per_multiset(monkeypatch):
+    """pbw_diag(c) is a product over the positions k with c_k > 0 of factors
+    fixed by (d_k, c_k), so it depends on the multiset of those pairs alone;
+    the suite computes it once per multiset and per call."""
+    presets = ("B2", "G2", "D4")
+    first, vectors = {}, 0
+    for name in presets:
+        preset = get_preset(name)
+        datum, seq, _ = preset.side()
+        for gamma in weights_up_to(datum, 5):
+            for c in gram_block(preset, gamma).index:
+                vectors += 1
+                value = pbw_diag(datum, seq, c)
+                assert first.setdefault(_diag_key(datum, seq, c), value) == value, c
+    keys = []
+
+    def counted(datum, seq, c):
+        keys.append(_diag_key(datum, seq, c))
+        return pbw_diag(datum, seq, c)
+
+    monkeypatch.setattr(qfold.checks, "pbw_diag", counted)
+    assert check_factorization(presets=presets, max_height=5).ok
+    assert sorted(keys) == sorted(first)
+    assert len(keys) < vectors
 
 
 def _lam_with_a_negative_P_entry(*args, **kwargs):
@@ -205,6 +277,8 @@ def _modified_M_plus_one(*args, **kwargs):
      "inner_mackey_restricted", _mismatch, "inversion statistic changed"),
     (check_restriction, {"folds": ("A3->B2",), "max_height": 4},
      "inner_mackey_restricted", _wrong_sum, "restricted sum differs"),
+    (check_factorization, {"presets": ("B2",), "max_height": 4},
+     "factor_gram", _tampering(_tamper_C), "does not reconstruct"),
     (check_congruence, {"folds": ("A3->B2",), "max_height": 3},
      "factor_gram", _quotient_P_plus_q, "P NOT congruent mod 2"),
     (check_congruence, {"folds": ("A3->B2",), "max_height": 3},
@@ -215,7 +289,7 @@ def _modified_M_plus_one(*args, **kwargs):
      "sigma_on_exponents", lambda fd, seq, c: c, "permutation law fails"),
     (check_equivariance, {"folds": ("A3->B2",), "max_height": 4},
      "word_folded", lambda fd, ulseq, ulc: None, "does not collapse"),
-], ids=["delta", "restriction", "restriction-sum", "congruence",
+], ids=["delta", "restriction", "restriction-sum", "factorization-C", "congruence",
         "congruence-Q", "congruence-sums", "equivariance", "equivariance-collapse"])
 def test_suite_gates_a_tampered_step(suite, kwargs, name, tamper, message,
                                      monkeypatch):

@@ -3,11 +3,12 @@ import math
 import random
 from collections import Counter
 
+import pytest
 from hypothesis import assume, example, given, strategies as st
 
 import qfold
 from qfold import gram
-from qfold.checks import _regroup
+from qfold.checks import _regroup, check_restriction
 from qfold.gram import (delta_weight, expand_word, gram_entry, inner_mackey,
                         inner_mackey_restricted, inner_shuffle,
                         inversion_stat, matching_sum, matchings, packed_prefactor,
@@ -229,6 +230,71 @@ def test_restricted_matching_sums():
     m1 = word_folded(g2.fd, g2.ulseq, (1, 1, 0, 0, 0, 0))
     m2 = word_folded(g2.fd, g2.ulseq, (2, 0, 0, 0, 0, 1))
     assert inner_mackey_restricted(g2.fd, m1, m2) == parse_laurent("q^3 + q^-3")
+
+
+FOLDINGS = ("A3->B2", "D4->G2", "A5->B3", "D4->C3", "D5->C4", "E6->F4")
+
+
+@st.composite
+def labelled_matchings(draw):
+    """A label sequence of a symmetric datum (A3, A5, D4, D5, E6) or of a
+    quotient one (B2, G2, B3, C3, C4, F4) and a matching out of it, a
+    permutation of its positions."""
+    fd = qfold.get_folding(draw(st.sampled_from(FOLDINGS))).fd
+    datum = draw(st.sampled_from((fd.base, fd.quotient)))
+    nu = tuple(draw(st.lists(st.sampled_from(datum.labels), max_size=9)))
+    return datum, nu, tuple(draw(st.permutations(range(len(nu)))))
+
+
+@SETTINGS
+@given(labelled_matchings())
+@example((qfold.get_folding("A3->B2").fd.base, ("1'", "1", "1", "2", "1'"),
+          (0, 2, 3, 4, 1)))
+def test_weighted_pairs_give_the_inversion_statistic(drawn):
+    datum, nu, w = drawn
+    pairs = gram._weighted_pairs(datum, nu)
+    assert all(a for _, _, a in pairs)
+    assert gram._inversions(pairs, w) == inversion_stat(datum, nu, w)
+
+
+@pytest.mark.parametrize("spec, pairs", [
+    ("A5->B3", 126), ("D4->C3", 128), ("D5->C4", 273), ("E6->F4", 281)])
+def test_the_restriction_suite_sums_inversion_stat_over_weighted_pairs(
+        spec, pairs, monkeypatch):
+    """On every matching of every restriction pair at height 4, each side's
+    statistic, summed over the pairs listed once per word, equals
+    `inversion_stat` of that matching."""
+    listed, seen = {}, []
+
+    def weighted_pairs(datum, nu):
+        found = real_pairs(datum, nu)
+        listed[id(found)] = datum, nu, found      # found stays alive
+        return found
+
+    def inversions(found, w):
+        datum, nu, _ = listed[id(found)]
+        value = real_inversions(found, w)
+        assert value == inversion_stat(datum, nu, w), (nu, w)
+        seen.append(tuple(datum.labels))
+        return value
+
+    real_pairs, real_inversions = gram._weighted_pairs, gram._inversions
+    monkeypatch.setattr(gram, "_weighted_pairs", weighted_pairs)
+    monkeypatch.setattr(gram, "_inversions", inversions)
+    result = check_restriction(folds=(spec,), max_height=4)
+    assert result.ok, result.failures
+    assert result.instances == pairs
+    fd = qfold.get_folding(spec).fd
+    half = len(seen) // 2                         # one statistic a side per matching
+    assert half and Counter(seen) == {tuple(fd.quotient.labels): half,
+                                      tuple(fd.base.labels): half}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_the_binomial_denominator_is_the_product_over_letters(d):
+    for m in range(9):
+        product = math.prod((ONE - q_power(2 * d) for _ in range(m)), start=ONE)
+        assert gram._binomial_power(d, m) == product, m
 
 
 def test_prefactor_identity_against_factorials():

@@ -8,6 +8,7 @@ import qfold.cli
 import qfold.transition
 from qfold.cli import main
 from qfold.laurent import ONE, LaurentPoly, RationalFn, parse_laurent, parse_rational
+from qfold.rootsys import weights_up_to
 from qfold.transition import (NotIntegral, SingularPivot, TransitionBlock,
                               block_from_json, block_to_json, factor_gram,
                               gram_block, ldl, matmul_laurent, mod_p_compare,
@@ -407,6 +408,36 @@ def test_orbit_reuse_changes_no_sum_and_no_output(flag, spec, gamma, monkeypatch
     assert printed == full_printed
 
 
+def test_a_one_word_block_takes_no_automorphism_search(monkeypatch):
+    """A block of one word has no pair to share and no row to copy, so
+    gram_block searches no automorphism for it and records no permutation.
+    Before, such a block recorded the identity [0] once per automorphism
+    that passed the guard; ldl and pq_split do nothing with it, so the
+    factors are the same with those permutations as without."""
+    searched = []
+
+    def recorded(datum, weight):
+        searched.append(tuple(weight))
+        return automorphisms(datum, weight)
+
+    automorphisms = qfold.transition.automorphisms
+    monkeypatch.setattr(qfold.transition, "automorphisms", recorded)
+    one_word = 0
+    for preset in (qfold.get_preset("A3"), qfold.get_preset("D4"),
+                   qfold.get_folding("D4->G2")):
+        for gamma in weights_up_to(preset.side()[0], 6):
+            searched.clear()
+            gram = gram_block(preset, gamma)
+            if len(gram.index) != 1:
+                assert searched == [gamma]
+                continue
+            one_word += 1
+            assert searched == [] and gram.perms == []
+            block = factor_gram(gram, gamma)
+            assert block == factor_gram(gram._replace(perms=[[0]] * 5), gamma)
+    assert one_word == 33 + 89 + 89
+
+
 def _rho(datum, seq, index, t):
     """The permutation of the block index that the label permutation t
     induces through the positions of the roots t(beta_k)."""
@@ -475,7 +506,7 @@ def test_a_word_the_flip_does_not_fix_hands_ldl_no_permutation(weight, tmp_path,
     argv = ["transition", "--config", str(cfg), "--weight", weight]
     assert main(argv) == 0
     printed = capsys.readouterr().out
-    assert received == [([],), ([],)]
+    assert [perms for perms, *_common in received] == [[], []]
     monkeypatch.setattr(qfold.transition, "automorphisms", _identity_alone)
     assert main(argv) == 0
     assert capsys.readouterr().out == printed
