@@ -29,12 +29,13 @@ permutation (`ldl` proves it).  The Gram record lists those permutations;
 `ldl` then eliminates one row per orbit and copies the rest, and
 `pq_split` solves one entry per orbit of pairs.
 
-`factor_gram` computes the common denominator C of lam once per block and
-hands it to `ldl` and, as the block's `common`, to `reconstruct_lam`, which
-certifies it with one product per denominator of lam and checks
-lam = H^t D H as one identity of numerators over C, which every
-denominator of D must divide, on coefficient dicts: no fraction is
-reduced, and no entry of H^t D H is built as a fraction.
+`factor_gram` numbers lam's entries and computes their common denominator
+C once per block (`_numbering`), and hands them to `ldl` and C, as the
+block's `common`, to `reconstruct_lam`, which certifies it with one
+product per denominator of lam and checks lam = H^t D H as one identity
+of numerators over C, which every denominator of D must divide, on
+coefficient dicts: no fraction is reduced, and no entry of H^t D H is
+built as a fraction.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ class TransitionBlock:
     """The factors of one weight block.  `factor_gram` also sets common,
     the (C, cofactor) that `ldl` eliminated over, for `reconstruct_lam`;
     it is no dataclass field, so equality, repr and the JSON record do
-    not see it, and a block built otherwise has None."""
+    not see it, and a block built otherwise has no common."""
 
     weight: tuple
     index: list
@@ -83,7 +84,6 @@ class TransitionBlock:
     D: list
     P: list
     Q: list
-    common = None
 
 
 class GramBlock(NamedTuple):
@@ -259,11 +259,24 @@ def _pbw_permutations(datum, seq, index, moves):
     return safe
 
 
-def _denominators(lam):
-    """The distinct denominators of lam's entries on and below the
-    diagonal, entries numbered by identity, in the order `ldl` meets them."""
-    entries = {id(x): x for i, row in enumerate(lam) for x in row[:i + 1]}
-    return dict.fromkeys(x.den for x in entries.values())
+class _Numbering(NamedTuple):
+    """lam's distinct entries on and below the diagonal, numbered by
+    identity; kind[k] numbers the denominator of entries[k] among kinds,
+    lam's distinct denominators in the order met; common = (C, cofactor)
+    is their `_common_denominator`."""
+    entries: list
+    kind: list
+    kinds: dict
+    common: tuple
+
+
+def _numbering(lam):
+    """The `_Numbering` of lam: one hash per distinct entry's denominator
+    and one gcd per distinct denominator."""
+    entries = list({id(x): x for i, row in enumerate(lam) for x in row[:i + 1]}.values())
+    kinds = {}                      # distinct denominator -> its number
+    kind = [kinds.setdefault(x.den, len(kinds)) for x in entries]
+    return _Numbering(entries, kind, kinds, _common_denominator(kinds))
 
 
 def _common_denominator(dens):
@@ -287,15 +300,15 @@ class _TooNarrow(Exception):
     argument is the width to restart at."""
 
 
-def ldl(lam, perms=(), common=None):
+def ldl(lam, perms=(), numbering=None):
     """Solve lam = H^t D H for unit lower triangular H and diagonal D.
 
     The elimination runs over one common denominator instead of in Q(q).
-    common is (C, cofactor), C a common multiple of the denominators of
-    lam and cofactor[den] = C / den for each of them, as
-    `_common_denominator` gives them for `_denominators(lam)`; `factor_gram`
-    computes it once per block, and ldl computes it when it is not given.
-    So A = C * lam is a Laurent matrix, and row i computes the numerators
+    numbering is lam's `_numbering`: its distinct entries and (C, cofactor),
+    C the lcm of their denominators and cofactor[den] = C / den for each;
+    `factor_gram` computes it once per block, and ldl computes it when it
+    is not given.  So A = C * lam is a Laurent matrix, and row i computes
+    the numerators
     S[i][j] = C * D[i] * H[i][j] (so S[i][i] = C * D[i]) for j <= i:
 
         S[i][j] = A[i][j] - sum over e > i of H[e][i] * S[e][j].
@@ -358,12 +371,9 @@ def ldl(lam, perms=(), common=None):
     D[c] = (E_c, E_c) = (t E_c, t E_c) = D[pi c], since t preserves the
     form.  P and Q follow in `pq_split`.
     """
-    entries = list({id(x): x for i, row in enumerate(lam) for x in row[:i + 1]}.values())
+    entries, kind, kinds, (C, cofactor) = numbering or _numbering(lam)
     number = {id(x): k for k, x in enumerate(entries)}
     at = [[number[id(x)] for x in row[:i + 1]] for i, row in enumerate(lam)]
-    kinds = {}                      # distinct denominator -> its number
-    kind = [kinds.setdefault(x.den, len(kinds)) for x in entries]
-    C, cofactor = common or _common_denominator(kinds)
     cofactors = [cofactor[den] for den in kinds]
     C = Factored(C)                 # packed once per gcd width for every D[i]
     norms = [_norms(c.coeffs.values()) for c in cofactors]
@@ -564,16 +574,17 @@ def _exact_quotient(a, b):
         return None
 
 
-def reconstruct_lam(H, D, lam, common=None):
+def reconstruct_lam(H, D, lam, common):
     """Whether H^t D H = lam, for unit lower triangular Laurent H and
     diagonal D and lam over Q(q), with no fraction reduced.
 
-    common is (C, cofactor) as `ldl` takes it: `factor_gram` computes it
-    once per block and hands it to both, and it is computed here, by
-    `_common_denominator`, when not given.  The check does not trust it:
-    it certifies cofactor[den] * den == C, one product per distinct
-    denominator of lam, and a denominator with no cofactor or a wrong one
-    decides the check, False.  The identity needs only some common
+    common is (C, cofactor), C a common multiple of the denominators of
+    lam and cofactor[den] = C / den for each of them, as
+    `_common_denominator` gives them; `factor_gram` computes it once per
+    block for `ldl` and keeps it as the block's `common`.  The check does
+    not trust it: it certifies cofactor[den] * den == C, one product per
+    distinct denominator of lam, and a denominator with no cofactor or a
+    wrong one decides the check, False.  The identity needs only some common
     multiple C, so a C that is not the lcm can only fail the block.  Then
     A[a][b] = C * lam[a][b] is Laurent by its cofactor.  If the identity
     holds, D = H^-t lam H^-1 with H^-1 Laurent, so C * D is Laurent too:
@@ -590,7 +601,7 @@ def reconstruct_lam(H, D, lam, common=None):
     """
     n = len(H)
     entries = {id(x): x for row in lam for x in row}.values()
-    C, given = common or _common_denominator(x.den for x in entries)
+    C, given = common
     cofactor = {}
     for x in entries:
         if x.den not in cofactor:
@@ -688,19 +699,21 @@ def factor_gram(gram, gamma):
     """ldl -> pq_split on a Gram record, both given its block permutations:
     the transition block at gamma.
 
-    The common denominator C of lam and the cofactor C / den of each of
-    its distinct denominators are computed here, once per block, by
-    `_common_denominator`.  `ldl` eliminates over them, and the block
-    keeps them as its `common` for `reconstruct_lam`, which certifies them
-    with one product per denominator instead of computing them again.
+    lam's entries are numbered, and the common denominator C of lam and
+    the cofactor C / den of each of its distinct denominators computed,
+    once per block, by `_numbering`.  `ldl` eliminates over them,
+    and the block keeps (C, cofactor) as its `common` for
+    `reconstruct_lam`, which certifies them with one product per
+    denominator instead of computing them again.
     """
-    if not gram.index:
-        return TransitionBlock(tuple(gamma), [], [], [], [], [], [])
-    common = _common_denominator(_denominators(gram.lam))
-    H, D = ldl(gram.lam, gram.perms, common)
-    P, Q = pq_split(H, gram.perms)
+    numbering = _numbering(gram.lam)
+    if gram.index:
+        H, D = ldl(gram.lam, gram.perms, numbering)
+        P, Q = pq_split(H, gram.perms)
+    else:
+        H, D, P, Q = [], [], [], []
     block = TransitionBlock(tuple(gamma), gram.index, gram.lam, H, D, P, Q)
-    block.common = common
+    block.common = numbering.common
     return block
 
 

@@ -10,7 +10,7 @@ from qfold.gram import MismatchError, inner_mackey_restricted, pbw_diag
 from qfold.laurent import ONE, LaurentPoly, RationalFn, q_power
 from qfold.presets import get_preset
 from qfold.rootsys import weights_up_to
-from qfold.transition import (_common_denominator, _denominators, _exact_quotient,
+from qfold.transition import (_common_denominator, _exact_quotient, _numbering,
                               factor_gram, gram_block, matmul_laurent)
 from test_ldl import gram as fraction_gram
 
@@ -71,7 +71,7 @@ def _tamper_C(block):
     # the lcm of lam's denominators but one, which it needs: that one does
     # not divide the C handed to the check, though C * lam's other entries
     # stay Laurent by their cofactors, and its own cofactor is C
-    dens = list(_denominators(block.lam))
+    dens = list(_numbering(block.lam).kinds)
     for den in dens:
         C, cofactor = _common_denominator(d for d in dens if d != den)
         if _exact_quotient(C, den) is None:

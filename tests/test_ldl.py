@@ -112,6 +112,12 @@ def prs_lcm(dens):
     return functools.reduce(lambda C, den: C * prs_gcd_cofactors(C, den)[2], dens, ONE)
 
 
+def lam_common(lam):
+    """(C, cofactor) over the denominators of all of lam's entries, as
+    `reconstruct_lam` takes it for a lam that no `factor_gram` numbered."""
+    return _common_denominator(x.den for row in lam for x in row)
+
+
 def ldl_reference(lam):
     """The elimination of `ldl` on coefficient dicts: the same recurrence
     over the same common denominator, the lcm by the PRS gcd, every update
@@ -280,7 +286,7 @@ def test_ldl_equals_the_reference_on_a_folded_block():
     assert len(block.index) == 37
     H, D = ldl(block.lam)
     assert (H, D) == ldl_reference(block.lam)
-    assert reconstruct_lam(H, D, block.lam)
+    assert reconstruct_lam(H, D, block.lam, lam_common(block.lam))
 
 
 def test_ldl_on_a_lam_that_shares_nothing_gives_the_same_factors():
@@ -406,7 +412,7 @@ def test_ldl_a3_block_matches_pbw_diagonal():
     block = gram_block(p, (3, 3, 2))
     H, D = ldl(block.lam)
     assert D == [pbw_diag(datum, seq, c) for c in block.index]
-    assert reconstruct_lam(H, D, block.lam)
+    assert reconstruct_lam(H, D, block.lam, lam_common(block.lam))
 
 
 @SETTINGS
@@ -418,12 +424,12 @@ def test_reconstruct_lam_matches_the_rational_sum(hd, data):
     D = [RationalFn(d.num * data.draw(laurent), d.den) for d in D]
     assume(len({d.den for d in D}) > 1)
     lam = gram(H, D)
-    assert reconstruct_lam(H, D, lam)
+    assert reconstruct_lam(H, D, lam, lam_common(lam))
     n = len(lam)
     a, b = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
     moved = fraction_sum([(lam[a][b],), (data.draw(rational.filter(bool)),)])
     lam[a][b] = lam[b][a] = moved
-    assert not reconstruct_lam(H, D, lam)
+    assert not reconstruct_lam(H, D, lam, lam_common(lam))
 
 
 def pool(data, values):

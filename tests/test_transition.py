@@ -14,7 +14,7 @@ from qfold.transition import (NotIntegral, SingularPivot, TransitionBlock,
                               gram_block, ldl, matmul_laurent, mod_p_compare,
                               pipeline, pq_split, reconstruct_lam,
                               sigma_submatrix)
-from test_ldl import SETTINGS, laurent, rational
+from test_ldl import SETTINGS, lam_common, laurent, rational
 
 
 def R(s):
@@ -80,7 +80,7 @@ def test_ldl_golden_a3():
                  R("1/((1 - q^2)^3 (1 - q^4))"),
                  R("1/((1 - q^2)^3 (1 - q^4))"),
                  R("1/((1 - q^2)^3 (1 - q^4)^2)")]
-    assert reconstruct_lam(H, D, lam)
+    assert reconstruct_lam(H, D, lam, lam_common(lam))
 
 
 def test_ldl_golden_b2():
@@ -235,9 +235,10 @@ def test_gram_entries_are_the_matching_sums_over_the_expanded_denominators():
 
 def test_heuristic_gcd_serves_every_fraction_of_the_reference_blocks(monkeypatch):
     """Every gcd these blocks take (Gram entries, the lcm of their
-    denominators, D, and the common denominator of the reconstruction
-    check) is the heuristic gcd: each gcd of two parts of degree >= 1
-    reaches it, and a slide back to the PRS gcd fails here."""
+    denominators and D; the reconstruction check certifies the block's
+    common denominator and takes none) is the heuristic gcd: each gcd of
+    two parts of degree >= 1 reaches it, and a slide back to the PRS gcd
+    fails here."""
     import qfold.laurent as qlaurent
 
     reached, served = [], []
@@ -263,7 +264,7 @@ def test_heuristic_gcd_serves_every_fraction_of_the_reference_blocks(monkeypatch
                           (qfold.get_preset("G2"), (6, 4)),
                           (qfold.get_folding("D4->G2"), (2, 2, 2, 2))):
         block = pipeline(preset, gamma)
-        assert reconstruct_lam(block.H, block.D, block.lam)
+        assert reconstruct_lam(block.H, block.D, block.lam, block.common)
     assert len(served) == len(reached) > 0
     assert all(b is c for b, c in zip(served, reached))
 
