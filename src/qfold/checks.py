@@ -64,7 +64,14 @@ def check_oracle(presets=("A3", "B2", "D4", "G2"), max_height=6,
                  random_pairs=500, seed=20260809, max_block=None):
     """Every Gram entry, as the gram and transition commands compute it,
     equals the coproduct-recursion route; so does the matching-sum route
-    on random word pairs."""
+    on random word pairs.
+
+    Each pair is one `inner_shuffle` call and one comparison of
+    `RationalFn` normal forms, so an entry stored out of normal form fails
+    even when its value is right.  The calls of one block share one dict,
+    `inner_shuffle`'s block, which holds each word's expansion, the
+    denominators and one reduced value per distinct fraction; the random
+    pairs take none."""
     result = CheckResult(f"oracle equivalence (height <= {max_height})")
     built = {name: get_preset(name) for name in dict.fromkeys(presets)}
     for name in presets:
@@ -72,11 +79,12 @@ def check_oracle(presets=("A3", "B2", "D4", "G2"), max_height=6,
         datum, _seq, _word = preset.side()
         for gamma, gram in _grams(preset, max_height, max_block=max_block):
             index, words = gram.index, gram.words
+            shuffle = {}                 # inner_shuffle's dict for this block
             for a in range(len(words)):
                 for b in range(a, len(words)):
                     result.instances += 1
                     lhs = gram.lam[a][b]
-                    rhs = inner_shuffle(datum, words[a], words[b])
+                    rhs = inner_shuffle(datum, words[a], words[b], shuffle)
                     if lhs != rhs:
                         result.fail(f"{name} {gamma} {index[a]} vs {index[b]}: "
                                     f"{lhs} != {rhs}")

@@ -21,9 +21,12 @@ its slots for the gcd against delta * g'.  `matchings` and
 DP is tested against.  The oracle route, `inner_shuffle`, recurses
 through the coproduct, peeling the first letter of one word against each
 equal letter of the other at a q-twist; it shares only `expand_word` with
-`gram_block`.  Both routes sum Laurent numerators and build one
-RationalFn per value, so nothing here combines Q(q) values; the coproduct
-memo lives for one call, so this module keeps no memo that grows with use.
+`gram_block`.  Both routes sum integer numerators and build one
+RationalFn per value, so nothing here combines Q(q) values.  The
+coproduct memo lives for one call, and what `inner_shuffle` keeps across
+calls (each word's expansion, the denominators and the reduced values)
+lives in a dict that its caller keeps for one block, as `matching_sum`'s
+unpacked sums do; so this module keeps no memo that grows with use.
 
 Two moves leave a matching sum unchanged, and `gram_block` runs one sum
 per orbit of word pairs under them:
@@ -420,41 +423,82 @@ def inner_mackey(datum, word, wordp):
                       Factored(delta_weight(datum, word), nu.prefactor))
 
 
-def inner_shuffle(datum, word, wordp):
+def inner_shuffle(datum, word, wordp, block=None):
     """Inner product via the coproduct recursion; agrees with inner_mackey.
 
     Each peeled letter's self-pairing 1/(1 - q_l^2) is the same on every
-    branch, so the recursion sums numerators over one denominator: the
-    prefactors times, for each distinct d among the letters' q_l = q^d,
-    (1 - q^(2d))^m, m the number of such letters, expanded by the binomial
-    theorem (`_binomial_power`), one polynomial per d, not one factor per
-    letter.
+    branch, so the recursion sums numerators (`_coproduct_counts`) over one
+    denominator: the prefactors times, for each distinct d among the
+    letters' q_l = q^d, (1 - q^(2d))^m, m the number of such letters,
+    expanded by the binomial theorem (`_binomial_power`), one polynomial
+    per d, not one factor per letter.  The denominator is kept as that
+    `Factored` product and never multiplied out.
+
+    block is a dict that a caller keeps across its calls on words over one
+    datum, such as `checks.check_oracle` for the pairs of one Gram block.
+    It holds each word's `expand_word`, one denominator per weight and
+    unordered pair of prefactors (on one block, where every word has the
+    same weight, the binomials are one `Factored` for all pairs), and one
+    reduced value per numerator over such a denominator, so that equal
+    fractions of a block are reduced once: the D4 block pairs of the
+    check-sweep benchmark, at height 5, need 494 reductions for 879 pairs.
+    Without it the call keeps these for itself.
     """
-    if word.weight(datum) != wordp.weight(datum):
+    gamma = word.weight(datum)
+    if gamma != wordp.weight(datum):
         return RF_ZERO
-    nu = expand_word(word, datum)
-    nup = expand_word(wordp, datum)
-    memo = {((), ()): ONE}
+    block = {} if block is None else block
+    nu = block.get(word) or block.setdefault(word, expand_word(word, datum))
+    nup = block.get(wordp) or block.setdefault(wordp, expand_word(wordp, datum))
+    pair = (gamma, frozenset((nu.prefactor, nup.prefactor)))
+    den = block.get(pair)
+    if den is None:
+        binomials = block.get(gamma)
+        if binomials is None:
+            ds = Counter(datum.d(lab) for lab in nu.labels)
+            binomials = block[gamma] = Factored(*(_binomial_power(d, m)
+                                                  for d, m in ds.items()))
+        den = block[pair] = Factored(binomials, nu.prefactor, nup.prefactor)
+    counts = _coproduct_counts(datum, nu.labels, nup.labels)
+    key = (frozenset(counts.items()), den)
+    value = block.get(key)
+    if value is None:
+        value = block[key] = RationalFn(LaurentPoly(counts), den)
+    return value
 
-    def pairing(nu, nup):
-        key = (nu, nup)
-        if key not in memo:
-            head, rest = nu[0], nu[1:]
-            hi = datum.index(head)
-            total, twist = ZERO, 0
-            for k, lab in enumerate(nup):
-                if lab == head:
-                    total = total + pairing(rest, nup[:k] + nup[k + 1:]).shift(-twist)
-                twist += datum.form[datum.index(lab)][hi]
-            memo[key] = total
-        return memo[key]
 
-    den = nu.prefactor * nup.prefactor
-    for d, m in Counter(datum.d(lab) for lab in nu.labels).items():
-        den = den * _binomial_power(d, m)
-    total = pairing(nu.labels, nup.labels)
+def _coproduct_counts(datum, nu, nup):
+    """The numerator of `inner_shuffle` for two label sequences of one
+    weight, as {exponent: count}: peel the first letter of nu against each
+    equal letter of nup, twisted by q^-(the form of the letters of nup
+    before it with that letter), and recurse on the rest.
+
+    Both sequences lose one letter per step, so what is left of nu is its
+    suffix of the length of what is left of nup, and the memo, which lives
+    for one call, is keyed by the latter alone.  Every count is positive,
+    so sums of them keep no zero.
+    """
+    form, index = datum.form, datum.index
+    nu = [index(lab) for lab in nu]
+    memo = {(): {0: 1}}
+
+    def pairing(left):
+        counts = memo.get(left)
+        if counts is None:
+            head = nu[-len(left)]
+            counts, twist = {}, 0
+            for k, x in enumerate(left):
+                if x == head:
+                    for e, c in pairing(left[:k] + left[k + 1:]).items():
+                        e -= twist
+                        counts[e] = counts.get(e, 0) + c
+                twist += form[x][head]
+            memo[left] = counts
+        return counts
+
+    counts = pairing(tuple(index(lab) for lab in nup))
     del pairing                      # the closure's cell refers to itself
-    return RationalFn(total, den)
+    return counts
 
 
 def _binomial_power(d, m):
@@ -472,41 +516,50 @@ def pbw_diag(datum, seq, c):
     return RationalFn(1, den)
 
 
+def _block_pair_weights(datum, blocks):
+    """(s, t, B[s][t]) for the blocks s < t of a sequence cut into
+    consecutive blocks of labels of datum, with B[s][t], the sum of
+    (a_k, a_l) over the letters k of block s and l of block t, nonzero:
+    the weights that `_inversions` sums over the inverted pairs of blocks."""
+    form = datum.form
+    idx = [[datum.index(lab) for lab in labels] for labels in blocks]
+    return [(s, t, a) for s in range(len(idx)) for t in range(s + 1, len(idx))
+            if (a := sum(form[i][j] for i in idx[s] for j in idx[t]))]
+
+
 def inner_mackey_restricted(fd, ulword, ulwordp):
     """Quotient matching sum recomputed inside the unfolded sequences.
 
-    Each quotient matching expands blockwise to a base matching (identity
+    Each quotient matching w expands blockwise to a base matching (identity
     on every orbit block) whose inversion statistic must equal the quotient
     one, so the restricted sum equals the quotient matching sum term by
-    term.  Each statistic is `inversion_stat`'s, summed over the source's
-    `_weighted_pairs`, which are listed once per word pair, so a matching
-    costs one pass over the pairs with a nonzero form value on each side.
-    Returns the sum, whose coefficients count the matchings.
+    term.  The base statistic is read off the block-pair weights B, listed
+    once per word pair (`_block_pair_weights`): B[s][t] is the sum of
+    (a_k, a_l) over the base letters k of orbit block s and l of block t.
+
+    Proof that a_base(w) = sum over s < t with w(s) > w(t) of B[s][t]: the
+    blockwise lift sends the letter start_s + i of block s to startsp[w(s)]
+    + i, startsp the block starts of the other sequence.  Two letters of
+    one block keep their order.  The letters of blocks s < t are all
+    inverted when w(s) > w(t) and none is when w(s) < w(t), since the
+    lift's images of the two blocks are the disjoint ranges starting at
+    startsp[w(s)] and startsp[w(t)].  So the inverted base pairs are the
+    pairs of letters of the inverted block pairs.
+
+    The quotient statistic is `inversion_stat`'s, summed over the quotient
+    sequence's `_weighted_pairs`.  Returns the sum, whose coefficients
+    count the matchings.
     """
-    quotient, base = fd.quotient, fd.base
+    quotient = fd.quotient
     ulnu = expand_word(ulword, quotient).labels
     ulnup = expand_word(ulwordp, quotient).labels
-
-    def expanded(labels):
-        out, starts = [], []
-        for lab in labels:
-            starts.append(len(out))
-            out.extend(fd.orbits[quotient.index(lab)])
-        return tuple(out), starts
-
-    nu, starts = expanded(ulnu)
-    _, startsp = expanded(ulnup)
-    blocks = [(s, starts[s], len(fd.orbits[quotient.index(lab)]))
-              for s, lab in enumerate(ulnu)]
-    ulpairs, pairs = _weighted_pairs(quotient, ulnu), _weighted_pairs(base, nu)
+    ulpairs = _weighted_pairs(quotient, ulnu)
+    weights = _block_pair_weights(
+        fd.base, [fd.orbits[quotient.index(lab)] for lab in ulnu])
     counts = {}                      # -a_base -> matchings with that statistic
     for w in matchings(ulnu, ulnup):
         a_quot = _inversions(ulpairs, w)
-        wp = [None] * len(nu)
-        for s, start, size in blocks:
-            for i in range(size):
-                wp[start + i] = startsp[w[s]] + i
-        a_base = _inversions(pairs, wp)
+        a_base = _inversions(weights, w)
         if a_base != a_quot:
             raise MismatchError(
                 f"inversion statistic changed under unfolding: {a_quot} -> {a_base}")

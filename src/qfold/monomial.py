@@ -11,6 +11,7 @@ generators in descending label order, so words are deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 from .folding import orbit_blocks
 from .rootsys import RootSystemError
@@ -41,6 +42,14 @@ class MonomialWord:
         object.__setattr__(self, "letters",
                            tuple((lab, e) for lab, e in self.letters if e))
 
+    @classmethod
+    def nonzero(cls, letters):
+        """The word of letters, a tuple whose exponents are all nonzero,
+        built without the filter that `__post_init__` runs."""
+        self = cls.__new__(cls)
+        object.__setattr__(self, "letters", letters)
+        return self
+
     def weight(self, datum):
         out = [0] * datum.rank
         for lab, e in self.letters:
@@ -64,18 +73,21 @@ def dvec(seq, c, k):
 def _word(seq, parts, c):
     """One descending factor per part of the positions: generators in
     descending label order, exponents the part's sum of c_s * beta_s over
-    the simple roots."""
-    labels, betas = seq.datum.labels, seq.betas
+    the simple roots, taken over the positions with c_s > 0 only.  Every
+    letter it keeps has a nonzero exponent, so the word is built without
+    the constructor's filter."""
+    labels, betas = seq.datum.labels[::-1], seq.betas
     letters = []
     for positions in parts:
-        dv = [0] * len(labels)
+        dv = None
         for s in positions:
-            if c[s]:
-                for i, x in enumerate(betas[s]):
-                    dv[i] += c[s] * x
-        letters.extend((labels[i], dv[i])
-                       for i in range(len(labels) - 1, -1, -1) if dv[i])
-    return MonomialWord(tuple(letters))
+            cs = c[s]
+            if cs:
+                v = betas[s] if cs == 1 else [cs * x for x in betas[s]]
+                dv = v if dv is None else list(map(add, dv, v))
+        if dv is not None:
+            letters += [(lab, e) for lab, e in zip(labels, dv[::-1]) if e]
+    return MonomialWord.nonzero(tuple(letters))
 
 
 def word_sym(seq, c):

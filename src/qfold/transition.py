@@ -281,12 +281,14 @@ def _numbering(lam):
 
 def _common_denominator(dens):
     """The lcm C of some denominators and the cofactor C / den of each
-    distinct one, read off one gcd per den: with g = gcd(C, den), C grows
-    to C * (den / g), which multiplies every earlier cofactor, and den's
-    is C / g."""
+    distinct one, read off one gcd per den after the first, which is C
+    with cofactor 1: with g = gcd(C, den), C grows to C * (den / g), which
+    multiplies every earlier cofactor, and den's is C / g."""
     C, cofactor = ONE, {}
     for den in dens:
-        if den not in cofactor:
+        if not cofactor:
+            C, cofactor[den] = den, ONE
+        elif den not in cofactor:
             _, c, d = _gcd_cofactors(C, den)
             if d != ONE:
                 C = C * d

@@ -270,9 +270,22 @@ def _modified_M_plus_one(*args, **kwargs):
     return gram
 
 
+def _lam_out_of_normal_form(*args, **kwargs):
+    # the last entry's value, its num and den both times 1 + q: equal as a
+    # value, so only a comparison of normal forms sees the change
+    gram = gram_block(*args, **kwargs)
+    lam = [row[:] for row in gram.lam]
+    x, one_plus_q = lam[-1][-1], LaurentPoly({0: 1, 1: 1})
+    lam[-1][-1] = RationalFn.__new__(RationalFn)
+    lam[-1][-1]._store(x.num * one_plus_q, x.den * one_plus_q)
+    return gram._replace(lam=lam)
+
+
 @pytest.mark.parametrize("suite, kwargs, name, tamper, message", [
     (check_delta, {"presets": ("A3",), "max_height": 4},
      "delta_codim", lambda seq, orientation, c: 1, "delta != 0 at"),
+    (check_oracle, {"presets": ("B2",), "max_height": 3, "random_pairs": 0},
+     "gram_block", _lam_out_of_normal_form, " != "),
     (check_restriction, {"folds": ("A3->B2",), "max_height": 4},
      "inner_mackey_restricted", _mismatch, "inversion statistic changed"),
     (check_restriction, {"folds": ("A3->B2",), "max_height": 4},
@@ -289,7 +302,7 @@ def _modified_M_plus_one(*args, **kwargs):
      "sigma_on_exponents", lambda fd, seq, c: c, "permutation law fails"),
     (check_equivariance, {"folds": ("A3->B2",), "max_height": 4},
      "word_folded", lambda fd, ulseq, ulc: None, "does not collapse"),
-], ids=["delta", "restriction", "restriction-sum", "factorization-C", "congruence",
+], ids=["delta", "oracle-normal-form", "restriction", "restriction-sum", "factorization-C", "congruence",
         "congruence-Q", "congruence-sums", "equivariance", "equivariance-collapse"])
 def test_suite_gates_a_tampered_step(suite, kwargs, name, tamper, message,
                                      monkeypatch):

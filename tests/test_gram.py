@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, strategies as st
 
 import qfold
 from qfold import gram
-from qfold.checks import _regroup, check_restriction
+from qfold.checks import _random_word, _regroup, check_restriction
 from qfold.gram import (delta_weight, expand_word, gram_entry, inner_mackey,
                         inner_mackey_restricted, inner_shuffle,
                         inversion_stat, matching_sum, matchings, packed_prefactor,
@@ -181,16 +181,49 @@ def test_inner_shuffle_on_long_words_equals_the_gram_block():
 
 def test_inner_shuffle_leaves_no_garbage_cycle():
     """The coproduct memo is freed when inner_shuffle returns, not when the
-    cyclic garbage collector next runs."""
+    cyclic garbage collector next runs, and neither a caller's block dict
+    nor what inner_shuffle stores in it forms a cycle."""
     preset = qfold.get_preset("A3")
     words = qfold.gram_block(preset, (1, 2, 1)).words
     gc.collect()
     gc.disable()
     try:
         assert inner_shuffle(preset.side()[0], words[0], words[1])
+        block = {}
+        assert inner_shuffle(preset.side()[0], words[0], words[1], block)
+        assert block
+        del block
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_inner_shuffle_gives_the_same_values_with_a_block_dict():
+    """Every pair of the oracle's default presets at height 4, with one dict
+    per block, and 200 random pairs of many weights, with one dict per
+    preset: the values equal those of calls without a dict."""
+    presets = [qfold.get_preset(name) for name in ("A3", "B2", "D4", "G2")]
+    pairs = 0
+    for preset in presets:
+        datum = preset.side()[0]
+        for gamma in weights_up_to(datum, 4):
+            words, block = qfold.gram_block(preset, gamma).words, {}
+            for a in range(len(words)):
+                for b in range(a, len(words)):
+                    pairs += 1
+                    assert inner_shuffle(datum, words[a], words[b], block) == \
+                        inner_shuffle(datum, words[a], words[b]), (gamma, a, b)
+    assert pairs == 459
+    rng, blocks = random.Random(29), {preset.name: {} for preset in presets}
+    for _ in range(200):
+        preset = rng.choice(presets)
+        datum = preset.side()[0]
+        w1 = _random_word(rng, datum, 6)
+        letters = list(expand_word(w1, datum).labels)
+        rng.shuffle(letters)
+        w2 = _regroup(rng, letters)
+        assert inner_shuffle(datum, w1, w2, blocks[preset.name]) == \
+            inner_shuffle(datum, w1, w2), (preset.name, w1, w2)
 
 
 def test_symmetry_of_the_pairing():
@@ -257,37 +290,70 @@ def test_weighted_pairs_give_the_inversion_statistic(drawn):
     assert gram._inversions(pairs, w) == inversion_stat(datum, nu, w)
 
 
+def blockwise_lift(fd, ulnu, ulnup, w):
+    """(nu, wp): the base sequence of the quotient labels ulnu and the base
+    matching that the quotient matching w lifts to, identity on every orbit
+    block, as `inner_mackey_restricted` once built it for every matching."""
+    def expanded(labels):
+        out, starts = [], []
+        for lab in labels:
+            starts.append(len(out))
+            out.extend(fd.orbits[fd.quotient.index(lab)])
+        return tuple(out), starts
+
+    nu, starts = expanded(ulnu)
+    _, startsp = expanded(ulnup)
+    wp = [None] * len(nu)
+    for s, lab in enumerate(ulnu):
+        for i in range(len(fd.orbits[fd.quotient.index(lab)])):
+            wp[starts[s] + i] = startsp[w[s]] + i
+    return nu, wp
+
+
 @pytest.mark.parametrize("spec, pairs", [
     ("A5->B3", 126), ("D4->C3", 128), ("D5->C4", 273), ("E6->F4", 281)])
 def test_the_restriction_suite_sums_inversion_stat_over_weighted_pairs(
         spec, pairs, monkeypatch):
-    """On every matching of every restriction pair at height 4, each side's
-    statistic, summed over the pairs listed once per word, equals
-    `inversion_stat` of that matching."""
-    listed, seen = {}, []
+    """On every matching of every restriction pair at height 4, the base
+    statistic that the suite compares, summed over the block-pair weights
+    listed once per word pair, equals `inversion_stat` of the matching's
+    blockwise lift, and the quotient one, summed over the pairs listed once
+    per word, equals `inversion_stat` of the matching."""
+    fd = qfold.get_folding(spec).fd
+    current, seen = {}, Counter()
 
-    def weighted_pairs(datum, nu):
-        found = real_pairs(datum, nu)
-        listed[id(found)] = datum, nu, found      # found stays alive
+    def block_pair_weights(datum, blocks):
+        current["weights"] = found = real_weights(datum, blocks)
+        return found
+
+    def counted_matchings(ulnu, ulnup):
+        current["pair"] = ulnu, ulnup
+        found = real_matchings(ulnu, ulnup)
+        seen["matchings"] += len(found)
         return found
 
     def inversions(found, w):
-        datum, nu, _ = listed[id(found)]
         value = real_inversions(found, w)
-        assert value == inversion_stat(datum, nu, w), (nu, w)
-        seen.append(tuple(datum.labels))
+        ulnu, ulnup = current["pair"]
+        if found is current["weights"]:
+            assert value == inversion_stat(fd.base, *blockwise_lift(fd, ulnu, ulnup, w)), \
+                (ulnu, ulnup, w)
+            seen["base"] += 1
+        else:
+            assert value == inversion_stat(fd.quotient, ulnu, w), (ulnu, w)
+            seen["quotient"] += 1
         return value
 
-    real_pairs, real_inversions = gram._weighted_pairs, gram._inversions
-    monkeypatch.setattr(gram, "_weighted_pairs", weighted_pairs)
+    real_weights, real_matchings = gram._block_pair_weights, gram.matchings
+    real_inversions = gram._inversions
+    monkeypatch.setattr(gram, "_block_pair_weights", block_pair_weights)
+    monkeypatch.setattr(gram, "matchings", counted_matchings)
     monkeypatch.setattr(gram, "_inversions", inversions)
     result = check_restriction(folds=(spec,), max_height=4)
     assert result.ok, result.failures
     assert result.instances == pairs
-    fd = qfold.get_folding(spec).fd
-    half = len(seen) // 2                         # one statistic a side per matching
-    assert half and Counter(seen) == {tuple(fd.quotient.labels): half,
-                                      tuple(fd.base.labels): half}
+    # one statistic a side per matching
+    assert seen["base"] == seen["quotient"] == seen["matchings"] > 0
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

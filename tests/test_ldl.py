@@ -28,9 +28,9 @@ import qfold
 import qfold.laurent as qlaurent
 import qfold.transition as qtransition
 from qfold.gram import pbw_diag
-from qfold.laurent import (ONE, ZERO, LaurentPoly, RationalFn, _laurent, _norms, _pack,
-                           _poly_div_exact, _prs_gcd_cofactors, _unpack, packed_quotient,
-                           q_power)
+from qfold.laurent import (ONE, ZERO, LaurentPoly, RationalFn, _gcd_cofactors, _laurent,
+                           _norms, _pack, _poly_div_exact, _prs_gcd_cofactors, _unpack,
+                           packed_quotient, q_power)
 from qfold.transition import (NotIntegral, SingularPivot, _common_denominator, gram_block,
                               ldl, matmul_laurent, pq_split, reconstruct_lam)
 
@@ -404,6 +404,51 @@ def test_common_denominator_equals_the_lcm_and_long_division(fold, weight):
         C, cofactor = _common_denominator(dens)
         assert C == prs_lcm(dict.fromkeys(dens))
         assert cofactor == {den: long_division(C, den) for den in dens}
+
+
+def common_denominator_from_one(dens):
+    """`_common_denominator` folded from C = 1, one gcd per distinct den,
+    the first's included: the route it takes after the first den."""
+    C, cofactor = ONE, {}
+    for den in dens:
+        if den not in cofactor:
+            _, c, d = _gcd_cofactors(C, den)
+            if d != ONE:
+                C = C * d
+                cofactor = {k: v * d for k, v in cofactor.items()}
+            cofactor[den] = c
+    return C, cofactor
+
+
+# The blocks the benchmark's transition and gram workloads run or draw from.
+WORKLOAD_BLOCKS = (
+    ("D4->G2", (2, 2, 2, 2)), ("A5->B3", (2, 2, 2, 2, 1)),
+    ("D4->G2", (2, 2, 3, 2)), ("D4->G2", (2, 3, 2, 2)), ("D4->G2", (3, 2, 2, 2)),
+    ("A5->B3", (0, 2, 2, 2, 2)), ("A5->B3", (1, 2, 1, 2, 2)), ("A5->B3", (1, 3, 1, 2, 2)),
+    ("A5->B3", (2, 0, 2, 2, 2)), ("A5->B3", (2, 1, 1, 2, 3)), ("A5->B3", (1, 1, 2, 1, 2)),
+    ("A5->B3", (1, 1, 2, 2, 1)), ("A5->B3", (1, 3, 2, 2, 1)),
+    ("A3", (3, 4, 4)), ("A3", (4, 3, 4)), ("A3", (4, 4, 4)), ("G2", (6, 4)),
+    ("A3", (1, 8, 4)), ("B2", (7, 5)), ("B3", (0, 5, 6)), ("B3", (0, 7, 4)), ("G2", (8, 4)))
+
+
+def test_common_denominator_seeded_with_the_first_den_equals_the_fold_from_one():
+    """On lam's denominators, as `factor_gram` numbers them, of every block
+    of criterion 6 and of the workload blocks: the same C and cofactors,
+    with one gcd fewer per block."""
+    blocks = [(preset, gamma) for preset in map(qfold.get_preset, ("A3", "B2", "D4", "G2"))
+              for gamma in qfold.weights_up_to(preset.side()[0], 8)]
+    blocks += [(qfold.get_folding(spec) if "->" in spec else qfold.get_preset(spec), gamma)
+               for spec, gamma in WORKLOAD_BLOCKS]
+    checked = 0
+    for preset, gamma in blocks:
+        lam = gram_block(preset, gamma).lam
+        if lam:
+            numbering = qtransition._numbering(lam)
+            common = common_denominator_from_one(numbering.kinds)
+            assert numbering.common == common, gamma
+            assert list(numbering.common[1]) == list(common[1]), gamma
+            checked += 1
+    assert checked == 746 + 22
 
 
 def test_ldl_a3_block_matches_pbw_diagonal():

@@ -4,7 +4,8 @@ import qfold
 from qfold.monomial import (MonomialWord, canonical_word, collapse_orbit_runs,
                             delta_codim, dvec, word_folded, word_modified,
                             word_sym)
-from qfold.rootsys import RootSystemError, enumerate_block, weight_of
+from qfold.folding import orbit_blocks
+from qfold.rootsys import RootSystemError, enumerate_block, vectors_up_to
 
 
 def test_preset_orientations():
@@ -96,6 +97,36 @@ def test_words_preserve_weight():
         for ulgamma in qfold.weights_up_to(fd.quotient, 8):
             for ulc in enumerate_block(ulseq, ulgamma):
                 assert word_folded(fd, ulseq, ulc).weight(fd.quotient) == ulgamma
+
+
+def plain_word(seq, parts, c):
+    """The reference for `monomial._word`: every position of a part summed
+    into a full exponent vector, the word built by the filtering
+    constructor."""
+    labels, betas = seq.datum.labels, seq.betas
+    letters = []
+    for positions in parts:
+        dv = [0] * len(labels)
+        for s in positions:
+            for i, x in enumerate(betas[s]):
+                dv[i] += c[s] * x
+        letters.extend((labels[i], dv[i]) for i in range(len(labels) - 1, -1, -1))
+    return MonomialWord(tuple(letters))
+
+
+def test_words_equal_the_plain_construction():
+    # every vector the equivariance suite walks at its default height
+    for spec in ("A3->B2", "D4->G2"):
+        preset = qfold.get_folding(spec)
+        fd, seq = preset.fd, preset.seq
+        parts = [positions for _, positions in orbit_blocks(fd, seq)]
+        singles = [(k,) for k in range(seq.N)]
+        vectors = list(vectors_up_to([sum(beta) for beta in seq.betas], 8))
+        assert len(vectors) == {"A3->B2": 602, "D4->G2": 2790}[spec]
+        for c in vectors:
+            for word, reference in ((word_modified(fd, seq, c), plain_word(seq, parts, c)),
+                                    (word_sym(seq, c), plain_word(seq, singles, c))):
+                assert word.letters == reference.letters, (spec, c)
 
 
 def test_delta_codim_values():
