@@ -121,14 +121,27 @@ def inversion_stat(datum, nu, w):
 def _weighted_pairs(datum, nu):
     """(k, l, (a_{nu_k}, a_{nu_l})) for the positions k < l of nu whose
     labels are not orthogonal: the pairs that `inversion_stat` can weigh,
-    listed once and read for every matching out of nu."""
-    idx = [datum.index(lab) for lab in nu]
-    return [(k, l, a) for k in range(len(nu)) for l in range(k + 1, len(nu))
-            if (a := datum.form[idx[k]][idx[l]])]
+    listed once and read for every matching out of nu; the
+    `_block_pair_weights` of one-letter blocks."""
+    return _block_pair_weights(datum, [(lab,) for lab in nu])
+
+
+def _block_pair_weights(datum, blocks):
+    """(s, t, B[s][t]) for the blocks s < t of a sequence cut into
+    consecutive blocks of labels of datum, with B[s][t], the sum of
+    (a_k, a_l) over the letters k of block s and l of block t, nonzero:
+    the weights that `_inversions` sums over the inverted pairs of blocks."""
+    form = datum.form
+    idx = [[datum.index(lab) for lab in labels] for labels in blocks]
+    return [(s, t, a) for s in range(len(idx)) for t in range(s + 1, len(idx))
+            if (a := sum(form[i][j] for i in idx[s] for j in idx[t]))]
 
 
 def _inversions(pairs, w):
-    """inversion_stat of the matching w, from its source's `_weighted_pairs`."""
+    """The weights a of the listed (k, l, a) that the matching w inverts,
+    summed: inversion_stat of w from its source's `_weighted_pairs`, and
+    that of w's blockwise lift from the `_block_pair_weights` of the
+    orbit blocks (see `inner_mackey_restricted`)."""
     return sum(a for k, l, a in pairs if w[k] > w[l])
 
 
@@ -514,17 +527,6 @@ def pbw_diag(datum, seq, c):
         for j in range(1, ck + 1):
             den = den * (ONE - q_power(2 * d * j))
     return RationalFn(1, den)
-
-
-def _block_pair_weights(datum, blocks):
-    """(s, t, B[s][t]) for the blocks s < t of a sequence cut into
-    consecutive blocks of labels of datum, with B[s][t], the sum of
-    (a_k, a_l) over the letters k of block s and l of block t, nonzero:
-    the weights that `_inversions` sums over the inverted pairs of blocks."""
-    form = datum.form
-    idx = [[datum.index(lab) for lab in labels] for labels in blocks]
-    return [(s, t, a) for s in range(len(idx)) for t in range(s + 1, len(idx))
-            if (a := sum(form[i][j] for i in idx[s] for j in idx[t]))]
 
 
 def inner_mackey_restricted(fd, ulword, ulwordp):

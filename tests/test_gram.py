@@ -322,8 +322,12 @@ def test_the_restriction_suite_sums_inversion_stat_over_weighted_pairs(
     fd = qfold.get_folding(spec).fd
     current, seen = {}, Counter()
 
-    def block_pair_weights(datum, blocks):
-        current["weights"] = found = real_weights(datum, blocks)
+    def weighted_pairs(datum, nu):
+        current["quotient"] = found = real_pairs(datum, nu)
+        return found
+
+    def block_pair_weights(datum, blocks):     # _weighted_pairs calls it first
+        current["base"] = found = real_weights(datum, blocks)
         return found
 
     def counted_matchings(ulnu, ulnup):
@@ -335,17 +339,19 @@ def test_the_restriction_suite_sums_inversion_stat_over_weighted_pairs(
     def inversions(found, w):
         value = real_inversions(found, w)
         ulnu, ulnup = current["pair"]
-        if found is current["weights"]:
+        if found is current["base"]:
             assert value == inversion_stat(fd.base, *blockwise_lift(fd, ulnu, ulnup, w)), \
                 (ulnu, ulnup, w)
             seen["base"] += 1
         else:
+            assert found is current["quotient"]
             assert value == inversion_stat(fd.quotient, ulnu, w), (ulnu, w)
             seen["quotient"] += 1
         return value
 
-    real_weights, real_matchings = gram._block_pair_weights, gram.matchings
-    real_inversions = gram._inversions
+    real_pairs, real_weights = gram._weighted_pairs, gram._block_pair_weights
+    real_matchings, real_inversions = gram.matchings, gram._inversions
+    monkeypatch.setattr(gram, "_weighted_pairs", weighted_pairs)
     monkeypatch.setattr(gram, "_block_pair_weights", block_pair_weights)
     monkeypatch.setattr(gram, "matchings", counted_matchings)
     monkeypatch.setattr(gram, "_inversions", inversions)
