@@ -302,8 +302,9 @@ def _lam_out_of_normal_form(*args, **kwargs):
      "sigma_on_exponents", lambda fd, seq, c: c, "permutation law fails"),
     (check_equivariance, {"folds": ("A3->B2",), "max_height": 4},
      "word_folded", lambda fd, ulseq, ulc: None, "does not collapse"),
-], ids=["delta", "oracle-normal-form", "restriction", "restriction-sum", "factorization-C", "congruence",
-        "congruence-Q", "congruence-sums", "equivariance", "equivariance-collapse"])
+], ids=["delta", "oracle-normal-form", "restriction", "restriction-sum", "factorization-C",
+        "congruence", "congruence-Q", "congruence-sums", "equivariance",
+        "equivariance-collapse"])
 def test_suite_gates_a_tampered_step(suite, kwargs, name, tamper, message,
                                      monkeypatch):
     monkeypatch.setattr(qfold.checks, name, tamper)

@@ -293,7 +293,7 @@ def test_weighted_pairs_give_the_inversion_statistic(drawn):
 def blockwise_lift(fd, ulnu, ulnup, w):
     """(nu, wp): the base sequence of the quotient labels ulnu and the base
     matching that the quotient matching w lifts to, identity on every orbit
-    block, as `inner_mackey_restricted` once built it for every matching."""
+    block, built letter by letter as in `inner_mackey_restricted`'s proof."""
     def expanded(labels):
         out, starts = [], []
         for lab in labels:

@@ -407,8 +407,9 @@ def test_common_denominator_equals_the_lcm_and_long_division(fold, weight):
 
 
 def common_denominator_from_one(dens):
-    """`_common_denominator` folded from C = 1, one gcd per distinct den,
-    the first's included: the route it takes after the first den."""
+    """`_common_denominator`'s fold started from C = 1, with one gcd per
+    distinct den, the first's included, where `_common_denominator` takes
+    the first den as C."""
     C, cofactor = ONE, {}
     for den in dens:
         if den not in cofactor:
