@@ -11,7 +11,6 @@ import json
 import re
 import sys
 
-from .checks import SUITES
 from .folding import NotAdmissible
 from .presets import BASES, custom_preset, get_folding, get_preset
 from .rootsys import RootSystemError, weights_up_to
@@ -264,7 +263,8 @@ def cmd_transition(args, cfg):
     return 0
 
 
-# the one selector each suite takes: a preset name or a folding
+# the one selector each suite takes, a preset name or a folding, for each
+# suite of `checks.SUITES`, which only `check` imports
 _SELECTOR = {"oracle": "preset", "factorization": "preset", "delta": "preset",
              "restriction": "fold", "congruence": "fold", "equivariance": "fold"}
 # the suites that build Gram blocks, and so take a max_block
@@ -272,6 +272,8 @@ _BLOCK_SUITES = ("oracle", "factorization", "restriction", "congruence")
 
 
 def cmd_check(args, cfg):
+    from .checks import SUITES
+
     custom = [key for key in ("labels", "form", "sigma", "word", "parts") if key in cfg]
     if custom:
         raise ConfigError(f"the check suites take only built-in presets and "
@@ -335,7 +337,7 @@ def build_parser():
     p_check = sub.add_parser("check", help="run verification sweeps")
     p_check.add_argument("--config", help="key=value file mirroring the flags")
     p_check.add_argument("--suite", default="all",
-                         choices=sorted(SUITES) + ["all"])
+                         choices=sorted(_SELECTOR) + ["all"])
     p_check.add_argument("--preset")
     p_check.add_argument("--fold")
     p_check.add_argument("--max-height", type=int, dest="max_height")

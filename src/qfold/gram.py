@@ -389,11 +389,13 @@ def packed_prefactor(g, width):
     return _pack(((hi - e, c) for e, c in g.coeffs.items()), width), hi
 
 
-def gram_entry(key, cancelled, kept):
+def gram_entry(key, cancelled, kept, shared=None):
     """The Gram entry M / (g * kept) for a matching sum M given by its key
     in `matching_sum`'s sums, the `packed_prefactor` of one word's
     prefactor g at the key's width, and kept, the weight factor times the
-    other word's prefactor as a `Factored`.
+    other word's prefactor as a `Factored`.  shared is the caller's
+    `SharedDenominators`, which keeps each reduced denominator once with
+    kept over it.
 
     g divides M.  Take g's word as the source: M is its run factor times
     the cross sums, and the run factor is the product of [r]! over its
@@ -412,15 +414,17 @@ def gram_entry(key, cancelled, kept):
     quotient, rem = divmod(packed, pg)
     if rem:
         raise ArithmeticError("a prefactor does not divide its matching sum")
-    return RationalFn.reduced(_split_counts(quotient, top - hi, width), kept)
+    return RationalFn.reduced(_split_counts(quotient, top - hi, width), kept, shared)
 
 
 def delta_weight(datum, word):
-    """Product over letters of (1 - q_i^2)^exponent; depends only on the weight."""
-    out = ONE
+    """Product over letters of (1 - q_i^2)^exponent; depends only on the
+    weight.  Letters with one q_i = q^d share one `_binomial_power`, so
+    this is one product per distinct d."""
+    ms = Counter()
     for lab, e in word.letters:
-        out = out * (ONE - q_power(2 * datum.d(lab))) ** e
-    return out
+        ms[datum.d(lab)] += e
+    return math.prod((_binomial_power(d, m) for d, m in ms.items()), start=ONE)
 
 
 def inner_mackey(datum, word, wordp):

@@ -21,13 +21,16 @@ Laurent polynomial or a `Factored` product of them, which many fractions
 can share: it is split and packed once per width for all of them and
 expanded at most once.  The gcd's
 cofactors are exact quotients: `transition` reads its common denominators
-off them.  The packed format, which `transition.ldl` uses too, lives here
+off them, and a `SharedDenominators` keeps, beside each reduced
+denominator that many fractions share, the gcd that divided it out.  The
+packed format, which `transition.ldl` uses too, lives here
 alone: one packer, one width rule, and one certified division,
 `packed_div_exact`, which takes the digits of an integer quotient when
 `packed_quotient` proves them the polynomial quotient, else divides long.
 The memo of `qfact`, one entry per (n, d), is this module's only one; a
 `Factored` keeps its packed values, and the cofactor of each gcd it has
-met, for as long as its owner keeps it.
+met, and a `SharedDenominators` its denominators, for as long as its owner
+keeps it.
 """
 
 from __future__ import annotations
@@ -134,21 +137,27 @@ class LaurentPoly:
     # -- display ----------------------------------------------------------
 
     def __str__(self):
-        if not self.coeffs:
+        """Terms by descending exponent, "+ " or "- " before each after the
+        first: "q^2 - 2q + 3 + q^-1"."""
+        d = self.coeffs
+        if not d:
             return "0"
-        parts = []
-        for e in sorted(self.coeffs, reverse=True):
-            c = self.coeffs[e]
+        out = []
+        for e in sorted(d, reverse=True):
+            c = d[e]
+            if c < 0:
+                out.append(" - ")
+                c = -c
+            else:
+                out.append(" + ")
             if e == 0:
-                body = str(abs(c))
+                out.append(str(c))
+            elif e == 1:
+                out.append("q" if c == 1 else f"{c}q")
             else:
-                base = "q" if e == 1 else f"q^{e}"
-                body = base if abs(c) == 1 else f"{abs(c)}{base}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+                out.append(f"q^{e}" if c == 1 else f"{c}q^{e}")
+        out[0] = "-" if out[0] == " - " else ""
+        return "".join(out)
 
     def __repr__(self):
         return f"LaurentPoly({self})"
@@ -575,12 +584,13 @@ class RationalFn:
         self._store(*((ZERO, ONE) if num.is_zero() else _normalize(_split(num), den)))
 
     @classmethod
-    def reduced(cls, split, den):
+    def reduced(cls, split, den, shared=None):
         """num / den for a nonzero num given by its `_split` and a
         `Factored` den: the value `RationalFn(num, den)` builds, for a
-        caller that reads the split off a packed numerator."""
+        caller that reads the split off a packed numerator.  shared is a
+        `SharedDenominators` that the caller keeps for many fractions."""
         self = cls.__new__(cls)
-        self._store(*_normalize(split, den))
+        self._store(*_normalize(split, den, shared))
         return self
 
     def _store(self, num, den):
@@ -608,10 +618,16 @@ class RationalFn:
         return not self.is_zero()
 
     def __str__(self):
+        return self.text(str)
+
+    def text(self, fmt):
+        """The text of the fraction, fmt giving that of its numerator and of
+        its denominator: "num / den", each in parentheses unless a single
+        term, or num alone over 1."""
         if self.den == ONE:
-            return str(self.num)
-        num = str(self.num)
-        den = str(self.den)
+            return fmt(self.num)
+        num = fmt(self.num)
+        den = fmt(self.den)
         if len(self.num.coeffs) > 1:
             num = f"({num})"
         if len(self.den.coeffs) > 1:
@@ -622,24 +638,62 @@ class RationalFn:
         return f"RationalFn({self})"
 
 
-def _normalize(split, den):
+def _normalize(split, den, shared=None):
     """The normal form (num, den) of a fraction with a nonzero numerator
     given by its `_split` and a `Factored` denominator.
 
     q is a unit, so splitting off each side's lowest power of q and its
     integer content leaves primitive parts N and D whose cofactors by their
-    gcd, taken in q^s for the gcd s of their steps, are coprime and
+    gcd G, taken in q^s for the gcd s of their steps, are coprime and
     primitive.  Only the difference of the powers and the two contents over
-    their gcd go back, with the sign making the denominator's leading
-    coefficient positive.
+    their gcd c go back, with the sign making the denominator's leading
+    coefficient positive.  So the given denominator over the reduced one
+    is q^min(low of den, low of num) * (+-c) * G(q^s); with shared, that
+    quotient is kept beside the reduced denominator (`SharedDenominators`).
     """
     (ln, cn, sn, N), ld, cd = split, den.low, den.content
-    s, _, N, D = _dense_gcd_cofactors(N, sn, den)
+    s, G, N, D = _dense_gcd_cofactors(N, sn, den)
     c = math.gcd(cn, cd)
     cn, cd = cn // c, cd // c
     if (D[-1] < 0) != (cd < 0):
-        cn, cd = -cn, -cd
-    return _laurent(N, max(ln - ld, 0), cn, s), _laurent(D, max(ld - ln, 0), cd, s)
+        cn, cd, c = -cn, -cd, -c
+    num = _laurent(N, max(ln - ld, 0), cn, s)
+    if shared is None:
+        return num, _laurent(D, max(ld - ln, 0), cd, s)
+    return num, shared.get(den, s, D, max(ld - ln, 0), cd, (G, min(ld, ln), c))
+
+
+class SharedDenominators:
+    """The reduced denominators of fractions over a few `Factored`
+    denominators, kept by a caller for all of them (`transition.gram_block`
+    for a Gram block): one LaurentPoly per distinct value, which every
+    fraction with that denominator shares, so that it is built, printed and
+    numbered once.
+
+    quotients maps each to (itself, the `Factored` it was first reduced
+    from, that Factored over it), the quotient being q^k * c * G(q^s) from
+    the gcd that the reduction took (`_normalize`): a common multiple of
+    the `Factored`s is one of every denominator here, and its cofactors
+    follow from these quotients with no gcd.
+    """
+
+    __slots__ = ("_reductions", "quotients")
+
+    def __init__(self):
+        self._reductions = {}       # (Factored, s, D, power of q, content) -> den
+        self.quotients = {}
+
+    def get(self, source, s, D, shift, content, quotient):
+        """The reduced denominator q^shift * content * D(q^s) of a fraction
+        over source, (G, k, c) giving the quotient q^k * c * G(q^s)."""
+        key = (source, s, tuple(D), shift, content)
+        den = self._reductions.get(key)
+        if den is None:
+            den = _laurent(D, shift, content, s)
+            G, k, c = quotient
+            den = self._reductions[key] = self.quotients.setdefault(
+                den, (den, source, _laurent(G, k, c, s)))[0]
+        return den
 
 
 RF_ZERO = RationalFn(0)

@@ -29,10 +29,12 @@ permutation (`ldl` proves it).  The Gram record lists those permutations;
 `ldl` then eliminates one row per orbit and copies the rest, and
 `pq_split` solves one entry per orbit of pairs.
 
-`factor_gram` numbers lam's entries and computes their common denominator
-C once per block (`_numbering`), and hands them to `ldl` and C, as the
-block's `common`, to `reconstruct_lam`, which certifies it with one
-product per denominator of lam and checks lam = H^t D H as one identity
+`factor_gram` numbers lam's entries and reads their common denominator C
+off the Gram record once per block (`_numbering`): delta times the lcm of
+the block's few distinct prefactors, with each cofactor a product, and no
+gcd per denominator of lam.  It hands them to `ldl` and C, as the block's
+`common`, to `reconstruct_lam`, which certifies it with one product per
+denominator of lam and checks lam = H^t D H as one identity
 of numerators over C, which every denominator of D must divide, on
 coefficient dicts: no fraction is reduced, and no entry of H^t D H is
 built as a fraction.
@@ -46,10 +48,10 @@ from typing import NamedTuple
 from .folding import sigma_on_exponents
 from .gram import (WordLayout, delta_weight, expand_word, gram_entry, matching_sum,
                    packed_prefactor)
-from .laurent import (ONE, ZERO, Factored, LaurentPoly, RationalFn, _gcd_cofactors,
-                      _laurent, _lowest_digit, _norms, _pack, _poly_div_exact,
-                      _product_norms, _unpack, _width, packed_div_exact, parse_laurent,
-                      parse_rational)
+from .laurent import (ONE, ZERO, Factored, LaurentPoly, RationalFn, SharedDenominators,
+                      _gcd_cofactors, _laurent, _lowest_digit, _norms, _pack,
+                      _poly_div_exact, _product_norms, _unpack, _width, packed_div_exact,
+                      parse_laurent, parse_rational)
 from .monomial import MonomialWord, canonical_word
 from .rootsys import automorphisms, enumerate_block
 
@@ -94,7 +96,10 @@ class GramBlock(NamedTuple):
     perms lists the block permutations pi, each a list with pi[a] the
     image of word a, under which the factorization is invariant,
     X[pi a][pi b] = X[a][b] for X = H, D, P and Q (`_pbw_permutations`);
-    `factor_gram` hands them to `ldl` and `pq_split`.
+    `factor_gram` hands them to `ldl` and `pq_split`.  dens lists lam's
+    distinct denominators, each one object, as (den, p, delta * p / den)
+    for a prefactor p of the block that den divides delta * p by;
+    `factor_gram` reads lam's common denominator off them.
     """
 
     index: list
@@ -104,6 +109,7 @@ class GramBlock(NamedTuple):
     delta: LaurentPoly
     lam: list
     perms: list
+    dens: list = []
 
 
 def gram_block(preset, gamma, basis=None, max_block=None):
@@ -145,8 +151,11 @@ def gram_block(preset, gamma, basis=None, max_block=None):
     explains (A5->B3 (2,2,2,2,1): 1 275 pairs, 77 distinct sums), so each
     is one object: equal sums are one `LaurentPoly`, a gcd runs once per
     shared sum and pair of prefactors, and equal entries are one
-    `RationalFn`, which `ldl` and `formatter` read once.  These caches go
-    with the block.  When max_block is given, a block of more vectors
+    `RationalFn`, which `ldl` and `formatter` read once.  Equal reduced
+    denominators are one object too, kept in the record's dens with the
+    prefactor p they were reduced over and delta * p over them, the gcd
+    content and gcd that the reduction took (`laurent.SharedDenominators`).
+    These caches go with the block.  When max_block is given, a block of more vectors
     raises BlockTooLarge as soon as its index is counted, before any word
     is built.
     """
@@ -185,7 +194,7 @@ def gram_block(preset, gamma, basis=None, max_block=None):
     split_delta = Factored(delta)
     kept = [Factored(split_delta, p) for p in kinds]
     lam = [[None] * n for _ in range(n)]
-    fractions, values = {}, {}
+    fractions, values, shared = {}, {}, SharedDenominators()
     for a in range(n):
         for b in range(a, n):
             core = M[a][b]
@@ -194,11 +203,14 @@ def gram_block(preset, gamma, basis=None, max_block=None):
                 i, j = j, i
             pair = (id(core), i, j)              # the sum lives as long as the block
             if pair not in fractions:
-                value = gram_entry(key[id(core)], cancel[j], kept[i])
+                value = gram_entry(key[id(core)], cancel[j], kept[i], shared)
                 fractions[pair] = values.setdefault(value, value)
             lam[a][b] = lam[b][a] = fractions[pair]
+    prefactor = {id(f): p for f, p in zip(kept, kinds)}
+    dens = [(den, prefactor[id(f)], quotient)
+            for den, f, quotient in shared.quotients.values()]
     return GramBlock(index, words, M, g, delta, lam,
-                     _pbw_permutations(datum, seq, index, moves))
+                     _pbw_permutations(datum, seq, index, moves), dens)
 
 
 def _block_permutations(datum, gamma, words):
@@ -262,21 +274,67 @@ def _pbw_permutations(datum, seq, index, moves):
 class _Numbering(NamedTuple):
     """lam's distinct entries on and below the diagonal, numbered by
     identity; kind[k] numbers the denominator of entries[k] among kinds,
-    lam's distinct denominators in the order met; common = (C, cofactor)
-    is their `_common_denominator`."""
+    lam's distinct denominators; C is a common multiple of them and
+    cofactors[k] = C / kinds[k], each a polynomial; common = (C, cofactor),
+    cofactor[den] = C / den, as `reconstruct_lam` takes it."""
     entries: list
     kind: list
-    kinds: dict
+    kinds: list
+    cofactors: list
     common: tuple
 
 
-def _numbering(lam):
-    """The `_Numbering` of lam: one hash per distinct entry's denominator
-    and one gcd per distinct denominator."""
+def _numbering(lam, gram=None):
+    """The `_Numbering` of lam.  With gram, the Gram record lam is read
+    from, no gcd is taken per denominator: each of lam's denominators is one
+    of the record's dens, found by identity, over which C = delta * L for L
+    the lcm of the distinct prefactors (`_record_common`).  A lam without
+    its record, or one whose entries are not all over the record's dens (a
+    record whose lam was replaced), is numbered with one hash per distinct
+    entry's denominator and C the lcm of its distinct denominators, one gcd
+    per denominator after the first (`_common_denominator`)."""
     entries = list({id(x): x for i, row in enumerate(lam) for x in row[:i + 1]}.values())
+    if gram is not None:
+        number = {id(den): k for k, (den, _, _) in enumerate(gram.dens)}
+        kind = [number.get(id(x.den)) for x in entries]
+        if None not in kind:
+            kinds = [den for den, _, _ in gram.dens]
+            C, cofactors = _record_common(gram.delta, gram.dens)
+            return _Numbering(entries, kind, kinds, cofactors,
+                              (C, dict(zip(kinds, cofactors))))
     kinds = {}                      # distinct denominator -> its number
     kind = [kinds.setdefault(x.den, len(kinds)) for x in entries]
-    return _Numbering(entries, kind, kinds, _common_denominator(kinds))
+    C, cofactor = _common_denominator(kinds)
+    return _Numbering(entries, kind, list(kinds), list(cofactor.values()), (C, cofactor))
+
+
+def _record_common(delta, dens):
+    """(C, [C / den for each den]) for the (den, p, delta * p / den) of a
+    Gram record: C = delta * L, L the lcm of the distinct prefactors p, so
+    C / den = (L / p) * (delta * p / den), one product per den.  The
+    prefactors are Laurent polynomials; L is taken over each one's
+    polynomial q^-m * p, m its lowest exponent, and the result is shifted
+    so that C / den is a polynomial for every den with a constant term for
+    one of them, and C has a positive leading coefficient: the C that
+    `_common_denominator` gives whenever the two agree up to a unit, as on
+    every block measured.
+
+    Why p divides delta * p by den: `gram_entry` reduces M / g over
+    delta * p for the other word's prefactor g, and g divides M, so den
+    divides delta * p, and `_normalize` keeps the quotient.
+    """
+    prefactors = list({id(p): p for _, p, _ in dens}.values())
+    polys = [p.shift(-p.min_exp()) for p in prefactors]
+    L, cofactor = _common_denominator(polys)
+    over = {id(p): cofactor[f].shift(-p.min_exp()) for p, f in zip(prefactors, polys)}
+    cofactors = [over[id(p)] * quotient for _, p, quotient in dens]
+    C = delta * L
+    low = min((c.min_exp() for c in cofactors), default=0)
+    sign = 1 if not C or C.coeffs[max(C.coeffs)] > 0 else -1
+    if low or sign < 0:
+        unit = LaurentPoly({-low: sign})
+        C, cofactors = C * unit, [c * unit for c in cofactors]
+    return C, cofactors
 
 
 def _common_denominator(dens):
@@ -306,10 +364,11 @@ def ldl(lam, perms=(), numbering=None):
     """Solve lam = H^t D H for unit lower triangular H and diagonal D.
 
     The elimination runs over one common denominator instead of in Q(q).
-    numbering is lam's `_numbering`: its distinct entries and (C, cofactor),
-    C the lcm of their denominators and cofactor[den] = C / den for each;
-    `factor_gram` computes it once per block, and ldl computes it when it
-    is not given.  So A = C * lam is a Laurent matrix, and row i computes
+    numbering is lam's `_numbering`: its distinct entries, a common
+    multiple C of their denominators and the polynomial C / den for each;
+    `factor_gram` reads it off the Gram record once per block, and ldl
+    takes the lcm of lam's denominators when it is not given.  So
+    A = C * lam is a Laurent matrix, and row i computes
     the numerators
     S[i][j] = C * D[i] * H[i][j] (so S[i][i] = C * D[i]) for j <= i:
 
@@ -320,7 +379,8 @@ def ldl(lam, perms=(), numbering=None):
     A is Laurent, and each row of H is certified Laurent by one exact
     division H[i][j] = S[i][j] / S[i][i] before a higher row uses it.  No
     fraction is reduced during the elimination; D[i] = S[i][i] / C is
-    normalised once per row.
+    normalised once per row, but for the first: S[n-1][n-1] = A[n-1][n-1],
+    so D[n-1] is the entry lam[n-1][n-1] itself.
 
     The numerators are Kronecker-packed (Harvey, J. Symbolic Comput. 44,
     2009): `_eliminate` keeps each as its value at q = 2^w over a power of
@@ -373,10 +433,9 @@ def ldl(lam, perms=(), numbering=None):
     D[c] = (E_c, E_c) = (t E_c, t E_c) = D[pi c], since t preserves the
     form.  P and Q follow in `pq_split`.
     """
-    entries, kind, kinds, (C, cofactor) = numbering or _numbering(lam)
+    entries, kind, _, cofactors, (C, _) = numbering or _numbering(lam)
     number = {id(x): k for k, x in enumerate(entries)}
     at = [[number[id(x)] for x in row[:i + 1]] for i, row in enumerate(lam)]
-    cofactors = [cofactor[den] for den in kinds]
     C = Factored(C)                 # packed once per gcd width for every D[i]
     norms = [_norms(c.coeffs.values()) for c in cofactors]
     bounds = [_product_norms(_norms(x.num.coeffs.values()), norms[k])[0]
@@ -459,7 +518,8 @@ def _eliminate(entries, kind, at, C, cofactors, a_bound, copies, w):
         pv, pl = pivot >> w * zeros, base + zeros
         P = _unpack(pv, w)
         p_norms = _norms(P)
-        D[i] = RationalFn(_laurent(P, pl, 1), C)
+        # the last pivot is C * lam[n-1][n-1], so D[n-1] is that entry
+        D[i] = entries[at[i][i]] if i == n - 1 else RationalFn(_laurent(P, pl, 1), C)
         row, lows, sb = [None] * i, [0], p_norms[0]
         for j in range(i):
             value = acc[j]
@@ -702,13 +762,13 @@ def factor_gram(gram, gamma):
     the transition block at gamma.
 
     lam's entries are numbered, and the common denominator C of lam and
-    the cofactor C / den of each of its distinct denominators computed,
-    once per block, by `_numbering`.  `ldl` eliminates over them,
-    and the block keeps (C, cofactor) as its `common` for
+    the cofactor C / den of each of its distinct denominators read off the
+    record's dens, once per block, by `_numbering`.  `ldl` eliminates over
+    them, and the block keeps (C, cofactor) as its `common` for
     `reconstruct_lam`, which certifies them with one product per
     denominator instead of computing them again.
     """
-    numbering = _numbering(gram.lam)
+    numbering = _numbering(gram.lam, gram)
     if gram.index:
         H, D = ldl(gram.lam, gram.perms, numbering)
         P, Q = pq_split(H, gram.perms)
@@ -729,14 +789,16 @@ def pipeline(preset, gamma, basis=None, max_block=None):
 
 def formatter():
     """str for values that stay alive while it is used, computed once per
-    object: lam[a][b] and lam[b][a] are one value, and the zeros and ones
-    of H, P and Q are shared."""
+    object: lam[a][b] and lam[b][a] are one value, the zeros and ones of H,
+    P and Q are shared, and a fraction's text is built from those of its
+    numerator and of its denominator, which the fractions of a Gram block
+    share (`gram_block`)."""
     text = {}
 
     def fmt(v):
         s = text.get(id(v))
         if s is None:
-            s = text[id(v)] = str(v)
+            s = text[id(v)] = v.text(fmt) if isinstance(v, RationalFn) else str(v)
         return s
     return fmt
 

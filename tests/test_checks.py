@@ -111,10 +111,13 @@ def test_a_D_denominator_off_the_common_denominator_exits_one(monkeypatch, capsy
     out = capsys.readouterr().out
     assert code == 1
     assert "does not reconstruct" in out
+    result = check_factorization(presets=("B2",), max_height=4)
+    assert sum("does not reconstruct" in f for f in result.failures) == 14  # every block
 
 
 def test_factorization_builds_one_common_denominator_per_block(monkeypatch):
-    # factor_gram builds C once and hands it to ldl and to the check
+    # factor_gram builds C once, over the record's prefactors, and hands it
+    # to ldl and to the check
     calls = []
 
     def counted(dens):

@@ -2,7 +2,9 @@ import hashlib
 import io
 import itertools
 import json
+import os
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -163,6 +165,17 @@ GOLDEN_DIGESTS = {
         "047ef042b97c8dc27daa944e37fcaf3223541e5621085d7460ae9b709a2c697a",
     ("transition --fold A5->B3 --weight 2,2,2,2,2", "tsv"):
         "eb5cd180d2cfd1366fe98173d6192b1ce771d8f9cc0ac674bd8aa4df5488d07c",
+    # the blocks with the most distinct denominators of lambda (117, 118 and
+    # 68), taken before equal denominators were one object and lambda's
+    # common denominator came from the prefactors
+    ("transition --preset A3 --weight 4,3,4", "json"):
+        "006771fd04f10f0411b810765ff28e88177ee2937838addcc95b883fcd32c29f",
+    ("transition --preset A3 --weight 4,3,4", "tsv"):
+        "29c8f30c07ee03a4e67afb85c7ec000323c0e6c274f1ba9b5561afc84cbee1dc",
+    ("transition --preset A3 --weight 3,4,4", "json"):
+        "8db546c61d6c06e20628442583c4a807a6ee0add295452f8098537296d54b687",
+    ("gram --preset B2 --weight 7,5", "json"):
+        "087c4274c57134274c058206283c4f9c23a732b0ff19cd90e4c45cde5817e45b",
 }
 
 
@@ -314,6 +327,18 @@ def test_check_rejects_the_selector_its_suite_does_not_take(capsys):
                        capsys)
     assert code == 2
     assert "--fold" in err
+
+
+def test_the_selector_table_names_every_suite():
+    from qfold.checks import SUITES
+    from qfold.cli import _SELECTOR
+    assert sorted(_SELECTOR) == sorted(SUITES)
+
+
+def test_gram_and_transition_do_not_import_the_check_suites():
+    code = "import sys, qfold.cli; sys.exit('qfold.checks' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_config_errors_exit_two(capsys):

@@ -132,6 +132,30 @@ def test_delta_weight():
     assert delta_weight(a3.fd.base, W()) == ONE
 
 
+def delta_weight_by_letters(datum, word):
+    """The product over the letters of (1 - q_i^2)^exponent, one letter at
+    a time: the reference for `delta_weight`."""
+    out = ONE
+    for lab, e in word.letters:
+        out = out * (ONE - q_power(2 * datum.d(lab))) ** e
+    return out
+
+
+def test_delta_weight_is_the_product_over_the_letters():
+    """On every weight up to height 8 of each built-in preset, the sides of
+    the six built-in foldings, with each label split over two letters."""
+    checked = 0
+    for name in ("A3", "A5", "D4", "D5", "E6", "B2", "B3", "C3", "C4", "F4", "G2"):
+        datum = qfold.get_preset(name).side()[0]
+        for gamma in weights_up_to(datum, 8):
+            parts = list(zip(datum.labels, gamma))
+            word = MonomialWord(tuple((lab, e - e // 2) for lab, e in parts)
+                                + tuple((lab, e // 2) for lab, e in reversed(parts)))
+            assert delta_weight(datum, word) == delta_weight_by_letters(datum, word), gamma
+            checked += 1
+    assert checked == 7636
+
+
 def test_inner_mackey_basics():
     a3 = qfold.get_preset("A3").fd.base
     assert inner_mackey(a3, W(("1", 1)), W(("1", 1))) == \

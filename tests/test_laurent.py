@@ -54,6 +54,36 @@ def test_zero_coefficients_leave_no_trace(coeffs):
     assert LaurentPoly(0).coeffs == {} and str(LaurentPoly(0)) == "0"
 
 
+def laurent_text(p):
+    """The text of a Laurent polynomial term by term: the reference for
+    `LaurentPoly.__str__`."""
+    if not p.coeffs:
+        return "0"
+    parts = []
+    for e in sorted(p.coeffs, reverse=True):
+        c = p.coeffs[e]
+        if e == 0:
+            body = str(abs(c))
+        else:
+            base = "q" if e == 1 else f"q^{e}"
+            body = base if abs(c) == 1 else f"{abs(c)}{base}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts)
+
+
+@SETTINGS
+@given(st.dictionaries(st.integers(-12, 12),
+                       st.one_of(st.sampled_from([0, 1, -1]), st.integers(-10**6, 10**6))))
+def test_text_equals_the_term_by_term_reference(coeffs):
+    # zero, negative and unit coefficients at exponents 0, 1 and others
+    p = LaurentPoly(coeffs)
+    assert str(p) == laurent_text(p)
+    assert parse_laurent(str(p)) == p
+
+
 @SETTINGS
 @given(laurent, laurent, laurent, st.integers(0, 3), st.integers(-3, 3))
 def test_laurent_ring_laws(a, b, c, k, shift):

@@ -433,9 +433,9 @@ WORKLOAD_BLOCKS = (
 
 
 def test_common_denominator_seeded_with_the_first_den_equals_the_fold_from_one():
-    """On lam's denominators, as `factor_gram` numbers them, of every block
-    of criterion 6 and of the workload blocks: the same C and cofactors,
-    with one gcd fewer per block."""
+    """On lam's denominators, as `_numbering` numbers a lam without its Gram
+    record, of every block of criterion 6 and of the workload blocks: the
+    same C and cofactors, with one gcd fewer per block."""
     blocks = [(preset, gamma) for preset in map(qfold.get_preset, ("A3", "B2", "D4", "G2"))
               for gamma in qfold.weights_up_to(preset.side()[0], 8)]
     blocks += [(qfold.get_folding(spec) if "->" in spec else qfold.get_preset(spec), gamma)
@@ -450,6 +450,74 @@ def test_common_denominator_seeded_with_the_first_den_equals_the_fold_from_one()
             assert list(numbering.common[1]) == list(common[1]), gamma
             checked += 1
     assert checked == 746 + 22
+
+
+def test_the_record_common_denominator_is_the_lcm_and_ldl_agrees():
+    """On the workload blocks and the blocks of criterion 6 to height 6,
+    the C that a Gram record gives (delta times the lcm of the prefactors)
+    is the lcm of lam's denominators that a bare lam gives, each of its
+    cofactors times its den is C, ldl over it gives the H and D of ldl on
+    the bare lam, and equal denominators of lam are one object."""
+    blocks = [(preset, gamma) for preset in map(qfold.get_preset, ("A3", "B2", "D4", "G2"))
+              for gamma in qfold.weights_up_to(preset.side()[0], 6)]
+    blocks += [(qfold.get_folding(spec) if "->" in spec else qfold.get_preset(spec), gamma)
+               for spec, gamma in WORKLOAD_BLOCKS]
+    checked = 0
+    for preset, gamma in blocks:
+        gram = gram_block(preset, gamma)
+        dens = [x.den for row in gram.lam for x in row]
+        assert len({id(den) for den in dens}) == len(set(dens)), gamma
+        if not dens:
+            continue
+        record, bare = qtransition._numbering(gram.lam, gram), qtransition._numbering(gram.lam)
+        C, cofactor = record.common
+        assert C == bare.common[0], gamma
+        assert all(cofactor[den] * den == C for den in dens), gamma
+        assert ldl(gram.lam, gram.perms, record) == ldl(gram.lam), gamma
+        checked += 1
+    assert checked == 346 + 22
+
+
+def test_a_replaced_lam_is_numbered_without_its_record():
+    """A record whose lam was replaced by one with denominators of its own
+    (here parsed from text, as JSON gives it) is numbered by the lcm of
+    lam's denominators, as a bare lam is."""
+    gram = gram_block(qfold.get_folding("A3->B2"), (2, 2, 1))
+    parsed = [[qlaurent.parse_rational(str(x)) for x in row] for row in gram.lam]
+    replaced = gram._replace(lam=parsed)
+    assert qtransition._numbering(parsed, replaced) == qtransition._numbering(parsed)
+    assert qtransition.factor_gram(replaced, (2, 2, 1)) == \
+        qtransition.factor_gram(gram, (2, 2, 1))
+
+
+def test_factor_gram_takes_no_gcd_for_the_denominators_of_lam():
+    """On A3 (4,3,4), with 117 distinct denominators over 14 prefactors,
+    factor_gram's only lcm runs over the prefactors, at most 13 gcds, and
+    every other gcd it takes reduces a pivot of D other than the last,
+    which is lam's corner entry itself."""
+    gram = gram_block(qfold.get_preset("A3"), (4, 3, 4))
+    assert len({id(den) for den, _, _ in gram.dens}) == 117
+    prefactors = len({id(p) for _, p, _ in gram.dens})
+    assert prefactors == 14
+    lcm, gcds = [], []
+    common, dense = qtransition._gcd_cofactors, qlaurent._dense_gcd_cofactors
+
+    def counted_lcm(a, b):
+        lcm.append(None)
+        return common(a, b)
+
+    def counted(*args):
+        gcds.append(None)
+        return dense(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qtransition, "_gcd_cofactors", counted_lcm)
+        mp.setattr(qlaurent, "_dense_gcd_cofactors", counted)
+        block = qtransition.factor_gram(gram, (4, 3, 4))
+    assert block.D[-1] is gram.lam[-1][-1]
+    pivots = len({id(d) for d in block.D}) - 1
+    assert len(lcm) <= prefactors - 1
+    assert len(gcds) == len(lcm) + pivots
 
 
 def test_ldl_a3_block_matches_pbw_diagonal():
