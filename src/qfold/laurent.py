@@ -620,14 +620,14 @@ class RationalFn:
     def __str__(self):
         return self.text(str)
 
-    def text(self, fmt):
-        """The text of the fraction, fmt giving that of its numerator and of
-        its denominator: "num / den", each in parentheses unless a single
-        term, or num alone over 1."""
+    def text(self, den_text):
+        """The text of the fraction, den_text giving that of its
+        denominator, which many fractions can share: "num / den", each in
+        parentheses unless a single term, or num alone over 1."""
+        num = str(self.num)
         if self.den == ONE:
-            return fmt(self.num)
-        num = fmt(self.num)
-        den = fmt(self.den)
+            return num
+        den = den_text(self.den)
         if len(self.num.coeffs) > 1:
             num = f"({num})"
         if len(self.den.coeffs) > 1:

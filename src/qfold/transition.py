@@ -98,7 +98,7 @@ class GramBlock(NamedTuple):
     X[pi a][pi b] = X[a][b] for X = H, D, P and Q (`_pbw_permutations`);
     `factor_gram` hands them to `ldl` and `pq_split`.  dens lists lam's
     distinct denominators, each one object, as (den, p, delta * p / den)
-    for a prefactor p of the block that den divides delta * p by;
+    for a prefactor p of the block such that den divides delta * p;
     `factor_gram` reads lam's common denominator off them.
     """
 
@@ -109,7 +109,7 @@ class GramBlock(NamedTuple):
     delta: LaurentPoly
     lam: list
     perms: list
-    dens: list = []
+    dens: list
 
 
 def gram_block(preset, gamma, basis=None, max_block=None):
@@ -155,9 +155,9 @@ def gram_block(preset, gamma, basis=None, max_block=None):
     denominators are one object too, kept in the record's dens with the
     prefactor p they were reduced over and delta * p over them, the gcd
     content and gcd that the reduction took (`laurent.SharedDenominators`).
-    These caches go with the block.  When max_block is given, a block of more vectors
-    raises BlockTooLarge as soon as its index is counted, before any word
-    is built.
+    These caches go with the block.  When max_block is given, a block of
+    more vectors raises BlockTooLarge as soon as its index is counted,
+    before any word is built.
     """
     datum, seq, word = preset.side(basis)
     index = enumerate_block(seq, gamma)
@@ -319,9 +319,10 @@ def _record_common(delta, dens):
     `_common_denominator` gives whenever the two agree up to a unit, as on
     every block measured.
 
-    Why p divides delta * p by den: `gram_entry` reduces M / g over
-    delta * p for the other word's prefactor g, and g divides M, so den
-    divides delta * p, and `_normalize` keeps the quotient.
+    Why den divides delta * p: `gram_entry` reduces M / g over delta * p,
+    g the other word's prefactor, which divides M; the reduced denominator
+    divides the one it was reduced over, and `_normalize` keeps the
+    quotient.
     """
     prefactors = list({id(p): p for _, p, _ in dens}.values())
     polys = [p.shift(-p.min_exp()) for p in prefactors]
@@ -330,7 +331,7 @@ def _record_common(delta, dens):
     cofactors = [over[id(p)] * quotient for _, p, quotient in dens]
     C = delta * L
     low = min((c.min_exp() for c in cofactors), default=0)
-    sign = 1 if not C or C.coeffs[max(C.coeffs)] > 0 else -1
+    sign = -1 if C.coeffs[max(C.coeffs)] < 0 else 1
     if low or sign < 0:
         unit = LaurentPoly({-low: sign})
         C, cofactors = C * unit, [c * unit for c in cofactors]
@@ -790,9 +791,9 @@ def pipeline(preset, gamma, basis=None, max_block=None):
 def formatter():
     """str for values that stay alive while it is used, computed once per
     object: lam[a][b] and lam[b][a] are one value, the zeros and ones of H,
-    P and Q are shared, and a fraction's text is built from those of its
-    numerator and of its denominator, which the fractions of a Gram block
-    share (`gram_block`)."""
+    P and Q are shared, and a fraction's text takes that of its
+    denominator, which the fractions of a Gram block share (`gram_block`),
+    from here."""
     text = {}
 
     def fmt(v):

@@ -235,7 +235,7 @@ def test_gram_entries_are_the_matching_sums_over_the_expanded_denominators():
 
 def test_heuristic_gcd_serves_every_fraction_of_the_reference_blocks(monkeypatch):
     """Every gcd these blocks take (Gram entries, the lcm of their
-    denominators and D; the reconstruction check certifies the block's
+    prefactors and D; the reconstruction check certifies the block's
     common denominator and takes none) is the heuristic gcd: each gcd of
     two parts of degree >= 1 reaches it, and a slide back to the PRS gcd
     fails here."""
