@@ -295,17 +295,18 @@ def _numbering(lam, gram=None):
     per denominator after the first (`_common_denominator`)."""
     entries = list({id(x): x for i, row in enumerate(lam) for x in row[:i + 1]}.values())
     if gram is not None:
-        number = {id(den): k for k, (den, _, _) in enumerate(gram.dens)}
+        kinds = [den for den, _, _ in gram.dens]
+        number = {id(den): k for k, den in enumerate(kinds)}
         kind = [number.get(id(x.den)) for x in entries]
         if None not in kind:
-            kinds = [den for den, _, _ in gram.dens]
             C, cofactors = _record_common(gram.delta, gram.dens)
             return _Numbering(entries, kind, kinds, cofactors,
                               (C, dict(zip(kinds, cofactors))))
     kinds = {}                      # distinct denominator -> its number
     kind = [kinds.setdefault(x.den, len(kinds)) for x in entries]
     C, cofactor = _common_denominator(kinds)
-    return _Numbering(entries, kind, list(kinds), list(cofactor.values()), (C, cofactor))
+    return _Numbering(entries, kind, list(kinds), [cofactor[den] for den in kinds],
+                      (C, cofactor))
 
 
 def _record_common(delta, dens):
@@ -642,9 +643,9 @@ def reconstruct_lam(H, D, lam, common):
     diagonal D and lam over Q(q), with no fraction reduced.
 
     common is (C, cofactor), C a common multiple of the denominators of
-    lam and cofactor[den] = C / den for each of them, as
-    `_common_denominator` gives them; `factor_gram` computes it once per
-    block for `ldl` and keeps it as the block's `common`.  The check does
+    lam and cofactor[den] = C / den for each of them, as `_numbering`
+    gives them; `factor_gram` computes it once per block for `ldl` and
+    keeps it as the block's `common`.  The check does
     not trust it: it certifies cofactor[den] * den == C, one product per
     distinct denominator of lam, and a denominator with no cofactor or a
     wrong one decides the check, False.  The identity needs only some common
